@@ -14,13 +14,16 @@
 //! * `annealer/naive_baseline` — the same sweep on the hash-map
 //!   reference model (byte-identical placements, so the ratio is a pure
 //!   data-structure speedup).
-//! * `placer/mdr_parallel_place` and `flow/pair_staged` — the intra-job
-//!   parallel stages introduced with the batch engine's stage sharing.
+//! * `placer/mdr_place_serial` and `placer/mdr_place_parallel` — the
+//!   intra-job parallel MDR annealing introduced with the batch engine's
+//!   stage sharing.
+//! * `flow/pair_route_stage` — the three summary legs of a `pair` job
+//!   (MDR and both DCS variants) routed on existing placements.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mm_bench::perf::{placer_workload, router_workload, small_pair_input, PerfConfig};
-use mm_flow::{place_pair, run_pair_with_placements, FlowOptions, MdrFlow, MultiModeInput};
-use mm_place::{place_combined, place_combined_reference};
+use mm_flow::{DcsFlow, FlowOptions, MdrFlow, MultiModeInput};
+use mm_place::{place_combined, place_combined_reference, CostKind};
 use mm_route::reference::route_reference;
 use mm_route::Router;
 
@@ -97,12 +100,20 @@ fn bench_placer(c: &mut Criterion) {
 
 fn bench_flow(c: &mut Criterion) {
     let (input, options) = pair_input();
-    let placements = place_pair(&input, &options).expect("pair places");
+    let mdr = MdrFlow::new(options);
+    let edge = DcsFlow::new(options).with_cost(CostKind::EdgeMatching);
+    let wl = DcsFlow::new(options);
+    let mdr_placements = mdr.place(&input).expect("mdr places");
+    let edge_placement = edge.place(&input).expect("edge places");
+    let wl_placement = wl.place(&input).expect("wl places");
     c.bench_function("flow/pair_route_stage", |b| {
         b.iter(|| {
-            run_pair_with_placements(&input, &options, "bench", &placements)
-                .unwrap()
-                .grid
+            let mdr = mdr.run_with_placements(&input, mdr_placements.clone());
+            let edge = edge.run_with_placement(&input, edge_placement.clone());
+            let wl = wl.run_with_placement(&input, wl_placement.clone());
+            mdr.unwrap().arch.channel_width
+                + edge.unwrap().arch.channel_width
+                + wl.unwrap().arch.channel_width
         })
     });
 }

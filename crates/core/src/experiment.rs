@@ -16,32 +16,20 @@
 //! each tool flow would actually provision, exactly as a per-flow VPR run
 //! would report them.
 //!
-//! The comparison is staged so the batch engine can cache and share work:
-//!
-//! * [`place_combined_n`] — the N+2 annealing stages (one per-mode MDR
-//!   placement per mode, plus the edge-matching and wire-length combined
-//!   placements), run concurrently on the work-stealing pool; each stage
-//!   is content-addressed identically to the plain `mdr`/`dcs` jobs, so
-//!   a combined job shares placements with them.
-//! * [`run_combined_with_placements`] — width resolution, routing and
-//!   configuration extraction; the MDR leg and the two DCS variants run
-//!   concurrently.
-//!
-//! [`run_combined_n`] compiles the two stages to the
-//! [`crate::stage::combined_plan`] DAG and executes it uncached; with
-//! [`FlowOptions::intra_parallelism`] `== 1` everything runs serially and
-//! the results are byte-identical. [`run_pair`] (N = 2 callers) delegates
-//! to the same code, so its output is byte-identical by construction —
-//! and pinned by the parity property tests.
+//! There is no orchestration here: [`run_combined_n`] compiles the
+//! comparison to the [`crate::stage::combined_plan`] DAG and executes it
+//! uncached. Its three legs are the stages plain `mdr`, `dcs-edge` and
+//! `dcs` jobs run ([`crate::MdrFlow`] and [`crate::DcsFlow`] on their
+//! placements), and the root only folds their summaries into
+//! [`CombinedMetrics`]. With [`crate::FlowOptions::intra_parallelism`]
+//! `== 1` everything runs serially and the results are byte-identical.
+//! [`run_pair`] (N = 2 callers) delegates to the same plan, so its output
+//! is byte-identical by construction — and pinned by the parity property
+//! tests.
 
-use crate::flow::{intra_threads, resolve_width};
-use crate::{pool, FlowError, FlowOptions, MultiModeInput, TunableCircuit};
-use mm_arch::{Architecture, RoutingGraph};
-use mm_bitstream::{speedup, Config, ConfigModel, ParamConfig, RewriteCost};
-use mm_boolexpr::ModeSet;
+use crate::{FlowError, FlowOptions, MultiModeInput};
+use mm_bitstream::{speedup, RewriteCost};
 use mm_netlist::LutCircuit;
-use mm_place::{place_combined, place_single, CostKind, MultiPlacement, Placement, PlacerOptions};
-use mm_route::{nets_for_circuit, verify_routing, Router, RouterOptions};
 
 /// All per-problem measurements used by the figures, for any mode count.
 ///
@@ -119,406 +107,10 @@ impl CombinedMetrics {
     }
 }
 
-/// The annealing outputs of the combined comparison — one per flow leg,
-/// for any mode count.
-///
-/// These are exactly the placements a plain `mdr` job and the two `dcs`
-/// cost variants would produce, which is what lets the batch engine share
-/// the cached stages between combined jobs and plain jobs.
-#[derive(Debug, Clone)]
-pub struct CombinedPlacements {
-    /// Per-mode MDR placements (wire-length annealing per mode).
-    pub mdr: Vec<Placement>,
-    /// The edge-matching combined placement.
-    pub edge: MultiPlacement,
-    /// The wire-length combined placement.
-    pub wirelength: MultiPlacement,
-}
-
-/// Historical name of [`CombinedPlacements`], kept for API stability.
-pub type PairPlacements = CombinedPlacements;
-
-/// One annealing task of [`place_combined_n`].
-enum PlaceTask {
-    MdrMode(usize),
-    Edge,
-    WireLength,
-}
-
-enum PlaceOutput {
-    Single(Placement),
-    Multi(MultiPlacement),
-}
-
-/// Stage 1 of the combined comparison: all N+2 annealing legs (one MDR
-/// placement per mode, plus the edge-matching and wire-length combined
-/// placements), run concurrently on the work-stealing pool (serial when
-/// [`FlowOptions::intra_parallelism`] is 1).
-///
-/// # Errors
-///
-/// Fails if any leg cannot be placed.
-pub fn place_combined_n(
-    input: &MultiModeInput,
-    options: &FlowOptions,
-) -> Result<CombinedPlacements, FlowError> {
-    let base = options.base_arch(input);
-    let m = input.mode_count();
-    let mut tasks: Vec<PlaceTask> = (0..m).map(PlaceTask::MdrMode).collect();
-    tasks.push(PlaceTask::Edge);
-    tasks.push(PlaceTask::WireLength);
-    let threads = intra_threads(options, tasks.len());
-
-    let results = pool::run_ordered(
-        tasks,
-        threads,
-        |_, task| -> Result<PlaceOutput, FlowError> {
-            match task {
-                PlaceTask::MdrMode(mode) => {
-                    let opts = PlacerOptions {
-                        cost: CostKind::WireLength,
-                        seed: options.placer.seed
-                            ^ (mode as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                        ..options.placer
-                    };
-                    let (p, _) = place_single(&input.circuits()[mode], &base, &opts)?;
-                    Ok(PlaceOutput::Single(p))
-                }
-                PlaceTask::Edge => {
-                    let placer = PlacerOptions {
-                        cost: CostKind::EdgeMatching,
-                        ..options.placer
-                    };
-                    let (p, _) = place_combined(input.circuits(), &base, &placer)?;
-                    Ok(PlaceOutput::Multi(p))
-                }
-                PlaceTask::WireLength => {
-                    let placer = PlacerOptions {
-                        cost: CostKind::WireLength,
-                        ..options.placer
-                    };
-                    let (p, _) = place_combined(input.circuits(), &base, &placer)?;
-                    Ok(PlaceOutput::Multi(p))
-                }
-            }
-        },
-        |_, _| {},
-    );
-
-    let mut outputs = results.into_iter();
-    let mut mdr = Vec::with_capacity(m);
-    for _ in 0..m {
-        match outputs.next().expect("one output per task")? {
-            PlaceOutput::Single(p) => mdr.push(p),
-            PlaceOutput::Multi(_) => unreachable!("MDR task yields a single placement"),
-        }
-    }
-    let edge = match outputs.next().expect("edge output")? {
-        PlaceOutput::Multi(p) => p,
-        PlaceOutput::Single(_) => unreachable!("edge task yields a combined placement"),
-    };
-    let wirelength = match outputs.next().expect("wirelength output")? {
-        PlaceOutput::Multi(p) => p,
-        PlaceOutput::Single(_) => unreachable!("wl task yields a combined placement"),
-    };
-    Ok(CombinedPlacements {
-        mdr,
-        edge,
-        wirelength,
-    })
-}
-
-/// Thin N = 2-era wrapper around [`place_combined_n`], kept for API
-/// stability (it has always accepted any mode count).
-///
-/// # Errors
-///
-/// Fails if any leg cannot be placed.
-pub fn place_pair(
-    input: &MultiModeInput,
-    options: &FlowOptions,
-) -> Result<CombinedPlacements, FlowError> {
-    place_combined_n(input, options)
-}
-
-/// What one routed flow leg reports back.
-enum LegOutput {
-    Mdr {
-        model: ConfigModel,
-        configs: Vec<Config>,
-        wires: Vec<usize>,
-        width: usize,
-    },
-    Dcs {
-        cost: RewriteCost,
-        wires: Vec<usize>,
-        width: usize,
-    },
-}
-
-enum Leg<'p> {
-    Mdr(&'p [Placement]),
-    Dcs {
-        tunable: &'p TunableCircuit,
-        label: &'static str,
-    },
-}
-
-/// Routes the MDR leg: shared width (max over modes, +20%), then every
-/// mode at that width, growing jointly if negotiation stalls.
-fn run_mdr_leg(
-    input: &MultiModeInput,
-    options: &FlowOptions,
-    base: &Architecture,
-    placements: &[Placement],
-) -> Result<LegOutput, FlowError> {
-    let single_router = RouterOptions {
-        mode_count: 1,
-        ..options.router
-    };
-    let mut width = {
-        let mut w = 0usize;
-        for (m, circuit) in input.circuits().iter().enumerate() {
-            let placement = &placements[m];
-            let wm = resolve_width(
-                base,
-                options,
-                &single_router,
-                &format!("MDR mode {m}"),
-                |rrg| nets_for_circuit(circuit, rrg, ModeSet::single(0), |b| placement.site_of(b)),
-            )?;
-            w = w.max(wm);
-        }
-        w
-    };
-    loop {
-        let arch = base.with_channel_width(width);
-        let rrg = RoutingGraph::build(&arch);
-        // One router serves every mode: `route` resets congestion state
-        // on entry and HPWL-seeds each net's bounding box from the
-        // placement geometry the nets carry.
-        let mut router = Router::new(&rrg, single_router);
-        let mut configs = Vec::with_capacity(input.mode_count());
-        let mut wires = Vec::with_capacity(input.mode_count());
-        let mut ok = true;
-        for circuit in input.circuits() {
-            let placement = &placements[configs.len()];
-            let nets =
-                nets_for_circuit(circuit, &rrg, ModeSet::single(0), |b| placement.site_of(b));
-            let routing = router.route(&nets);
-            if !routing.success {
-                ok = false;
-                break;
-            }
-            verify_routing(&rrg, &nets, &routing, 1).map_err(FlowError::Internal)?;
-            wires.push(routing.total_wires(&rrg));
-            configs.push(Config::from_routing(&routing));
-        }
-        if ok {
-            return Ok(LegOutput::Mdr {
-                model: ConfigModel::new(&arch, &rrg),
-                configs,
-                wires,
-                width,
-            });
-        }
-        if width >= options.max_width {
-            return Err(FlowError::Unroutable {
-                max_width: options.max_width,
-                context: "MDR at relaxed width".into(),
-            });
-        }
-        width = (width + width.div_ceil(8)).min(options.max_width);
-    }
-}
-
-/// Routes one DCS leg: width resolution plus mode-aware routing of the
-/// tunable circuit on its own fabric.
-fn run_dcs_leg(
-    input: &MultiModeInput,
-    options: &FlowOptions,
-    base: &Architecture,
-    tunable: &TunableCircuit,
-    label: &str,
-) -> Result<LegOutput, FlowError> {
-    let multi_router = RouterOptions {
-        mode_count: input.mode_count(),
-        ..options.router
-    };
-    let width = resolve_width(
-        base,
-        options,
-        &multi_router,
-        &format!("tunable ({label})"),
-        |rrg| tunable.route_nets(rrg),
-    )?;
-    let (arch, rrg, nets, routing) = crate::flow::route_with_growth(
-        base,
-        width,
-        options.max_width,
-        &multi_router,
-        &format!("tunable circuit ({label}) at relaxed width"),
-        None,
-        |rrg| tunable.route_nets(rrg),
-    )?;
-    let model = ConfigModel::new(&arch, &rrg);
-    verify_routing(&rrg, &nets, &routing, input.mode_count()).map_err(FlowError::Internal)?;
-    let wires = (0..input.mode_count())
-        .map(|m| routing.wires_in_mode(&rrg, m))
-        .collect();
-    let param = ParamConfig::from_routing(&routing, input.space());
-    Ok(LegOutput::Dcs {
-        cost: model.dcs_cost(&param),
-        wires,
-        width: arch.channel_width,
-    })
-}
-
-/// Stage 2 of the combined comparison: width resolution, routing and
-/// configuration extraction on top of existing placements. The MDR leg
-/// and the two DCS variants run concurrently (serially with
-/// [`FlowOptions::intra_parallelism`] `== 1`; results are identical
-/// either way).
-///
-/// # Errors
-///
-/// Fails if the placements do not fit the input or a leg cannot route.
-pub fn run_combined_with_placements(
-    input: &MultiModeInput,
-    options: &FlowOptions,
-    name: impl Into<String>,
-    placements: &CombinedPlacements,
-) -> Result<CombinedMetrics, FlowError> {
-    let base = options.base_arch(input);
-
-    // Guard against stale/poisoned placements (e.g. a corrupted cache):
-    // every leg's placement must fit this input on this fabric.
-    if placements.mdr.len() != input.mode_count() {
-        return Err(FlowError::Input(format!(
-            "{} MDR placements for {} modes",
-            placements.mdr.len(),
-            input.mode_count()
-        )));
-    }
-    let mdr_wrapped = MultiPlacement {
-        modes: placements.mdr.clone(),
-    };
-    mm_place::verify_placement(input.circuits(), &base, &mdr_wrapped).map_err(FlowError::Input)?;
-    mm_place::verify_placement(input.circuits(), &base, &placements.edge)
-        .map_err(FlowError::Input)?;
-    mm_place::verify_placement(input.circuits(), &base, &placements.wirelength)
-        .map_err(FlowError::Input)?;
-
-    let edge_tunable = TunableCircuit::from_placement(input.circuits(), &placements.edge, &base)?;
-    let wl_tunable =
-        TunableCircuit::from_placement(input.circuits(), &placements.wirelength, &base)?;
-    edge_tunable
-        .verify_projection(input.circuits(), &placements.edge)
-        .map_err(FlowError::Internal)?;
-    wl_tunable
-        .verify_projection(input.circuits(), &placements.wirelength)
-        .map_err(FlowError::Internal)?;
-
-    // ---- the three flow legs, each on its own fabric ---------------------
-    let legs = vec![
-        Leg::Mdr(&placements.mdr),
-        Leg::Dcs {
-            tunable: &edge_tunable,
-            label: "edge",
-        },
-        Leg::Dcs {
-            tunable: &wl_tunable,
-            label: "wl",
-        },
-    ];
-    let threads = intra_threads(options, legs.len());
-    let outputs = pool::run_ordered(
-        legs,
-        threads,
-        |_, leg| match leg {
-            Leg::Mdr(placements) => run_mdr_leg(input, options, &base, placements),
-            Leg::Dcs { tunable, label } => run_dcs_leg(input, options, &base, tunable, label),
-        },
-        |_, _| {},
-    );
-    let mut outputs = outputs.into_iter();
-    let (mdr_model, mdr_configs, mdr_wires, width_mdr) = match outputs.next().expect("mdr leg")? {
-        LegOutput::Mdr {
-            model,
-            configs,
-            wires,
-            width,
-        } => (model, configs, wires, width),
-        LegOutput::Dcs { .. } => unreachable!("leg order is fixed"),
-    };
-    let (edge_cost, edge_wires, width_edge) = match outputs.next().expect("edge leg")? {
-        LegOutput::Dcs { cost, wires, width } => (cost, wires, width),
-        LegOutput::Mdr { .. } => unreachable!("leg order is fixed"),
-    };
-    let (wl_cost, wl_wires, width_wl) = match outputs.next().expect("wl leg")? {
-        LegOutput::Dcs { cost, wires, width } => (cost, wires, width),
-        LegOutput::Mdr { .. } => unreachable!("leg order is fixed"),
-    };
-
-    // ---- metrics ---------------------------------------------------------
-    let mean = |w: &[usize]| -> f64 { w.iter().sum::<usize>() as f64 / w.len().max(1) as f64 };
-    let diff = {
-        let m = input.mode_count();
-        let mut total = 0usize;
-        let mut pairs = 0usize;
-        for a in 0..m {
-            for b in 0..m {
-                if a != b {
-                    total += mdr_model
-                        .diff_cost(&mdr_configs[a], &mdr_configs[b])
-                        .routing_bits;
-                    pairs += 1;
-                }
-            }
-        }
-        RewriteCost {
-            lut_bits: mdr_model.lut_bits,
-            routing_bits: total.checked_div(pairs).unwrap_or_default(),
-        }
-    };
-
-    Ok(CombinedMetrics {
-        name: name.into(),
-        grid: base.grid,
-        width_mdr,
-        width_edge,
-        width_wirelength: width_wl,
-        mdr: mdr_model.mdr_cost(),
-        diff,
-        dcs_edge: edge_cost,
-        dcs_wirelength: wl_cost,
-        wires_mdr: mean(&mdr_wires),
-        wires_edge: mean(&edge_wires),
-        wires_wirelength: mean(&wl_wires),
-        tunable_stats: wl_tunable.stats(),
-        mode_luts: input.circuits().iter().map(|c| c.lut_count()).collect(),
-    })
-}
-
-/// Thin N = 2-era wrapper around [`run_combined_with_placements`], kept
-/// for API stability.
-///
-/// # Errors
-///
-/// Fails if the placements do not fit the input or a leg cannot route.
-pub fn run_pair_with_placements(
-    input: &MultiModeInput,
-    options: &FlowOptions,
-    name: impl Into<String>,
-    placements: &CombinedPlacements,
-) -> Result<CombinedMetrics, FlowError> {
-    run_combined_with_placements(input, options, name, placements)
-}
-
 /// Runs the full comparison for one N-mode problem, straight from the
 /// mode circuits: input validation, then a compile-and-execute of the
-/// [`crate::stage::combined_plan`] stage graph (the annealing legs fan
-/// out, the combine stage joins them).
+/// [`crate::stage::combined_plan`] stage graph (three annealing legs,
+/// the summary stage routed on each, and the fold that joins them).
 ///
 /// This is the N-ary primary entry point; [`run_pair`] delegates here,
 /// so a 2-element slice produces output byte-identical to the historical
@@ -661,20 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_pair_equals_monolithic_pair() {
-        let input = MultiModeInput::new(vec![
-            random_circuit("m0", 5, 12, 61),
-            random_circuit("m1", 5, 13, 62),
-        ])
-        .unwrap();
-        let options = FlowOptions::default().with_fixed_width(14);
-        let placements = place_pair(&input, &options).unwrap();
-        let staged = run_pair_with_placements(&input, &options, "s", &placements).unwrap();
-        let whole = run_pair(&input, &options, "s").unwrap();
-        assert_eq!(staged, whole);
-    }
-
-    #[test]
     fn combined_n_equals_pair_wrapper_for_two_modes() {
         let circuits = vec![
             random_circuit("m0", 5, 12, 91),
@@ -706,22 +284,5 @@ mod tests {
         // Three similar-size modes: region ≈ a third of the static area.
         let area = metrics.area_vs_static();
         assert!(area > 0.25 && area < 0.55, "area ratio {area}");
-    }
-
-    #[test]
-    fn stale_pair_placements_rejected() {
-        let input = MultiModeInput::new(vec![
-            random_circuit("m0", 5, 12, 71),
-            random_circuit("m1", 5, 13, 72),
-        ])
-        .unwrap();
-        let other = MultiModeInput::new(vec![
-            random_circuit("x0", 5, 16, 73),
-            random_circuit("x1", 5, 17, 74),
-        ])
-        .unwrap();
-        let options = FlowOptions::default().with_fixed_width(14);
-        let placements = place_pair(&other, &options).unwrap();
-        assert!(run_pair_with_placements(&input, &options, "bad", &placements).is_err());
     }
 }

@@ -131,14 +131,14 @@ pub struct FlowOptions {
     pub fc_in: f64,
     /// Output connection-block flexibility.
     pub fc_out: f64,
-    /// Worker threads for parallel sections *inside* one flow run
-    /// (per-mode MDR placements, the N+2 annealing legs and the routed
-    /// flow legs of `run_combined_n`): `0` = one per independent task,
-    /// `1` = strictly serial. Results are
-    /// byte-identical at any setting (every task is independently
-    /// seeded), so this deliberately does **not** participate in
-    /// [`FlowOptions::fingerprint`] — serial and parallel runs share
-    /// cache entries.
+    /// Worker threads for parallel sections *inside* one flow run: the
+    /// per-mode MDR placements, and each wave of ready stage-plan nodes
+    /// (a combined plan's three placement legs, then its three summary
+    /// legs): `0` = one per independent task, `1` = strictly serial.
+    /// Results are byte-identical at any setting (every task is
+    /// independently seeded), so this deliberately does **not**
+    /// participate in [`FlowOptions::fingerprint`] — serial and parallel
+    /// runs share cache entries.
     pub intra_parallelism: usize,
 }
 
@@ -980,6 +980,12 @@ mod tests {
         let placement = flow.place(&other).unwrap();
         let err = flow.run_with_placement(&input, placement);
         assert!(err.is_err());
+        // The same guard on the MDR side: per-mode placements of other
+        // circuits are rejected before routing.
+        let mdr = MdrFlow::new(options);
+        let placements = mdr.place(&other).unwrap();
+        let err = mdr.run_with_placements(&input, placements).unwrap_err();
+        assert!(matches!(err, FlowError::Input(_)), "{err}");
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! * [`run_combined_n`] — the full experimental comparison on a shared
 //!   fabric for **any mode count**, producing the measurements behind
 //!   Figures 5–7; [`run_pair`] is its historical N = 2-era wrapper
-//!   (byte-identical output by construction).
+//!   (byte-identical output by construction). Both execute
+//!   [`stage::combined_plan`], which runs the MDR and DCS summary stages
+//!   of the plain flows side by side and folds their results.
 //!
 //! # Example
 //!
@@ -50,10 +52,7 @@ pub mod timing;
 mod tunable;
 
 pub use error::FlowError;
-pub use experiment::{
-    place_combined_n, place_pair, run_combined_n, run_combined_with_placements, run_pair,
-    run_pair_with_placements, CombinedMetrics, CombinedPlacements, PairMetrics, PairPlacements,
-};
+pub use experiment::{run_combined_n, run_pair, CombinedMetrics, PairMetrics};
 pub use flow::{DcsFlow, DcsResult, FlowOptions, MdrFlow, MdrResult, MultiModeInput, WidthChoice};
 pub use report::Stats;
 pub use stage::{DcsSummary, MdrSummary};
@@ -73,7 +72,6 @@ const _: () = {
     assert_send_sync::<DcsResult>();
     assert_send_sync::<MdrResult>();
     assert_send_sync::<CombinedMetrics>();
-    assert_send_sync::<CombinedPlacements>();
     assert_send_sync::<TunableCircuit>();
     assert_send_sync::<FlowError>();
     assert_send_sync::<stage::Artifact>();

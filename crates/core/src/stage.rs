@@ -11,8 +11,9 @@
 //!   assembled with [`PlanBuilder`] and executed with
 //!   [`StagePlan::execute`];
 //! * [`dcs_plan`], [`mdr_plan`] and [`combined_plan`] compile the three
-//!   flow flavors to plans — per-mode/variant annealing legs fan out, the
-//!   summarizing route/tune stage joins them.
+//!   flow flavors to plans — annealing legs fan out into route/tune
+//!   summary stages; the combined plan runs the plain plans' legs side by
+//!   side and folds their three summaries in one routing-free stage.
 //!
 //! # Fingerprints and cache sharing
 //!
@@ -21,12 +22,12 @@
 //! fingerprint (the canonical BLIF of every mode) and the fingerprints of
 //! its dependencies. Two nodes with equal fingerprints compute the same
 //! artifact, so a cache keyed by node fingerprint shares work across
-//! plans automatically. In particular the annealing legs of a combined
-//! plan fingerprint **identically** to the placement nodes of the plain
-//! `dcs`/`mdr` plans on the same mode list — the pair↔plain placement
-//! sharing the batch engine used to hand-roll is now just the general
-//! case. Display labels ([`PlanNode::label`]) are deliberately excluded
-//! from fingerprints.
+//! plans automatically. In particular the placement *and* summary nodes
+//! of a combined plan fingerprint **identically** to those of the plain
+//! `mdr`, `dcs-edge` and `dcs` plans on the same mode list, so pair and
+//! plain jobs share annealing and route results in both directions —
+//! just the general case of the rule. Display labels
+//! ([`PlanNode::label`]) are deliberately excluded from fingerprints.
 //!
 //! Caching itself stays outside this crate: the executor consults a
 //! [`PlanHooks`] implementation per node ([`Lookup::Hit`] short-circuits
@@ -46,9 +47,7 @@
 
 use crate::flow::{DcsFlow, FlowOptions, MdrFlow, MultiModeInput};
 use crate::pool;
-use crate::{
-    run_combined_with_placements, CombinedMetrics, CombinedPlacements, FlowError, TunableStats,
-};
+use crate::{CombinedMetrics, FlowError, TunableStats};
 use mm_bitstream::RewriteCost;
 use mm_netlist::blif;
 use mm_place::{CostKind, MultiPlacement, Placement, PlacerOptions};
@@ -684,24 +683,6 @@ impl Stage for PlaceDcs {
     }
 }
 
-fn dep_combined(deps: &[Artifact], index: usize) -> Result<&MultiPlacement, FlowError> {
-    match deps.get(index) {
-        Some(Artifact::CombinedPlacement(p)) => Ok(p),
-        _ => Err(FlowError::Internal(format!(
-            "stage dependency {index} is not a combined placement"
-        ))),
-    }
-}
-
-fn dep_mdr(deps: &[Artifact], index: usize) -> Result<&Arc<Vec<Placement>>, FlowError> {
-    match deps.get(index) {
-        Some(Artifact::MdrPlacements(p)) => Ok(p),
-        _ => Err(FlowError::Internal(format!(
-            "stage dependency {index} is not a set of MDR placements"
-        ))),
-    }
-}
-
 /// DCS routing, tuning and summary extraction on top of a combined
 /// placement (routed STA only for the timing cost, so default summaries
 /// stay byte-identical).
@@ -730,9 +711,13 @@ impl Stage for DcsSummarize {
     }
 
     fn run(&self, input: &MultiModeInput, deps: &[Artifact]) -> Result<Artifact, FlowError> {
-        let placement = dep_combined(deps, 0)?;
+        let [Artifact::CombinedPlacement(placement)] = deps else {
+            return Err(FlowError::Internal(
+                "dcs-summary expects one combined placement".into(),
+            ));
+        };
         let flow = DcsFlow::new(self.options).with_cost(self.cost);
-        let r = flow.run_with_placement(input, placement.clone())?;
+        let r = flow.run_with_placement(input, placement.as_ref().clone())?;
         let modes = input.mode_count();
         let critical_paths = if matches!(self.cost, CostKind::Timing { .. }) {
             Some(r.critical_paths(input.circuits())?)
@@ -773,7 +758,11 @@ impl Stage for MdrSummarize {
     }
 
     fn run(&self, input: &MultiModeInput, deps: &[Artifact]) -> Result<Artifact, FlowError> {
-        let placements = dep_mdr(deps, 0)?;
+        let [Artifact::MdrPlacements(placements)] = deps else {
+            return Err(FlowError::Internal(
+                "mdr-summary expects one set of MDR placements".into(),
+            ));
+        };
         let r =
             MdrFlow::new(self.options).run_with_placements(input, placements.as_ref().clone())?;
         let modes = input.mode_count();
@@ -788,11 +777,10 @@ impl Stage for MdrSummarize {
     }
 }
 
-/// The combined-comparison join: width resolution, routing and
-/// configuration extraction of all three legs on their own fabrics.
-struct Combine {
-    options: FlowOptions,
-}
+/// The combined-comparison join: a routing-free fold of the three leg
+/// summaries (MDR, DCS edge matching, DCS wire length), each routed on
+/// its own fabric by the stage a plain job runs, plus the mode sizes.
+struct Combine;
 
 impl Stage for Combine {
     fn name(&self) -> &'static str {
@@ -800,7 +788,9 @@ impl Stage for Combine {
     }
 
     fn params(&self) -> String {
-        self.options.fingerprint()
+        // Every option reaches the fold through its dependencies'
+        // fingerprints; it has no parameters of its own.
+        String::new()
     }
 
     fn output_kind(&self) -> ArtifactKind {
@@ -808,13 +798,28 @@ impl Stage for Combine {
     }
 
     fn run(&self, input: &MultiModeInput, deps: &[Artifact]) -> Result<Artifact, FlowError> {
-        let placements = CombinedPlacements {
-            mdr: dep_mdr(deps, 0)?.as_ref().clone(),
-            edge: dep_combined(deps, 1)?.clone(),
-            wirelength: dep_combined(deps, 2)?.clone(),
+        let [Artifact::Mdr(mdr), Artifact::Dcs(edge), Artifact::Dcs(wl)] = deps else {
+            return Err(FlowError::Internal(
+                "combine expects the MDR, DCS-edge and DCS-wl summaries".into(),
+            ));
         };
-        let metrics = run_combined_with_placements(input, &self.options, "", &placements)?;
-        Ok(Artifact::Combined(metrics))
+        let mean = |w: &[usize]| w.iter().sum::<usize>() as f64 / w.len().max(1) as f64;
+        Ok(Artifact::Combined(CombinedMetrics {
+            name: String::new(),
+            grid: mdr.grid,
+            width_mdr: mdr.channel_width,
+            width_edge: edge.channel_width,
+            width_wirelength: wl.channel_width,
+            mdr: mdr.mdr_cost,
+            diff: mdr.avg_diff_cost,
+            dcs_edge: edge.dcs_cost,
+            dcs_wirelength: wl.dcs_cost,
+            wires_mdr: mean(&mdr.wires),
+            wires_edge: mean(&edge.wires),
+            wires_wirelength: mean(&wl.wires),
+            tunable_stats: wl.tunable,
+            mode_luts: input.circuits().iter().map(|c| c.lut_count()).collect(),
+        }))
     }
 }
 
@@ -848,15 +853,17 @@ pub fn mdr_plan(input: MultiModeInput, options: FlowOptions) -> StagePlan {
     b.build(input, root)
 }
 
-/// Compiles the full combined comparison: the three annealing legs fan
-/// out (fingerprinting identically to the plain plans' placement nodes,
-/// so caches share them bidirectionally) and the combine stage joins
-/// them.
+/// Compiles the full combined comparison to 7 nodes: the three
+/// annealing legs feed the summary stages a plain `mdr`, `dcs-edge` and
+/// `dcs` job runs on them, and the combine stage folds those summaries.
+/// Every leg node fingerprints identically to its plain-plan twin, so
+/// caches share placements *and* route results with plain jobs in both
+/// directions.
 #[must_use]
 pub fn combined_plan(input: MultiModeInput, options: FlowOptions) -> StagePlan {
     let mut b = PlanBuilder::new();
-    let mdr = b.add(Box::new(PlaceMdr { options }), vec![], "place-mdr");
-    let edge = b.add(
+    let place_mdr = b.add(Box::new(PlaceMdr { options }), vec![], "place-mdr");
+    let place_edge = b.add(
         Box::new(PlaceDcs {
             options,
             cost: CostKind::EdgeMatching,
@@ -864,7 +871,7 @@ pub fn combined_plan(input: MultiModeInput, options: FlowOptions) -> StagePlan {
         vec![],
         "place-dcs-edge",
     );
-    let wl = b.add(
+    let place_wl = b.add(
         Box::new(PlaceDcs {
             options,
             cost: CostKind::WireLength,
@@ -872,11 +879,28 @@ pub fn combined_plan(input: MultiModeInput, options: FlowOptions) -> StagePlan {
         vec![],
         "place-dcs-wl",
     );
-    let root = b.add(
-        Box::new(Combine { options }),
-        vec![mdr, edge, wl],
-        "combine",
+    let mdr = b.add(
+        Box::new(MdrSummarize { options }),
+        vec![place_mdr],
+        "mdr-summary",
     );
+    let edge = b.add(
+        Box::new(DcsSummarize {
+            options,
+            cost: CostKind::EdgeMatching,
+        }),
+        vec![place_edge],
+        "dcs-summary-edge",
+    );
+    let wl = b.add(
+        Box::new(DcsSummarize {
+            options,
+            cost: CostKind::WireLength,
+        }),
+        vec![place_wl],
+        "dcs-summary-wl",
+    );
+    let root = b.add(Box::new(Combine), vec![mdr, edge, wl], "combine");
     b.build(input, root)
 }
 
@@ -946,10 +970,18 @@ mod tests {
                 .fingerprint()
                 .to_string()
         };
-        // Labels differ, fingerprints agree: the pair↔plain sharing rule.
+        // Labels differ, fingerprints agree: the pair↔plain sharing rule,
+        // for the annealing legs and for the summaries routed on them.
         assert_eq!(fp(&combined, "place-mdr"), fp(&mdr, "place-mdr"));
         assert_eq!(fp(&combined, "place-dcs-wl"), fp(&dcs_wl, "place-dcs"));
         assert_eq!(fp(&combined, "place-dcs-edge"), fp(&dcs_edge, "place-dcs"));
+        assert_eq!(fp(&combined, "mdr-summary"), mdr.root_fingerprint());
+        assert_eq!(fp(&combined, "dcs-summary-wl"), dcs_wl.root_fingerprint());
+        assert_eq!(
+            fp(&combined, "dcs-summary-edge"),
+            dcs_edge.root_fingerprint()
+        );
+        assert_eq!(combined.nodes().len(), 7);
         assert_ne!(
             fp(&combined, "place-dcs-wl"),
             fp(&combined, "place-dcs-edge")

@@ -420,7 +420,7 @@ mod tests {
         c
     }
 
-    fn place_pair(overlap: bool) -> (Vec<LutCircuit>, MultiPlacement, Architecture) {
+    fn hand_placed_pair(overlap: bool) -> (Vec<LutCircuit>, MultiPlacement, Architecture) {
         let arch = Architecture::new(4, 3, 4);
         let (a, b) = (chain("a"), chain("b"));
         let mut p0 = Placement::new(a.block_count());
@@ -452,7 +452,7 @@ mod tests {
 
     #[test]
     fn overlapping_placement_merges_everything() {
-        let (circuits, placement, arch) = place_pair(true);
+        let (circuits, placement, arch) = hand_placed_pair(true);
         let t = TunableCircuit::from_placement(&circuits, &placement, &arch).unwrap();
         let stats = t.stats();
         assert_eq!(stats.tunable_luts, 2);
@@ -463,7 +463,7 @@ mod tests {
 
     #[test]
     fn disjoint_placement_merges_nothing() {
-        let (circuits, placement, arch) = place_pair(false);
+        let (circuits, placement, arch) = hand_placed_pair(false);
         let t = TunableCircuit::from_placement(&circuits, &placement, &arch).unwrap();
         let stats = t.stats();
         assert_eq!(stats.tunable_luts, 4);
@@ -479,7 +479,7 @@ mod tests {
         // only at g2's site; check g2: mode0 = NOT(x) registered, mode1 =
         // NOT(x) registered — same. Instead check g1 (var) vs g1 (var):
         // identical → bits static. Then craft differing occupants.
-        let (circuits, placement, arch) = place_pair(true);
+        let (circuits, placement, arch) = hand_placed_pair(true);
         let t = TunableCircuit::from_placement(&circuits, &placement, &arch).unwrap();
         let space = t.space();
 
@@ -558,7 +558,7 @@ mod tests {
 
     #[test]
     fn route_nets_group_by_source() {
-        let (circuits, placement, arch) = place_pair(false);
+        let (circuits, placement, arch) = hand_placed_pair(false);
         let t = TunableCircuit::from_placement(&circuits, &placement, &arch).unwrap();
         let rrg = mm_arch::RoutingGraph::build(&arch);
         let nets = t.route_nets(&rrg);
@@ -568,7 +568,7 @@ mod tests {
             assert_eq!(net.sinks.len(), 1);
         }
         // Overlapped: three nets with merged activations.
-        let (circuits, placement, arch) = place_pair(true);
+        let (circuits, placement, arch) = hand_placed_pair(true);
         let t = TunableCircuit::from_placement(&circuits, &placement, &arch).unwrap();
         let nets = t.route_nets(&rrg);
         assert_eq!(nets.len(), 3);
@@ -579,7 +579,7 @@ mod tests {
 
     #[test]
     fn rejects_inconsistent_input() {
-        let (circuits, placement, arch) = place_pair(true);
+        let (circuits, placement, arch) = hand_placed_pair(true);
         // Wrong mode count.
         let bad = MultiPlacement {
             modes: vec![placement.modes[0].clone()],

@@ -14,12 +14,13 @@
 //!   tests — this is the engine's determinism contract).
 //!
 //! Each job [compiles](Job::compile) to a typed
-//! [`StagePlan`](mm_flow::stage::StagePlan) — per-mode annealing legs
-//! fanning into a summarize/combine root — and runs through the plan
-//! executor, which schedules ready nodes onto the pool (within the
-//! job's intra-parallelism budget) and records per-node wall clock and
-//! cache outcome. There is no per-flavor execution code here: `dcs`,
-//! `mdr` and `pair`/`combined` differ only in the plan they compile to.
+//! [`StagePlan`](mm_flow::stage::StagePlan) — annealing legs feeding
+//! summary stages, joined by a combine root for `pair` — and runs
+//! through the plan executor, which schedules ready nodes onto the pool
+//! (within the job's intra-parallelism budget) and records per-node
+//! wall clock and cache outcome. There is no per-flavor execution code
+//! here: `dcs`, `mdr` and `pair`/`combined` differ only in the plan
+//! they compile to.
 //!
 //! # Stage caching
 //!
@@ -28,17 +29,20 @@
 //! the canonical input BLIFs and the fingerprints of its dependencies,
 //! composed recursively. Two namespaces fall out of the artifact kind:
 //!
-//! * `result` — summary/combine roots. A hit skips the whole plan.
+//! * `result` — summaries and combine roots. A root hit skips the whole
+//!   plan; a hit on a `pair` job's leg summary skips that leg's
+//!   placement and routing.
 //! * `placement` — the expensive annealing legs. A hit skips annealing
 //!   and re-runs only routing/extraction. Placement fingerprints
 //!   exclude router options, so jobs differing only in routing
 //!   configuration share annealing work.
 //!
-//! Because the legs of a `pair` job carry **the same** fingerprints as
-//! plain `mdr`/`dcs` jobs on the same mode list (labels are display
-//! only), placements flow freely between combined jobs and plain jobs
-//! in either direction — sharing is structural, not special-cased.
-//! Failures are never cached.
+//! Because the placement and summary nodes of a `pair` job carry **the
+//! same** fingerprints as plain `mdr`/`dcs-edge`/`dcs` jobs on the same
+//! mode list (labels are display only), placements and route results
+//! flow freely between combined jobs and plain jobs in either direction
+//! — sharing is structural, not special-cased. Failures are never
+//! cached.
 
 use crate::cache::{CacheStats, StageCache};
 use crate::hash::Sha256;
@@ -400,12 +404,16 @@ impl Engine {
                     info.placement_hit = true;
                     info.placement_hits += 1;
                 }
-                // Summaries are always plan roots: a summary hit is a
-                // full result hit and nothing downstream exists to run.
-                CacheOutcome::Hit => info.result_hit = true,
+                // A summary hit below the root (a `pair` job's leg) only
+                // spares that leg; a root hit is handled below.
+                CacheOutcome::Hit => {}
                 CacheOutcome::Miss | CacheOutcome::Uncached => info.stages_recomputed += 1,
             }
         }
+        // A root hit seals the whole plan: the executor demands nothing
+        // below it, so the root is the only node it resolves.
+        info.result_hit =
+            matches!(run.stages.as_slice(), [root] if root.cache == CacheOutcome::Hit);
         let outcome = match run.artifact {
             Ok(Artifact::Dcs(s)) => Ok(JobOutcome::Dcs(s)),
             Ok(Artifact::Mdr(s)) => Ok(JobOutcome::Mdr(s)),

@@ -135,10 +135,10 @@ pub struct Job {
 }
 
 impl Job {
-    /// Compiles the job to its typed stage plan: per-mode placement legs
-    /// fanning into the summarizing stage for [`FlowKind::Dcs`] /
-    /// [`FlowKind::Mdr`], or the three annealing legs joining in the
-    /// combine stage for [`FlowKind::Pair`].
+    /// Compiles the job to its typed stage plan: a placement leg feeding
+    /// the summarizing stage for [`FlowKind::Dcs`] / [`FlowKind::Mdr`],
+    /// or, for [`FlowKind::Pair`], the plain `mdr`, `dcs-edge` and `dcs`
+    /// plans side by side, joined by the combine stage.
     ///
     /// # Errors
     ///
@@ -199,12 +199,16 @@ pub enum JobOutcome {
 /// result record).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobCacheInfo {
-    /// The final result came from the cache; nothing was recomputed.
+    /// The plan root came from the cache, so nothing was recomputed. A
+    /// `pair` job whose leg summaries hit but whose root missed is not a
+    /// result hit.
     pub result_hit: bool,
     /// At least one placement stage came from the cache.
     pub placement_hit: bool,
     /// Placement stages served from the cache (a `pair` job has three
     /// annealing legs and can hit 0–3 of them; plain jobs have one).
+    /// Legs whose summary hit are never demanded, so they count here
+    /// neither as hits nor as recomputed stages.
     pub placement_hits: usize,
     /// Flow stages actually executed (0 on a full hit).
     pub stages_recomputed: usize,

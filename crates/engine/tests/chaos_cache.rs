@@ -9,8 +9,8 @@
 //!   process, or a hostile filesystem.
 //! * Armed fault points (`cache_read_io`, `cache_write_partial`) break
 //!   the cache from the inside. The fault-point registry is
-//!   process-global, so those tests serialize on a mutex and disarm via
-//!   a drop guard.
+//!   process-global, so every test here serializes on one mutex, and the
+//!   armed ones disarm via a drop guard.
 
 use mm_engine::faultpoint;
 use mm_engine::{Engine, EngineOptions, FlowKind, Job};
@@ -47,8 +47,30 @@ fn jobs() -> Vec<Job> {
         },
         Job {
             name: "storm-pair".into(),
-            circuits: vec![a, c],
+            circuits: vec![a.clone(), c.clone()],
             flow: FlowKind::Pair,
+            options: quick_options(0xc4a0),
+        },
+        // The pair's leg summaries are result entries too, which an
+        // intact pair root never reads. Plain jobs over the same modes
+        // make every result entry some job's root, so each corrupted
+        // entry is read (and quarantined) exactly once.
+        Job {
+            name: "storm-pair-mdr".into(),
+            circuits: vec![a.clone(), c.clone()],
+            flow: FlowKind::Mdr,
+            options: quick_options(0xc4a0),
+        },
+        Job {
+            name: "storm-pair-dcs".into(),
+            circuits: vec![a.clone(), c.clone()],
+            flow: FlowKind::Dcs(CostKind::WireLength),
+            options: quick_options(0xc4a0),
+        },
+        Job {
+            name: "storm-pair-dcs-edge".into(),
+            circuits: vec![a, c],
+            flow: FlowKind::Dcs(CostKind::EdgeMatching),
             options: quick_options(0xc4a0),
         },
     ]
@@ -131,6 +153,9 @@ proptest! {
     /// (c) leave the store healed: a third run is fully warm and clean.
     #[test]
     fn corruption_storm_never_reaches_a_record(mask: u64, flip_byte: u8, truncate: bool) {
+        // Its counts are exact, so no fault armed by a sibling test may
+        // fire while the case runs.
+        let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let reference = cold_reference();
         let dir = tmp_dir("storm");
 
@@ -181,9 +206,9 @@ proptest! {
     }
 }
 
-/// Fault-point registry is process-global: armed tests take this lock
-/// and disarm through [`Armed`] so a panic cannot leak an armed
-/// registry into the storm proptest above.
+/// Fault-point registry is process-global: every test takes this lock,
+/// and armed tests disarm through [`Armed`] so a panic cannot leak an
+/// armed registry into the storm proptest above.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 struct Armed<'a> {

@@ -202,19 +202,26 @@ fn pair_jobs_share_placement_stages_with_plain_jobs() {
     assert!(warm.results.iter().all(|r| r.outcome.is_ok()));
 
     // A pair job on the same mode group shares the MDR and DCS-wl legs;
-    // only the edge-matching leg and the routing stage are computed.
+    // the edge-matching leg, the three leg summaries and the combine
+    // stage are computed.
     let pair = engine.run(vec![job("pair", FlowKind::Pair, 29)]);
     let info = pair.results[0].cache;
     assert!(pair.results[0].outcome.is_ok());
     assert!(info.placement_hit, "pair reuses plain-job annealing");
     assert_eq!(info.placement_hits, 2, "mdr + dcs-wl legs from cache");
-    assert_eq!(info.stages_recomputed, 2, "edge leg + routing only");
+    assert_eq!(
+        info.stages_recomputed, 5,
+        "edge leg + three leg summaries + combine"
+    );
 
     // A second pair run (different router again) now hits all three legs.
     let pair2 = engine.run(vec![job("pair2", FlowKind::Pair, 28)]);
     let info2 = pair2.results[0].cache;
     assert_eq!(info2.placement_hits, 3, "all legs cached");
-    assert_eq!(info2.stages_recomputed, 1, "only routing recomputed");
+    assert_eq!(
+        info2.stages_recomputed, 4,
+        "only the three leg summaries + combine recomputed"
+    );
 
     // And the sharing works in reverse: a plain dcs-edge job reuses the
     // edge leg the pair job stored.
@@ -270,13 +277,17 @@ fn three_mode_combined_jobs_share_stages_and_rerun_warm() {
     assert!(warm.results.iter().all(|r| r.outcome.is_ok()));
 
     // A combined job on the same 3-mode list shares the MDR and DCS-wl
-    // legs; only the edge-matching leg and the routing stage compute.
+    // legs; the edge-matching leg, the three leg summaries and the
+    // combine stage compute.
     let combined = engine.run(vec![job("combined", FlowKind::Pair, 29)]);
     let info = combined.results[0].cache;
     assert!(combined.results[0].outcome.is_ok());
     assert!(info.placement_hit, "combined reuses plain-job annealing");
     assert_eq!(info.placement_hits, 2, "mdr + dcs-wl legs from cache");
-    assert_eq!(info.stages_recomputed, 2, "edge leg + routing only");
+    assert_eq!(
+        info.stages_recomputed, 5,
+        "edge leg + three leg summaries + combine"
+    );
 
     // A warm re-run of the *same* combined job recomputes zero stages.
     let rerun = engine.run(vec![job("combined", FlowKind::Pair, 29)]);
@@ -297,6 +308,104 @@ fn three_mode_combined_jobs_share_stages_and_rerun_warm() {
         edge.results[0].cache.placement_hit,
         "plain 3-mode job reuses combined-job annealing"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With identical options, a `pair` job's three leg summaries are the
+/// roots of plain `mdr`, `dcs-edge` and `dcs` jobs on the same mode list:
+/// after those ran, only the combine fold computes, and its record is
+/// byte-identical to a cacheless run.
+#[test]
+fn pair_job_reuses_plain_job_route_results() {
+    let dir = tmp_cache("pairroutes");
+    let engine = Engine::new(EngineOptions {
+        threads: 1,
+        cache_dir: Some(dir.clone()),
+        ..Default::default()
+    })
+    .unwrap();
+    let circuits = vec![
+        random_circuit("m0", 5, 12, 91),
+        random_circuit("m1", 5, 13, 92),
+    ];
+    let job = |name: &str, flow: FlowKind| Job {
+        name: name.into(),
+        circuits: circuits.clone(),
+        flow,
+        options: quick_options(17),
+    };
+
+    let plain = engine.run(vec![
+        job("dcs", FlowKind::Dcs(CostKind::WireLength)),
+        job("edge", FlowKind::Dcs(CostKind::EdgeMatching)),
+        job("mdr", FlowKind::Mdr),
+    ]);
+    assert!(plain.results.iter().all(|r| r.outcome.is_ok()));
+
+    let pair = engine.run(vec![job("pair", FlowKind::Pair)]);
+    let result = &pair.results[0];
+    let stages: Vec<(&str, &str)> = result
+        .stages
+        .iter()
+        .map(|s| (s.name.as_str(), s.cache.as_str()))
+        .collect();
+    assert_eq!(
+        stages,
+        vec![
+            ("mdr-summary", "hit"),
+            ("dcs-summary-edge", "hit"),
+            ("dcs-summary-wl", "hit"),
+            ("combine", "miss"),
+        ]
+    );
+    assert_eq!(result.cache.stages_recomputed, 1, "only the combine fold");
+    assert!(!result.cache.result_hit, "the pair root itself missed");
+    assert_eq!(result.cache.placement_hits, 0, "no leg was re-placed");
+
+    let cacheless = Engine::new(EngineOptions {
+        threads: 1,
+        cache_dir: None,
+        ..Default::default()
+    })
+    .unwrap()
+    .run(vec![job("pair", FlowKind::Pair)]);
+    assert_eq!(
+        result.to_json_line(),
+        cacheless.results[0].to_json_line(),
+        "folded record == cacheless record"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The reverse direction: a plain `dcs-edge` job after a `pair` job on a
+/// fresh cache finds its whole result among the pair's leg summaries.
+#[test]
+fn plain_job_reuses_pair_job_route_result() {
+    let dir = tmp_cache("pairroutes-rev");
+    let engine = Engine::new(EngineOptions {
+        threads: 1,
+        cache_dir: Some(dir.clone()),
+        ..Default::default()
+    })
+    .unwrap();
+    let circuits = vec![
+        random_circuit("m0", 5, 12, 93),
+        random_circuit("m1", 5, 13, 94),
+    ];
+    let job = |name: &str, flow: FlowKind| Job {
+        name: name.into(),
+        circuits: circuits.clone(),
+        flow,
+        options: quick_options(19),
+    };
+
+    let pair = engine.run(vec![job("pair", FlowKind::Pair)]);
+    assert!(pair.results[0].outcome.is_ok());
+    let edge = engine.run(vec![job("edge", FlowKind::Dcs(CostKind::EdgeMatching))]);
+    let info = edge.results[0].cache;
+    assert!(edge.results[0].outcome.is_ok());
+    assert!(info.result_hit, "the pair stored the dcs-edge summary");
+    assert_eq!(info.stages_recomputed, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

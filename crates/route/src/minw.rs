@@ -25,7 +25,10 @@ pub struct MinWidthResult {
 /// The net list must be rebuilt per width because RRG node ids change;
 /// `nets` receives each candidate graph.
 ///
-/// Returns `None` if even `max_width` fails.
+/// Returns `None` if even `max_width` fails, or as soon as a doubling
+/// probe leaves a sink with no path at all ([`Routing::unrouted_sinks`]):
+/// that is hard unreachability, not congestion, and every width of the
+/// fabric family has the same connectivity, so wider probes cannot help.
 pub fn min_channel_width(
     arch: &Architecture,
     options: &RouterOptions,
@@ -50,10 +53,10 @@ pub fn min_channel_width(
             best = (hi, rrg, routing);
             break;
         }
-        lo = hi;
-        if hi >= max_width {
+        if routing.unrouted_sinks > 0 || hi >= max_width {
             return None;
         }
+        lo = hi;
         hi = (hi * 2).min(max_width);
     }
 
@@ -137,6 +140,28 @@ mod tests {
             let mut router = Router::new(&rrg, options);
             assert!(!router.route(&nets).success, "width {w} should fail");
         }
+    }
+
+    #[test]
+    fn unreachable_sink_stops_at_the_first_probe() {
+        // A "sink" that is really a SOURCE node has no incoming edges, so
+        // no channel width can reach it: the search must give up after
+        // one probe instead of climbing the doubling ladder.
+        let arch = Architecture::new(4, 3, 4);
+        let mut probes = 0;
+        let result = min_channel_width(&arch, &RouterOptions::default(), 64, |rrg| {
+            probes += 1;
+            vec![RouteNet {
+                name: "stuck".into(),
+                source: rrg.logic_source(Site::new(1, 1, 0)),
+                sinks: vec![RouteSink {
+                    node: rrg.logic_source(Site::new(3, 3, 0)),
+                    activation: ModeSet::of(&[0]),
+                }],
+            }]
+        });
+        assert!(result.is_none());
+        assert_eq!(probes, 1, "one probe, no doubling ladder");
     }
 
     #[test]
