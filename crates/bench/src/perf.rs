@@ -11,7 +11,9 @@
 //!   bounding boxes, reused across repetitions the way the flows reuse
 //!   it. The report carries both wall-clocks, routes/second and the
 //!   speedup, plus a parity check (optimized == reference under
-//!   identical options).
+//!   identical options). Its `width_search` section runs one
+//!   relaxed-width channel-width search ([`WidthSearchRun`]) and
+//!   reports how many PathFinder iterations the failed probes cost.
 //! * [`placer_perf`] — the simulated-annealing inner loop. *Baseline* is
 //!   the annealer on the naive hash-map cost model
 //!   (`mm_place::reference`); *optimized* is the flat, allocation-free
@@ -275,6 +277,8 @@ pub struct RouterPerf {
     /// The high-fanout sweep: Steiner decomposition off vs on per
     /// fanout, each parity-gated against the reference.
     pub high_fanout: Vec<HighFanoutRun>,
+    /// One relaxed-width channel-width search, probe by probe.
+    pub width_search: WidthSearchRun,
 }
 
 impl RouterPerf {
@@ -307,8 +311,128 @@ impl RouterPerf {
                     .map(HighFanoutRun::to_value)
                     .collect::<Vec<_>>(),
             )
+            .field("width_search", self.width_search.to_value())
             .build()
             .to_json()
+    }
+}
+
+/// One relaxed-width search (`mm_route::min_channel_width`) on the DCS
+/// wire-length leg of a pair, read off [`MinWidthResult::probes`]: how
+/// many probes failed and how many PathFinder iterations they cost
+/// before the router's routability predictor stopped them.
+///
+/// [`MinWidthResult::probes`]: mm_route::MinWidthResult::probes
+#[derive(Debug, Clone)]
+pub struct WidthSearchRun {
+    /// The pair searched, named like `suite:<name>` jobs name it.
+    pub pair: String,
+    /// The router's iteration cap: what every failed probe would run
+    /// without the predictor.
+    pub max_iterations: usize,
+    /// The minimum channel width found.
+    pub min_width: usize,
+    /// Width probes made.
+    pub probes: usize,
+    /// Probes that did not route.
+    pub failed_probes: usize,
+    /// PathFinder iterations of the failed probes, summed.
+    pub failed_probe_iterations: usize,
+    /// Timed searches.
+    pub reps: usize,
+    /// Median wall-clock of one search, milliseconds.
+    pub wall_ms: f64,
+    /// Fastest search, milliseconds.
+    pub wall_ms_min: f64,
+    /// Slowest search, milliseconds.
+    pub wall_ms_max: f64,
+}
+
+impl WidthSearchRun {
+    fn to_value(&self) -> mm_engine::json::Value {
+        ObjBuilder::new()
+            .field("pair", self.pair.as_str())
+            .field("max_iterations", self.max_iterations)
+            .field("min_width", self.min_width)
+            .field("probes", self.probes)
+            .field("failed_probes", self.failed_probes)
+            .field("failed_probe_iterations", self.failed_probe_iterations)
+            .field("reps", self.reps)
+            .field("wall_ms", round2(self.wall_ms))
+            .field("wall_ms_min", round2(self.wall_ms_min))
+            .field("wall_ms_max", round2(self.wall_ms_max))
+            .build()
+    }
+}
+
+/// The width-search workload. Full: regexp0+regexp1 at effort 1 and the
+/// default placer seed, the median job of the `paper_relaxed` end-to-end
+/// workload. Smoke: a small seeded pair whose search still has failed
+/// probes.
+fn width_search_input(smoke: bool) -> (String, mm_flow::MultiModeInput, FlowOptions) {
+    let circuits = if smoke {
+        vec![
+            random_circuit("w0", 6, 40, 0x5713),
+            random_circuit("w1", 6, 40, 0x5714),
+        ]
+    } else {
+        mm_gen::regexp_suite(4).into_iter().take(2).collect()
+    };
+    let pair = circuits
+        .iter()
+        .map(LutCircuit::name)
+        .collect::<Vec<_>>()
+        .join("+");
+    let input = mm_flow::MultiModeInput::new(circuits).expect("generated circuits are valid");
+    let mut options = FlowOptions::default();
+    options.placer.inner_num = 1.0;
+    (pair, input, options)
+}
+
+/// Runs the width-search measurement: place the pair once, then time
+/// `reps` identical searches over its tunable circuit.
+///
+/// # Panics
+///
+/// Panics if the workload fails to place or route at any width.
+fn width_search_run(smoke: bool, reps: usize) -> WidthSearchRun {
+    let (pair, input, options) = width_search_input(smoke);
+    let placement = mm_flow::DcsFlow::new(options)
+        .place(&input)
+        .expect("workload places");
+    let base = options.base_arch(&input);
+    let tunable = mm_flow::TunableCircuit::from_placement(input.circuits(), &placement, &base)
+        .expect("placement yields a tunable circuit");
+    let router = RouterOptions {
+        mode_count: input.mode_count(),
+        ..options.router
+    };
+    let reps = reps.max(1);
+    let mut wall_ms = Vec::with_capacity(reps);
+    let mut found = None;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let result = mm_route::min_channel_width(&base, &router, options.max_width, |rrg| {
+            tunable.route_nets(rrg)
+        })
+        .expect("workload routes below the width cap");
+        wall_ms.push(t0.elapsed().as_secs_f64() * 1000.0);
+        found = Some(result);
+    }
+    let found = found.expect("at least one search");
+    wall_ms.sort_by(f64::total_cmp);
+    let failed: Vec<_> = found.probes.iter().filter(|p| !p.success).collect();
+    WidthSearchRun {
+        pair,
+        max_iterations: router.max_iterations,
+        min_width: found.min_width,
+        probes: found.probes.len(),
+        failed_probes: failed.len(),
+        failed_probe_iterations: failed.iter().map(|p| p.iterations).sum(),
+        reps,
+        wall_ms: wall_ms[reps / 2],
+        wall_ms_min: wall_ms[0],
+        wall_ms_max: wall_ms[reps - 1],
     }
 }
 
@@ -399,6 +523,9 @@ pub fn router_perf(config: &PerfConfig) -> RouterPerf {
         .iter()
         .map(|&f| high_fanout_run(hf_grid, width, f, reps))
         .collect();
+    // A search costs seconds at full size, so it gets fewer repetitions
+    // than the millisecond routes above.
+    let width_search = width_search_run(config.smoke, reps.min(3));
     RouterPerf {
         grid,
         width,
@@ -413,6 +540,7 @@ pub fn router_perf(config: &PerfConfig) -> RouterPerf {
         parity_ok,
         routed: optimized_result.success,
         high_fanout,
+        width_search,
     }
 }
 
@@ -1936,8 +2064,16 @@ mod tests {
         assert!(perf.routed, "workload must route");
         assert!(perf.parity_ok, "optimized must match the reference");
         assert!(perf.baseline_ms > 0.0 && perf.optimized_ms > 0.0);
+        let ws = &perf.width_search;
+        assert_eq!(ws.min_width, 7, "the smoke pair's minimum width");
+        assert!(ws.failed_probes >= 1, "the smoke search has a failed probe");
+        assert!(
+            ws.failed_probe_iterations < ws.max_iterations * ws.failed_probes,
+            "no failed probe stopped before the cap: {ws:?}"
+        );
         let json = perf.to_json();
         assert!(json.contains("\"speedup\""), "{json}");
+        assert!(json.contains("\"failed_probe_iterations\""), "{json}");
         assert!(
             mm_engine::json::parse(&json).is_ok(),
             "report must be valid JSON"

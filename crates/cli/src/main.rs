@@ -848,6 +848,18 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
                 if hf.parity_ok { "ok" } else { "FAILED" },
             );
         }
+        let ws = &router.width_search;
+        eprintln!(
+            "  router[width search {}]: min width {}, {} probes, {} failed in {} iterations \
+             (cap {} each), {:.0} ms",
+            ws.pair,
+            ws.min_width,
+            ws.probes,
+            ws.failed_probes,
+            ws.failed_probe_iterations,
+            ws.max_iterations,
+            ws.wall_ms,
+        );
         if !router.parity_ok || !router.routed {
             return Err("router benchmark failed its parity/routability sanity checks".into());
         }

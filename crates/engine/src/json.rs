@@ -228,16 +228,24 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound one short line of `[` overflows
+/// the stack and aborts the process; no document this project writes
+/// nests more than a few levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (surrounding whitespace allowed).
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first syntax error, with
-/// its byte offset.
+/// its byte offset — including arrays and objects nested more than 128
+/// deep.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -251,6 +259,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -275,8 +285,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -284,6 +294,24 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: Value) -> Result<Value, String> {
@@ -469,6 +497,27 @@ mod tests {
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("truth").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Each level is one recursive call: unbounded, this line
+        // overflows the stack and aborts the process.
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        assert!(parse(&format!(
+            "{}{}",
+            "{\"a\":[".repeat(100_000),
+            "]}".repeat(100_000)
+        ))
+        .is_err());
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(parse(&deepest).unwrap().to_json(), deepest);
+        let too_deep = format!("[{deepest}]");
+        assert!(parse(&too_deep).is_err());
     }
 
     #[test]

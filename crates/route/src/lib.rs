@@ -50,7 +50,7 @@ mod nets;
 pub mod reference;
 mod router;
 
-pub use minw::{min_channel_width, relaxed_width, MinWidthResult};
+pub use minw::{min_channel_width, relaxed_width, MinWidthResult, WidthProbe};
 pub use nets::{nets_for_circuit, verify_routing};
 pub use router::{
     seeded_margins, NetRoute, RouteNet, RouteSink, RouteTreeNode, Router, RouterOptions, Routing,

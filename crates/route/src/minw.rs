@@ -8,6 +8,18 @@
 use crate::{RouteNet, Router, RouterOptions, Routing};
 use mm_arch::{Architecture, RoutingGraph};
 
+/// One routing attempt of the width search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WidthProbe {
+    /// The channel width probed.
+    pub width: usize,
+    /// PathFinder iterations the probe ran ([`Routing::iterations`]). A
+    /// failed probe may stop below [`RouterOptions::max_iterations`].
+    pub iterations: usize,
+    /// Whether the width routed.
+    pub success: bool,
+}
+
 /// Result of the minimum-channel-width search.
 #[derive(Debug)]
 pub struct MinWidthResult {
@@ -17,6 +29,8 @@ pub struct MinWidthResult {
     pub routing: Routing,
     /// The RRG at `min_width`.
     pub rrg: RoutingGraph,
+    /// Every probe, in the order the search made them.
+    pub probes: Vec<WidthProbe>,
 }
 
 /// Finds the minimum channel width for which `nets(rrg)` routes on `arch`,
@@ -24,6 +38,14 @@ pub struct MinWidthResult {
 ///
 /// The net list must be rebuilt per width because RRG node ids change;
 /// `nets` receives each candidate graph.
+///
+/// Each probe is one [`Router::route`] call, so a probe that cannot route
+/// usually ends early on the router's routability predictor (see
+/// [`Routing::iterations`]); only a failing probe whose overuse sinks
+/// under the predictor's gate runs all [`RouterOptions::max_iterations`].
+/// The minimum found moves only if the predictor gives up a probe that
+/// would have routed within the cap; on the regexp/fir/mcnc suites none
+/// does.
 ///
 /// Returns `None` if even `max_width` fails, or as soon as a doubling
 /// probe leaves a sink with no path at all ([`Routing::unrouted_sinks`]):
@@ -35,11 +57,17 @@ pub fn min_channel_width(
     max_width: usize,
     mut nets: impl FnMut(&RoutingGraph) -> Vec<RouteNet>,
 ) -> Option<MinWidthResult> {
-    let try_width = |w: usize, nets: &mut dyn FnMut(&RoutingGraph) -> Vec<RouteNet>| {
+    let mut probes = Vec::new();
+    let mut try_width = |w: usize, nets: &mut dyn FnMut(&RoutingGraph) -> Vec<RouteNet>| {
         let rrg = RoutingGraph::build(&arch.with_channel_width(w));
         let net_list = nets(&rrg);
         let mut router = Router::new(&rrg, *options);
         let routing = router.route(&net_list);
+        probes.push(WidthProbe {
+            width: w,
+            iterations: routing.iterations,
+            success: routing.success,
+        });
         (rrg, routing)
     };
 
@@ -80,6 +108,7 @@ pub fn min_channel_width(
         min_width: best_w,
         routing: best_routing,
         rrg: best_rrg,
+        probes,
     })
 }
 
@@ -140,6 +169,28 @@ mod tests {
             let mut router = Router::new(&rrg, options);
             assert!(!router.route(&nets).success, "width {w} should fail");
         }
+    }
+
+    #[test]
+    fn failed_probe_stops_before_the_iteration_cap() {
+        let arch = Architecture::new(4, 4, 1);
+        let options = RouterOptions {
+            max_iterations: 25,
+            ..RouterOptions::default()
+        };
+        let result = min_channel_width(&arch, &options, 64, traffic).expect("routable");
+        assert_eq!(result.min_width, 3);
+        let widths: Vec<(usize, bool)> =
+            result.probes.iter().map(|p| (p.width, p.success)).collect();
+        assert_eq!(widths, [(4, true), (2, false), (3, true)]);
+        let failed = result.probes[1];
+        assert!(
+            failed.iterations < options.max_iterations,
+            "the hopeless width-2 probe ran {} of {} iterations",
+            failed.iterations,
+            options.max_iterations
+        );
+        assert_eq!(result.probes[2].iterations, result.routing.iterations);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   assert the optimized router produces byte-identical [`Routing`]
 //!   results (same trees, same iteration count), so every data-structure
 //!   optimization is provably semantics-preserving; the incremental
-//!   rip-up, HPWL-seeded bounding boxes and the high-fanout Steiner
-//!   decomposition are mirrored here so parity covers them too;
+//!   rip-up, HPWL-seeded bounding boxes, the high-fanout Steiner
+//!   decomposition and the routability predictor's early stop are
+//!   mirrored here so parity covers them too;
 //! * **benchmarking** — `mmflow bench` and the criterion suite measure
 //!   the optimized hot path against this baseline (run it with
 //!   [`RouterOptions::without_bbox`] and
@@ -21,8 +22,8 @@
 //! It is deliberately slow; never use it from a flow.
 
 use crate::router::{
-    fabric_extent, grow_margin, initial_margin, nearest_tree_point, net_bbox, steiner_bbox,
-    steiner_segments, BBox, HeapEntry, Occupancy, BBOX_CONGESTION_GRACE,
+    congestion_stalled, fabric_extent, grow_margin, initial_margin, nearest_tree_point, net_bbox,
+    steiner_bbox, steiner_segments, BBox, HeapEntry, Occupancy, BBOX_CONGESTION_GRACE,
 };
 use crate::{NetRoute, RouteNet, RouteTreeNode, RouterOptions, Routing};
 use mm_arch::{RoutingGraph, RrKind, RrNodeId, SwitchId};
@@ -165,6 +166,7 @@ impl<'a> ReferenceRouter<'a> {
         // extent), and widen only under congestion — the exact mirror of
         // the optimized router's `steiner_margin`.
         let mut steiner_margin = vec![self.options.bbox_margin.min(self.extent()); nets.len()];
+        let mut best_overuse: Vec<usize> = Vec::new();
         let mut routes: Vec<NetRoute> = vec![NetRoute::default(); nets.len()];
         let mut iterations = 0;
         let mut success = false;
@@ -237,6 +239,13 @@ impl<'a> ReferenceRouter<'a> {
                 break;
             }
             if !rerouted_any {
+                break;
+            }
+            let best = best_overuse
+                .last()
+                .map_or(overused_nodes, |&b| b.min(overused_nodes));
+            best_overuse.push(best);
+            if congestion_stalled(&best_overuse) {
                 break;
             }
             self.pres_fac *= self.options.pres_fac_mult;

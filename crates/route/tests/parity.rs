@@ -9,6 +9,7 @@ use mm_route::{seeded_margins, RouteNet, RouteSink, Router, RouterOptions, Routi
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::RangeInclusive;
 
 /// A generated multi-mode routing problem.
 struct Suite {
@@ -20,9 +21,14 @@ struct Suite {
 /// Deterministically generates a random multi-mode suite: a small fabric
 /// plus nets with random terminals and random non-empty activation sets.
 fn random_suite(seed: u64) -> Suite {
+    random_suite_with_widths(seed, 2..=4)
+}
+
+/// [`random_suite`] with the channel width drawn from `widths`.
+fn random_suite_with_widths(seed: u64, widths: RangeInclusive<usize>) -> Suite {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = rng.gen_range(4..=7usize);
-    let w = rng.gen_range(2..=4usize);
+    let w = rng.gen_range(widths);
     let modes = rng.gen_range(1..=3usize);
     let rrg = RoutingGraph::build(&Architecture::new(4, n, w));
     let net_count = rng.gen_range(3..=9usize);
@@ -187,6 +193,22 @@ proptest! {
     fn optimized_router_matches_reference(seed in 0u64..1_000_000) {
         let suite = random_suite(seed);
         let options = RouterOptions::for_modes(suite.modes);
+        let optimized = Router::new(&suite.rrg, options).route(&suite.nets);
+        let reference = route_reference(&suite.rrg, options, &suite.nets);
+        assert_identical(&optimized, &reference)?;
+    }
+
+    /// Parity holds on hopeless instances too: at channel width 1–2
+    /// most random suites cannot route, and both implementations stop
+    /// them at the same iteration (the routability predictor) with the
+    /// same trees.
+    #[test]
+    fn parity_on_hopeless_instances(seed in 0u64..1_000_000) {
+        let suite = random_suite_with_widths(seed.wrapping_mul(29).wrapping_add(41), 1..=2);
+        let options = RouterOptions {
+            max_iterations: 40,
+            ..RouterOptions::for_modes(suite.modes)
+        };
         let optimized = Router::new(&suite.rrg, options).route(&suite.nets);
         let reference = route_reference(&suite.rrg, options, &suite.nets);
         assert_identical(&optimized, &reference)?;
@@ -444,4 +466,26 @@ fn scratch_arena_reuse_is_deterministic_and_stable() {
             "steady-state route() must not grow the scratch arena"
         );
     }
+}
+
+/// Hopeless instances do reach the early stop: some width-1–2 suites
+/// give up congested before the iteration cap, byte-identically in both
+/// implementations.
+#[test]
+fn hopeless_instances_stop_early_in_both_implementations() {
+    let mut early = 0;
+    for seed in 0..64u64 {
+        let suite = random_suite_with_widths(seed, 1..=2);
+        let options = RouterOptions {
+            max_iterations: 40,
+            ..RouterOptions::for_modes(suite.modes)
+        };
+        let optimized = Router::new(&suite.rrg, options).route(&suite.nets);
+        if !optimized.success && optimized.unrouted_sinks == 0 && optimized.iterations < 40 {
+            let reference = route_reference(&suite.rrg, options, &suite.nets);
+            assert_identical(&optimized, &reference).unwrap();
+            early += 1;
+        }
+    }
+    assert!(early > 0, "no hopeless suite stopped before the cap");
 }

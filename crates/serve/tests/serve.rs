@@ -157,6 +157,38 @@ fn ping_error_recovery_and_shutdown_frames() {
 }
 
 #[test]
+fn deeply_nested_request_is_an_error_frame_not_an_abort() {
+    let root = tmp_dir("nested");
+    let server = RunningServer::start(&root, ServeOptions::default());
+    let mut stream = server.connect();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+
+    // 200 KB of nesting, well under the request-line cap: a parser that
+    // recursed once per level would overflow the daemon's stack.
+    let mut line = String::from(r#"{"cmd":"batch","spec":"#);
+    line.push_str(&"[".repeat(200_000));
+    line.push('\n');
+    stream.write_all(line.as_bytes()).unwrap();
+    let (records, frames) = read_exchange(&mut reader);
+    assert!(records.is_empty());
+    match frames.as_slice() {
+        [Frame::Error { message, .. }] => {
+            assert!(message.contains("nesting deeper than 128"), "{message}");
+        }
+        other => panic!("expected one error frame, got {other:?}"),
+    }
+
+    // The same daemon still answers.
+    send(&mut stream, &Request::Ping);
+    let (_, frames) = read_exchange(&mut reader);
+    assert_eq!(frames, vec![Frame::Pong]);
+    drop(reader);
+    drop(stream);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn batch_records_are_byte_identical_to_the_engine() {
     let root = tmp_dir("bytes");
     let spec = write_spec_dir(&root, 3);
