@@ -9,7 +9,7 @@
 use mm_bench::{BenchmarkSet, RunConfig};
 use mm_bitstream::FrameModel;
 use mm_flow::report::render_table;
-use mm_flow::{dcs_timing, mdr_timing, DcsFlow, MdrFlow, MultiModeInput};
+use mm_flow::{DcsFlow, MdrFlow, MultiModeInput};
 
 fn main() {
     let mut config = RunConfig::from_args(std::env::args().skip(1));
@@ -59,16 +59,18 @@ fn main() {
         ]);
 
         // ---- routed timing per mode ------------------------------------------
-        let mdr_reports = mdr_timing(&input, &mdr).expect("routed MDR result must analyze");
-        let dcs_reports = dcs_timing(&input, &dcs).expect("routed DCS result must analyze");
-        for mode in 0..2 {
-            let tm = mdr_reports[mode];
-            let td = dcs_reports[mode];
+        let mdr_paths = mdr
+            .critical_paths(input.circuits())
+            .expect("routed MDR result must analyze");
+        let dcs_paths = dcs
+            .critical_paths(input.circuits())
+            .expect("routed DCS result must analyze");
+        for (mode, (tm, td)) in mdr_paths.iter().zip(&dcs_paths).enumerate() {
             timing_rows.push(vec![
                 format!("{name}/m{mode}"),
-                format!("{:.0}", tm.critical_path),
-                format!("{:.0}", td.critical_path),
-                format!("{:.0}%", 100.0 * td.critical_path / tm.critical_path),
+                format!("{tm:.0}"),
+                format!("{td:.0}"),
+                format!("{:.0}%", 100.0 * td / tm),
             ]);
         }
     }

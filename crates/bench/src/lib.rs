@@ -1,11 +1,12 @@
 //! Shared experiment driver for the benchmark binaries.
 //!
-//! Each binary regenerates one artefact of the paper (see `DESIGN.md`'s
-//! experiment index): `table1`, `fig5`, `fig6`, `fig7`, `area` and the
-//! `ablation` extras, plus `experiments` which runs the whole evaluation
-//! in one pass. All binaries accept:
+//! `experiments` regenerates the paper's evaluation in one pass (Table I,
+//! Figures 5–7 and the §IV-C area statement), running every pair once
+//! through the batch engine; `table1` prints Table I alone, and
+//! `ablation` and `extensions` measure the extras. All binaries accept:
 //!
-//! * `--quick` — fixed channel width and light annealing (fast smoke run);
+//! * `--quick` — light annealing and a capped router effort (fast smoke
+//!   run);
 //! * `--set regexp|fir|mcnc` — restrict to one benchmark set;
 //! * `--pairs N` — only the first N pairs per set.
 
@@ -14,7 +15,7 @@
 pub mod perf;
 
 use mm_engine::{Engine, EngineOptions, FlowKind, Job, JobOutcome};
-use mm_flow::{run_pair, FlowOptions, MultiModeInput, PairMetrics, Stats};
+use mm_flow::{FlowOptions, PairMetrics, Stats};
 use mm_netlist::LutCircuit;
 use std::path::PathBuf;
 
@@ -220,46 +221,6 @@ pub fn quick_options() -> FlowOptions {
     options
 }
 
-/// Runs every pair of a set and returns the metrics.
-///
-/// # Panics
-///
-/// Panics if a pair fails to place or route (the calibrated suites never
-/// do).
-#[must_use]
-pub fn run_set(set: BenchmarkSet, config: &RunConfig) -> Vec<PairMetrics> {
-    let circuits = set.circuits();
-    let mut out = Vec::new();
-    for (count, (i, j)) in set.pairs().into_iter().enumerate() {
-        if count >= config.max_pairs {
-            break;
-        }
-        let name = format!("{}+{}", circuits[i].name(), circuits[j].name());
-        let input = MultiModeInput::new(vec![circuits[i].clone(), circuits[j].clone()])
-            .expect("suite circuits are valid");
-        let metrics = match run_pair(&input, &config.options, name.clone()) {
-            Ok(m) => m,
-            Err(e) => {
-                // A pair can defeat one of the flows (edge matching can
-                // produce unroutable congestion on dissimilar circuits);
-                // record the skip and keep the set going.
-                eprintln!("  [{}] {name}: SKIPPED ({e})", set.name());
-                continue;
-            }
-        };
-        eprintln!(
-            "  [{}] {name}: speedup wl {:.2} edge {:.2}, wires wl {:.0}% edge {:.0}%",
-            set.name(),
-            metrics.speedup_wirelength(),
-            metrics.speedup_edge(),
-            100.0 * metrics.wire_ratio_wirelength(),
-            100.0 * metrics.wire_ratio_edge(),
-        );
-        out.push(metrics);
-    }
-    out
-}
-
 /// The multi-mode pairings of a set as engine jobs (full `run_pair`
 /// comparisons, named `<a>+<b>`).
 #[must_use]
@@ -279,10 +240,11 @@ pub fn pair_jobs(set: BenchmarkSet, config: &RunConfig) -> Vec<Job> {
 
 /// Runs every pair of a set through the batch engine (parallel, cached)
 /// and returns the metrics plus the engine's execution report (for
-/// wall-clock and cache accounting), logging progress like [`run_set`].
+/// wall-clock and cache accounting), logging each pair's progress.
 ///
-/// Failed pairs are reported and skipped, matching [`run_set`]'s
-/// behaviour on circuits that defeat one of the flows.
+/// Failed pairs are reported and skipped: a pair can defeat one of the
+/// flows (edge matching can produce unroutable congestion on dissimilar
+/// circuits), and the rest of the set still runs.
 #[must_use]
 pub fn run_set_engine(
     set: BenchmarkSet,

@@ -149,7 +149,6 @@ BENCH OPTIONS:
                    (default all; chaos runs the serve workload, whose
                    report carries the fault-injection storm section)
   --smoke          tiny CI-sized workload
-  --quick          alias for --smoke
   --reps <N>       timed repetitions per measurement
   --threads <N>    worker threads for the flow/serve workloads
                    (default: one per CPU); recorded in every report
@@ -785,7 +784,7 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--smoke" | "--quick" => smoke = true,
+            "--smoke" => smoke = true,
             "--suite" => suite = next_value(&mut it, "--suite")?.clone(),
             "--reps" => reps = Some(next_value(&mut it, "--reps")?.parse()?),
             "--threads" => threads = next_value(&mut it, "--threads")?.parse()?,

@@ -99,10 +99,11 @@ impl MultiModeInput {
             .unwrap_or(0)
     }
 
-    /// The reconfigurable region (paper: array area 20% above minimum).
+    /// The reconfigurable region (paper: array area 20% above minimum),
+    /// for IO locations of two pads each.
     #[must_use]
-    pub fn region(&self, io_capacity: usize) -> usize {
-        Architecture::relaxed_grid_for(self.max_luts(), self.max_pads(), io_capacity)
+    pub fn region(&self) -> usize {
+        Architecture::relaxed_grid_for(self.max_luts(), self.max_pads(), 2)
     }
 }
 
@@ -124,13 +125,9 @@ pub struct FlowOptions {
     pub router: RouterOptions,
     /// Channel-width policy.
     pub width: WidthChoice,
-    /// Upper bound for the width search.
+    /// Upper bound for the width search, and the widest channel any
+    /// flow routes at.
     pub max_width: usize,
-    /// Input connection-block flexibility (fraction of the adjacent
-    /// channel's tracks each input pin connects to).
-    pub fc_in: f64,
-    /// Output connection-block flexibility.
-    pub fc_out: f64,
     /// Worker threads for parallel sections *inside* one flow run: the
     /// per-mode MDR placements, and each wave of ready stage-plan nodes
     /// (a combined plan's three placement legs, then its three summary
@@ -149,11 +146,6 @@ impl Default for FlowOptions {
             router: RouterOptions::default(),
             width: WidthChoice::Relaxed,
             max_width: 96,
-            // Betz/Rose-recommended connection-block flexibilities; the
-            // fully-connected fabric of `Architecture::new` is unrealistic
-            // for configuration-bit accounting.
-            fc_in: 0.4,
-            fc_out: 0.25,
             intra_parallelism: 0,
         }
     }
@@ -186,21 +178,23 @@ impl FlowOptions {
     #[must_use]
     pub fn fingerprint(&self) -> String {
         format!(
-            "flow-v1;{};{};width={};maxw={};fci={:016x};fco={:016x}",
+            "flow-v2;{};{};width={};maxw={}",
             self.placer.fingerprint(),
             self.router.fingerprint(),
             self.width.fingerprint(),
             self.max_width,
-            self.fc_in.to_bits(),
-            self.fc_out.to_bits(),
         )
     }
 
-    /// The base architecture (before width resolution) for an input.
+    /// The base architecture (before width resolution) for an input:
+    /// Wilton switch boxes and the Betz/Rose connection-block
+    /// flexibilities Fc,in = 0.4 and Fc,out = 0.25 (the fully connected
+    /// blocks of `Architecture::new` are unrealistic for
+    /// configuration-bit accounting).
     #[must_use]
     pub fn base_arch(&self, input: &MultiModeInput) -> Architecture {
-        Architecture::new(input.k(), input.region(2), 8)
-            .with_fc(self.fc_in, self.fc_out)
+        Architecture::new(input.k(), input.region(), 8)
+            .with_fc(0.4, 0.25)
             .with_switch_pattern(mm_arch::SwitchPattern::Wilton)
     }
 
@@ -251,7 +245,7 @@ pub(crate) fn route_with_growth(
         let net_list = nets(&rrg);
         // `route` seeds each net's initial bounding box from the
         // placement geometry the nets carry (per-net HPWL, see
-        // `RouterOptions::hpwl_margin_div`) instead of a fixed margin.
+        // `RouterOptions::bbox_margin`) instead of a fixed margin.
         let mut engine = Router::new(&rrg, *router);
         let routing = match crit {
             Some(f) => {
@@ -380,6 +374,31 @@ impl MdrResult {
             .sum();
         total as f64 / self.routings.len() as f64
     }
+
+    /// Per-mode routed critical-path delays of every mode in its
+    /// standalone implementation (STA over the actual wire segments of
+    /// that mode's routing). `circuits` must be the mode circuits the
+    /// flow ran on.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a mode's connections are not covered by its routing or
+    /// a circuit is combinationally cyclic.
+    pub fn critical_paths(&self, circuits: &[LutCircuit]) -> Result<Vec<f64>, FlowError> {
+        circuits
+            .iter()
+            .zip(&self.placements)
+            .zip(&self.routings)
+            .map(|((c, p), routing)| {
+                // `nets_for_circuit` is a pure function of the circuit,
+                // placement and graph: exactly the net list that was routed.
+                let nets = nets_for_circuit(c, &self.rrg, ModeSet::single(0), |b| p.site_of(b));
+                mm_sta::analyze_routed(c, |b| p.site_of(b), &self.rrg, &nets, routing, 0)
+                    .map(|a| a.critical_path)
+                    .map_err(|e| FlowError::Internal(format!("mode '{}' STA: {e}", c.name())))
+            })
+            .collect()
+    }
 }
 
 /// The Modular Dynamic Reconfiguration baseline flow.
@@ -480,7 +499,8 @@ impl MdrFlow {
         mm_place::verify_placement(input.circuits(), &base, &wrapped).map_err(FlowError::Input)?;
         let placements = wrapped.modes;
 
-        // Width: the maximum over the modes' minima, relaxed 20%.
+        // Width: the maximum over the modes' minima, relaxed 20%, capped
+        // at `max_width` like the DCS legs' `route_with_growth`.
         let width = match self.options.width {
             WidthChoice::Fixed(w) => w,
             WidthChoice::Relaxed => {
@@ -502,7 +522,7 @@ impl MdrFlow {
 
         // All modes must route at one shared width; grow it together if a
         // mode fails to converge.
-        let mut final_width = width;
+        let mut final_width = width.min(self.options.max_width);
         let (arch, rrg, routings, configs) = loop {
             let arch = base.with_channel_width(final_width);
             let rrg = RoutingGraph::build(&arch);
@@ -887,7 +907,7 @@ mod tests {
         let input = small_input();
         assert_eq!(input.max_luts(), 22);
         // ceil(sqrt(22 * 1.2)) = 6.
-        assert_eq!(input.region(2), 6);
+        assert_eq!(input.region(), 6);
     }
 
     #[test]
@@ -966,6 +986,67 @@ mod tests {
     }
 
     #[test]
+    fn fixed_width_above_max_width_is_capped_in_every_flow() {
+        // A pinned width above the cap routes at the cap in MDR as it
+        // does in DCS (whose `route_with_growth` clamps it).
+        let input = small_input();
+        let options = FlowOptions {
+            max_width: 10,
+            ..FlowOptions::default().with_fixed_width(12)
+        };
+        let mdr = MdrFlow::new(options).run(&input).unwrap();
+        let dcs = DcsFlow::new(options).run(&input).unwrap();
+        assert_eq!(mdr.arch.channel_width, 10);
+        assert_eq!(dcs.arch.channel_width, 10);
+    }
+
+    #[test]
+    fn routed_critical_paths_are_plausible() {
+        let input = MultiModeInput::new(vec![
+            random_circuit("m0", 5, 18, 61),
+            random_circuit("m1", 5, 20, 62),
+        ])
+        .unwrap();
+        let mut options = FlowOptions::default();
+        options.placer.inner_num = 1.0;
+        let mdr = MdrFlow::new(options).run(&input).unwrap();
+        let dcs = DcsFlow::new(options).run(&input).unwrap();
+
+        let mdr_paths = mdr.critical_paths(input.circuits()).unwrap();
+        let dcs_paths = dcs.critical_paths(input.circuits()).unwrap();
+        for (mode, (tm, td)) in mdr_paths.iter().zip(&dcs_paths).enumerate() {
+            assert!(*tm >= mm_sta::LUT_DELAY, "mode {mode}: {tm}");
+            assert!(*td >= mm_sta::LUT_DELAY, "mode {mode}: {td}");
+            // The merged implementation pays a bounded latency penalty —
+            // the timing analogue of the paper's bounded wire overhead.
+            assert!(*td <= tm * 3.0, "mode {mode}: DCS {td} vs MDR {tm}");
+        }
+    }
+
+    #[test]
+    fn combinational_depth_contributes() {
+        // A 3-LUT chain must have critical path ≥ 3 LUT delays.
+        let mut c = LutCircuit::new("chain", 4);
+        let a = c.add_input("a").unwrap();
+        let g1 = c
+            .add_lut("g1", vec![a], TruthTable::var(1, 0), false)
+            .unwrap();
+        let g2 = c
+            .add_lut("g2", vec![g1], TruthTable::var(1, 0), false)
+            .unwrap();
+        let g3 = c
+            .add_lut("g3", vec![g2], TruthTable::var(1, 0), false)
+            .unwrap();
+        c.add_output("y", g3).unwrap();
+        let input = MultiModeInput::new(vec![c]).unwrap();
+        let mut options = FlowOptions::default();
+        options.placer.inner_num = 1.0;
+        let mdr = MdrFlow::new(options).run(&input).unwrap();
+        let t = mdr.critical_paths(input.circuits()).unwrap()[0];
+        assert!(t >= 3.0 * mm_sta::LUT_DELAY);
+    }
+
+    #[test]
     fn stale_placement_rejected() {
         let input = small_input();
         let other = MultiModeInput::new(vec![
@@ -997,7 +1078,7 @@ mod tests {
         let c = FlowOptions::default().with_fixed_width(9);
         assert_ne!(a.fingerprint(), c.fingerprint());
         let mut d = FlowOptions::default();
-        d.router.astar_fac = 1.3;
+        d.router.bbox_margin = 5;
         assert_ne!(a.fingerprint(), d.fingerprint());
         let mut e = FlowOptions::default();
         e.placer.inner_num = 2.0;

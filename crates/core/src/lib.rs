@@ -48,7 +48,6 @@ mod flow;
 pub mod pool;
 pub mod report;
 pub mod stage;
-pub mod timing;
 mod tunable;
 
 pub use error::FlowError;
@@ -56,7 +55,6 @@ pub use experiment::{run_combined_n, run_pair, CombinedMetrics, PairMetrics};
 pub use flow::{DcsFlow, DcsResult, FlowOptions, MdrFlow, MdrResult, MultiModeInput, WidthChoice};
 pub use report::Stats;
 pub use stage::{DcsSummary, MdrSummary};
-pub use timing::{dcs_timing, mdr_timing, TimingReport, LUT_DELAY};
 pub use tunable::{TunableCircuit, TunableConnection, TunableLutBits, TunableSite, TunableStats};
 
 // The batch engine fans jobs out across threads; every type that crosses

@@ -606,20 +606,6 @@ impl StagePlan {
 
 // ------------------------------------------------------------ flow stages
 
-/// The placement parameter fingerprint: the effective placer options
-/// plus the connection-block flexibilities (they shape the fabric the
-/// annealer targets). Router options and width policy are deliberately
-/// excluded — plans differing only in routing parameters share their
-/// annealing nodes.
-fn place_params(placer: &PlacerOptions, options: &FlowOptions) -> String {
-    format!(
-        "{};fci={:016x};fco={:016x}",
-        placer.fingerprint(),
-        options.fc_in.to_bits(),
-        options.fc_out.to_bits(),
-    )
-}
-
 /// Per-mode MDR annealing (always wire-length cost, one derived seed per
 /// mode).
 struct PlaceMdr {
@@ -634,12 +620,15 @@ impl Stage for PlaceMdr {
     fn params(&self) -> String {
         // `MdrFlow::place` always anneals with the wire-length cost, so
         // normalize the cost out of the fingerprint: MDR nodes differing
-        // only in an (ignored) combined-placement cost share work.
-        let placer = PlacerOptions {
+        // only in an (ignored) combined-placement cost share work. Router
+        // options and width policy are deliberately excluded — plans
+        // differing only in routing parameters share their annealing
+        // nodes.
+        PlacerOptions {
             cost: CostKind::WireLength,
             ..self.options.placer
-        };
-        place_params(&placer, &self.options)
+        }
+        .fingerprint()
     }
 
     fn output_kind(&self) -> ArtifactKind {
@@ -664,11 +653,11 @@ impl Stage for PlaceDcs {
     }
 
     fn params(&self) -> String {
-        let placer = PlacerOptions {
+        PlacerOptions {
             cost: self.cost,
             ..self.options.placer
-        };
-        place_params(&placer, &self.options)
+        }
+        .fingerprint()
     }
 
     fn output_kind(&self) -> ArtifactKind {

@@ -411,7 +411,7 @@ fn plain_job_reuses_pair_job_route_result() {
 
 /// A 3-mode timing job records one finite critical path per mode, and
 /// those numbers are bit-identical to what mm-sta reports on the same
-/// combined result via `mm_flow::dcs_timing`. Default-cost records on
+/// combined result via `DcsResult::critical_paths`. Default-cost records on
 /// the same circuits carry no `critical_paths` field at all.
 #[test]
 fn three_mode_timing_jobs_record_per_mode_critical_paths() {
@@ -458,11 +458,7 @@ fn three_mode_timing_jobs_record_per_mode_critical_paths() {
         .with_cost(CostKind::Timing { alpha: 0.6 })
         .run(&input)
         .unwrap();
-    let expected: Vec<f64> = mm_flow::dcs_timing(&input, &result)
-        .unwrap()
-        .iter()
-        .map(|r| r.critical_path)
-        .collect();
+    let expected = result.critical_paths(input.circuits()).unwrap();
     assert_eq!(cps, expected, "record matches routed STA bit-for-bit");
 }
 

@@ -53,6 +53,6 @@ mod router;
 pub use minw::{min_channel_width, relaxed_width, MinWidthResult, WidthProbe};
 pub use nets::{nets_for_circuit, verify_routing};
 pub use router::{
-    seeded_margins, NetRoute, RouteNet, RouteSink, RouteTreeNode, Router, RouterOptions, Routing,
-    MAX_ROUTE_CRIT,
+    NetRoute, RouteNet, RouteSink, RouteTreeNode, Router, RouterOptions, Routing, MAX_ROUTE_CRIT,
+    REROUTE_ALL_ITERS,
 };

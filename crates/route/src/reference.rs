@@ -23,7 +23,8 @@
 
 use crate::router::{
     congestion_stalled, fabric_extent, grow_margin, initial_margin, nearest_tree_point, net_bbox,
-    steiner_bbox, steiner_segments, BBox, HeapEntry, Occupancy, BBOX_CONGESTION_GRACE,
+    steiner_bbox, steiner_segments, BBox, HeapEntry, Occupancy, ASTAR_FAC, BBOX_CONGESTION_GRACE,
+    HISTORY_COST, PRES_FAC_FIRST, PRES_FAC_MULT, REROUTE_ALL_ITERS,
 };
 use crate::{NetRoute, RouteNet, RouteTreeNode, RouterOptions, Routing};
 use mm_arch::{RoutingGraph, RrKind, RrNodeId, SwitchId};
@@ -31,7 +32,8 @@ use mm_boolexpr::{ModeSet, ModeSpace};
 use std::collections::{BinaryHeap, HashMap};
 
 /// Routes `nets` with the naive reference implementation, with initial
-/// bounding-box margins derived from the options (fixed or HPWL-seeded).
+/// bounding-box margins HPWL-seeded exactly as [`crate::Router::route`]
+/// seeds them.
 ///
 /// # Panics
 ///
@@ -44,23 +46,6 @@ pub fn route_reference(rrg: &RoutingGraph, options: RouterOptions, nets: &[Route
         .map(|net| initial_margin(rrg, net, &options, extent))
         .collect();
     ReferenceRouter::new(rrg, options).route(nets, margins)
-}
-
-/// [`route_reference`] with explicit per-net initial margins — the naive
-/// counterpart of [`crate::Router::route_with_margins`].
-///
-/// # Panics
-///
-/// Panics if `options.mode_count` is 0 or `margins.len() != nets.len()`.
-#[must_use]
-pub fn route_reference_with_margins(
-    rrg: &RoutingGraph,
-    options: RouterOptions,
-    nets: &[RouteNet],
-    margins: &[usize],
-) -> Routing {
-    assert_eq!(margins.len(), nets.len(), "one margin per net");
-    ReferenceRouter::new(rrg, options).route(nets, margins.to_vec())
 }
 
 struct ReferenceRouter<'a> {
@@ -91,7 +76,7 @@ impl<'a> ReferenceRouter<'a> {
             occ: Occupancy::new(n, options.mode_count),
             switch_use: Occupancy::new(rrg.switch_count(), options.mode_count),
             history: vec![0.0; n],
-            pres_fac: options.pres_fac_first,
+            pres_fac: PRES_FAC_FIRST,
             max_x,
             max_y,
             options,
@@ -152,7 +137,7 @@ impl<'a> ReferenceRouter<'a> {
         let b = self.rrg.node(RrNodeId::from_index(target));
         let dx = (i32::from(a.x) - i32::from(b.x)).unsigned_abs();
         let dy = (i32::from(a.y) - i32::from(b.y)).unsigned_abs();
-        self.options.astar_fac * f64::from(dx + dy)
+        ASTAR_FAC * f64::from(dx + dy)
     }
 
     /// The fabric extent `max(max_x, max_y)` — the margin cap.
@@ -172,18 +157,17 @@ impl<'a> ReferenceRouter<'a> {
         let mut success = false;
         let mut overused_nodes = 0;
         let mut unrouted = 0usize;
-        let reroute_all = self.options.reroute_all_iters.max(1);
 
         for iter in 0..self.options.max_iterations {
             iterations = iter + 1;
             let mut rerouted_any = false;
             for (i, net) in nets.iter().enumerate() {
-                let warmup = iter < reroute_all;
+                let warmup = iter < REROUTE_ALL_ITERS;
                 let congested = !warmup && self.route_is_congested(&routes[i]);
                 if !warmup && !congested {
                     continue;
                 }
-                if congested && iter >= reroute_all + BBOX_CONGESTION_GRACE {
+                if congested && iter >= REROUTE_ALL_ITERS + BBOX_CONGESTION_GRACE {
                     net_margin[i] = grow_margin(net_margin[i], self.extent());
                     steiner_margin[i] = grow_margin(steiner_margin[i], self.extent());
                 }
@@ -231,7 +215,7 @@ impl<'a> ReferenceRouter<'a> {
                 let max = self.occ.max_all(node);
                 if max > cap {
                     overused_nodes += 1;
-                    self.history[node] += (self.options.history_cost * f64::from(max - cap)) as f32;
+                    self.history[node] += (HISTORY_COST * f64::from(max - cap)) as f32;
                 }
             }
             if overused_nodes == 0 {
@@ -248,7 +232,7 @@ impl<'a> ReferenceRouter<'a> {
             if congestion_stalled(&best_overuse) {
                 break;
             }
-            self.pres_fac *= self.options.pres_fac_mult;
+            self.pres_fac *= PRES_FAC_MULT;
         }
 
         Routing {

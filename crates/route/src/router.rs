@@ -67,23 +67,6 @@ pub struct RouteNet {
 pub struct RouterOptions {
     /// Maximum rip-up-and-reroute iterations before giving up.
     pub max_iterations: usize,
-    /// Present-congestion factor of the first iteration — the starting
-    /// point of the revisited-PathFinder cost schedule. Lower values let
-    /// early iterations overuse freely and discover short paths; higher
-    /// values make the very first iteration congestion-averse.
-    pub pres_fac_first: f64,
-    /// Present-congestion growth per iteration: after every rip-up pass
-    /// the present factor is multiplied by this, so congestion pressure
-    /// ramps geometrically until the solution is feasible.
-    pub pres_fac_mult: f64,
-    /// History cost added per unit of overuse per iteration — the
-    /// long-term memory of the negotiation. 0 disables history entirely
-    /// (pure present-cost routing); larger values make persistently
-    /// contested wires expensive faster.
-    pub history_cost: f64,
-    /// A* aggressiveness: weight of the distance-to-target estimate.
-    /// 1.0 is admissible for unit-cost wires; VPR uses 1.2.
-    pub astar_fac: f64,
     /// Number of modes (1 for conventional single-circuit routing).
     pub mode_count: usize,
     /// Reconfiguration-aware cost shaping (TRoute-style): discount applied
@@ -94,24 +77,15 @@ pub struct RouterOptions {
     /// Penalty applied to an edge whose switch would become parameterized
     /// (a freshly used mode-exclusive switch).
     pub param_penalty: f64,
-    /// Iterations during which every net is rerouted even without
-    /// congestion — lets the sharing-aware cost converge before the
-    /// router goes incremental.
-    pub reroute_all_iters: usize,
     /// Margin (in grid units) added around a net's terminal extent to
-    /// form its expansion bounding box. The box grows automatically when
-    /// a sink is unreachable inside it or when the net stays congested,
-    /// so routability is never lost to pruning. `usize::MAX` disables
-    /// bounding boxes (full-fabric exploration).
+    /// form its expansion bounding box; a net's initial margin is
+    /// `max(bbox_margin, hpwl / 4)`, where `hpwl` is the half-perimeter
+    /// of its terminal extent, so large nets (whose detours scale with
+    /// their span) start with proportionally more slack. The box grows
+    /// automatically when a sink is unreachable inside it or when the net
+    /// stays congested, so routability is never lost to pruning.
+    /// `usize::MAX` disables bounding boxes (full-fabric exploration).
     pub bbox_margin: usize,
-    /// HPWL seeding of the initial bounding boxes: when non-zero, a net's
-    /// initial margin is `max(bbox_margin, hpwl / hpwl_margin_div)` where
-    /// `hpwl` is the half-perimeter of its terminal extent — large nets
-    /// (whose detours scale with their span) start with proportionally
-    /// more slack instead of the fixed margin. `0` disables seeding.
-    /// [`seeded_margins`]/[`Router::route_with_margins`] expose the
-    /// same per-net margins for explicit control.
-    pub hpwl_margin_div: usize,
     /// Incremental rip-up: congested nets keep the subtrees that avoid
     /// every overused node and re-route only the sinks they lost, instead
     /// of being torn down wholesale each iteration.
@@ -132,16 +106,10 @@ impl Default for RouterOptions {
     fn default() -> Self {
         Self {
             max_iterations: 40,
-            pres_fac_first: 0.5,
-            pres_fac_mult: 1.8,
-            history_cost: 1.0,
-            astar_fac: 1.2,
             mode_count: 1,
             share_discount: 0.35,
             param_penalty: 0.2,
-            reroute_all_iters: 3,
             bbox_margin: 3,
-            hpwl_margin_div: 4,
             incremental: true,
             steiner_fanout: 0,
         }
@@ -189,23 +157,42 @@ impl RouterOptions {
     #[must_use]
     pub fn fingerprint(&self) -> String {
         format!(
-            "router-v5;it={};pf={:016x};pfm={:016x};hf={:016x};as={:016x};m={};sd={:016x};pp={:016x};ra={};bb={};hd={};inc={};sf={}",
+            "router-v6;it={};m={};sd={:016x};pp={:016x};bb={};inc={};sf={}",
             self.max_iterations,
-            self.pres_fac_first.to_bits(),
-            self.pres_fac_mult.to_bits(),
-            self.history_cost.to_bits(),
-            self.astar_fac.to_bits(),
             self.mode_count,
             self.share_discount.to_bits(),
             self.param_penalty.to_bits(),
-            self.reroute_all_iters,
             self.bbox_margin,
-            self.hpwl_margin_div,
             u8::from(self.incremental),
             self.steiner_fanout,
         )
     }
 }
+
+// The PathFinder schedule, shared with `crate::reference`. These are
+// constants, not options: every flow routes with VPR's one schedule.
+
+/// Present-congestion factor of the first iteration: low, so early
+/// iterations overuse freely and discover short paths.
+pub(crate) const PRES_FAC_FIRST: f64 = 0.5;
+/// Present-congestion growth per iteration: after every rip-up pass the
+/// present factor is multiplied by this, so congestion pressure ramps
+/// geometrically until the solution is feasible.
+pub(crate) const PRES_FAC_MULT: f64 = 1.8;
+/// History cost added per unit of overuse per iteration — the long-term
+/// memory of the negotiation.
+pub(crate) const HISTORY_COST: f64 = 1.0;
+/// A* aggressiveness: the weight of the distance-to-target estimate
+/// (VPR's 1.2; 1.0 is admissible for unit-cost wires).
+pub(crate) const ASTAR_FAC: f64 = 1.2;
+/// Divisor of the HPWL seeding of initial bounding boxes (see
+/// [`initial_margin`]).
+pub(crate) const HPWL_MARGIN_DIV: usize = 4;
+
+/// Warm-up iterations of every route: during them every net is rerouted
+/// even without congestion, which lets the sharing-aware cost converge
+/// before the router goes incremental.
+pub const REROUTE_ALL_ITERS: usize = 3;
 
 /// Upper clamp on per-sink routing criticalities: even the most critical
 /// connection keeps a sliver of congestion sensitivity, so negotiation
@@ -501,11 +488,11 @@ pub(crate) fn net_hpwl(rrg: &RoutingGraph, net: &RouteNet) -> usize {
 }
 
 /// The initial bounding-box margin of one net under `options`: the fixed
-/// [`RouterOptions::bbox_margin`], widened to `hpwl / hpwl_margin_div`
+/// [`RouterOptions::bbox_margin`], widened to `hpwl / HPWL_MARGIN_DIV`
 /// for nets whose placement extent calls for more slack. The result is
 /// clamped to `extent` (the fabric's `max(max_x, max_y)`) up front — a
-/// corner-to-corner net otherwise seeds a margin far beyond the fabric
-/// and [`grow_margin`]'s doubling burns growth steps on boxes `net_bbox`
+/// `usize::MAX` margin otherwise seeds a box far beyond the fabric and
+/// [`grow_margin`]'s doubling burns growth steps on boxes `net_bbox`
 /// re-clamps every call.
 pub(crate) fn initial_margin(
     rrg: &RoutingGraph,
@@ -513,29 +500,10 @@ pub(crate) fn initial_margin(
     options: &RouterOptions,
     extent: usize,
 ) -> usize {
-    if options.hpwl_margin_div == 0 {
-        return options.bbox_margin.min(extent);
-    }
     options
         .bbox_margin
-        .max(net_hpwl(rrg, net) / options.hpwl_margin_div)
+        .max(net_hpwl(rrg, net) / HPWL_MARGIN_DIV)
         .min(extent)
-}
-
-/// Per-net initial bounding-box margins seeded from placement geometry
-/// (net HPWL) — what the flows pass to [`Router::route_with_margins`]
-/// so the router starts from placement-aware boxes instead of a fixed
-/// margin.
-#[must_use]
-pub fn seeded_margins(
-    rrg: &RoutingGraph,
-    nets: &[RouteNet],
-    options: &RouterOptions,
-) -> Vec<usize> {
-    let extent = fabric_extent(rrg);
-    nets.iter()
-        .map(|net| initial_margin(rrg, net, options, extent))
-        .collect()
 }
 
 /// The number of extra iterations nets get to negotiate congestion inside
@@ -815,7 +783,7 @@ impl<'a> Router<'a> {
             switch_use: Occupancy::new(rrg.switch_count(), options.mode_count),
             switch_act: vec![ModeSet::EMPTY; rrg.switch_count()],
             history: vec![0.0; n],
-            pres_fac: options.pres_fac_first,
+            pres_fac: PRES_FAC_FIRST,
             max_x,
             max_y,
             ipin_sink,
@@ -972,7 +940,7 @@ impl<'a> Router<'a> {
     fn heuristic_to(&self, rr: &mm_arch::RrNode, tx: i32, ty: i32) -> f64 {
         let dx = (i32::from(rr.x) - tx).unsigned_abs();
         let dy = (i32::from(rr.y) - ty).unsigned_abs();
-        self.options.astar_fac * f64::from(dx + dy)
+        ASTAR_FAC * f64::from(dx + dy)
     }
 
     /// The fabric extent `max(max_x, max_y)` — the margin cap of
@@ -995,20 +963,14 @@ impl<'a> Router<'a> {
     /// Routes all nets; returns the final routing (check
     /// [`Routing::success`]).
     ///
-    /// Initial bounding-box margins follow [`RouterOptions`] (fixed, or
-    /// HPWL-seeded when [`RouterOptions::hpwl_margin_div`] is non-zero).
+    /// Each net's initial bounding-box margin is HPWL-seeded from the
+    /// placement geometry it carries (see [`RouterOptions::bbox_margin`]).
     /// Congestion state (occupancy, history, present-congestion factor)
     /// is reset on entry, so repeated calls on one router are idempotent
     /// and reuse the scratch arena instead of reallocating it.
     pub fn route(&mut self, nets: &[RouteNet]) -> Routing {
         self.crit_dat.clear();
         self.crit_idx.clear();
-        self.net_margin.clear();
-        let extent = self.extent();
-        for net in nets {
-            self.net_margin
-                .push(initial_margin(self.rrg, net, &self.options, extent));
-        }
         self.route_prepared(nets)
     }
 
@@ -1044,39 +1006,23 @@ impl<'a> Router<'a> {
             }
             self.crit_idx.push(self.crit_dat.len() as u32);
         }
+        self.route_prepared(nets)
+    }
+
+    /// The rip-up-and-reroute loop over `nets`, with the criticality
+    /// table of this call already in place.
+    fn route_prepared(&mut self, nets: &[RouteNet]) -> Routing {
+        self.occ.counts.fill(0);
+        self.switch_use.counts.fill(0);
+        self.switch_act.fill(ModeSet::EMPTY);
+        self.history.fill(0.0);
+        self.pres_fac = PRES_FAC_FIRST;
         self.net_margin.clear();
         let extent = self.extent();
         for net in nets {
             self.net_margin
                 .push(initial_margin(self.rrg, net, &self.options, extent));
         }
-        self.route_prepared(nets)
-    }
-
-    /// Routes all nets with explicit per-net initial bounding-box margins
-    /// — the flows pass placement-geometry-derived margins here (see
-    /// [`seeded_margins`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `margins.len() != nets.len()`.
-    pub fn route_with_margins(&mut self, nets: &[RouteNet], margins: &[usize]) -> Routing {
-        assert_eq!(margins.len(), nets.len(), "one margin per net");
-        self.crit_dat.clear();
-        self.crit_idx.clear();
-        self.net_margin.clear();
-        self.net_margin.extend_from_slice(margins);
-        self.route_prepared(nets)
-    }
-
-    /// The rip-up-and-reroute loop over `nets`, with `self.net_margin`
-    /// already holding the initial per-net margins.
-    fn route_prepared(&mut self, nets: &[RouteNet]) -> Routing {
-        self.occ.counts.fill(0);
-        self.switch_use.counts.fill(0);
-        self.switch_act.fill(ModeSet::EMPTY);
-        self.history.fill(0.0);
-        self.pres_fac = self.options.pres_fac_first;
         self.steiner_cache.clear();
         self.steiner_cache.resize(nets.len(), Vec::new());
         self.steiner_margin.clear();
@@ -1088,13 +1034,12 @@ impl<'a> Router<'a> {
         let mut success = false;
         let mut overused_nodes = 0;
         let mut unrouted = 0usize;
-        let reroute_all = self.options.reroute_all_iters.max(1);
 
         for iter in 0..self.options.max_iterations {
             iterations = iter + 1;
             let mut rerouted_any = false;
             for (i, net) in nets.iter().enumerate() {
-                let warmup = iter < reroute_all;
+                let warmup = iter < REROUTE_ALL_ITERS;
                 let congested = !warmup && self.route_is_congested(&routes[i]);
                 if !warmup && !congested {
                     continue;
@@ -1102,7 +1047,7 @@ impl<'a> Router<'a> {
                 // A net that stays congested after a short grace period
                 // gets a wider box: detours the negotiation needs may lie
                 // outside the terminal extent.
-                if congested && iter >= reroute_all + BBOX_CONGESTION_GRACE {
+                if congested && iter >= REROUTE_ALL_ITERS + BBOX_CONGESTION_GRACE {
                     self.net_margin[i] = grow_margin(self.net_margin[i], self.extent());
                     self.steiner_margin[i] = grow_margin(self.steiner_margin[i], self.extent());
                 }
@@ -1151,7 +1096,7 @@ impl<'a> Router<'a> {
                 let max = self.occ.max_all(node);
                 if max > cap {
                     overused_nodes += 1;
-                    self.history[node] += (self.options.history_cost * f64::from(max - cap)) as f32;
+                    self.history[node] += (HISTORY_COST * f64::from(max - cap)) as f32;
                 }
             }
             self.touched = touched;
@@ -1173,7 +1118,7 @@ impl<'a> Router<'a> {
             if congestion_stalled(&self.best_overuse) {
                 break; // stuck high: predicted to fail
             }
-            self.pres_fac *= self.options.pres_fac_mult;
+            self.pres_fac *= PRES_FAC_MULT;
         }
 
         Routing {
@@ -1927,10 +1872,10 @@ mod tests {
 
     #[test]
     fn initial_margin_clamped_to_fabric_extent() {
-        // A corner-to-corner net has HPWL 2·(n+1) on an (n+2)² fabric;
-        // with a tiny divisor its seeded margin would exceed the extent —
-        // the clamp caps it up front so `grow_margin` never burns steps
-        // on boxes `net_bbox` re-clamps anyway.
+        // With pruning disabled (`usize::MAX`) a corner-to-corner net's
+        // seeded margin would exceed the extent — the clamp caps it up
+        // front so `grow_margin` never burns steps on boxes `net_bbox`
+        // re-clamps anyway.
         let rrg = arch_rrg(6, 2);
         let all = ModeSet::of(&[0]);
         let corner = RouteNet {
@@ -1943,23 +1888,14 @@ mod tests {
         };
         let extent = fabric_extent(&rrg);
         let options = RouterOptions {
-            hpwl_margin_div: 1,
             bbox_margin: usize::MAX,
             ..RouterOptions::default()
         };
         let m = initial_margin(&rrg, &corner, &options, extent);
         assert_eq!(m, extent, "margin clamped to the fabric extent");
-        let fixed = RouterOptions {
-            hpwl_margin_div: 0,
-            bbox_margin: usize::MAX,
-            ..RouterOptions::default()
-        };
-        assert_eq!(initial_margin(&rrg, &corner, &fixed, extent), extent);
-        // Seeded margins go through the same clamp, and the clamped
-        // margin still routes the corner-to-corner net.
-        let margins = seeded_margins(&rrg, std::slice::from_ref(&corner), &options);
-        assert_eq!(margins, vec![extent]);
-        let routing = Router::new(&rrg, options).route_with_margins(&[corner], &margins);
+        // `route` seeds its margins through the same clamp, and the
+        // clamped margin still routes the corner-to-corner net.
+        let routing = Router::new(&rrg, options).route(&[corner]);
         assert!(routing.success, "clamped margin keeps routability");
     }
 
@@ -2172,7 +2108,7 @@ mod tests {
             ..RouterOptions::default()
         };
         assert_ne!(a.fingerprint(), b.fingerprint());
-        assert!(a.fingerprint().starts_with("router-v5"));
+        assert!(a.fingerprint().starts_with("router-v6"));
         assert_eq!(
             RouterOptions::default().without_bbox().bbox_margin,
             usize::MAX
@@ -2180,40 +2116,20 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_tracks_steiner_and_cost_schedule() {
+    fn fingerprint_tracks_steiner() {
         let a = RouterOptions::default();
         assert_eq!(a.steiner_fanout, 0, "Steiner mode is off by default");
         let b = RouterOptions::default().with_steiner(64);
         assert_eq!(b.steiner_fanout, 64);
         assert_ne!(a.fingerprint(), b.fingerprint());
-        let c = RouterOptions {
-            pres_fac_first: 0.75,
-            ..RouterOptions::default()
-        };
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        let d = RouterOptions {
-            history_cost: 0.5,
-            ..RouterOptions::default()
-        };
-        assert_ne!(a.fingerprint(), d.fingerprint());
-        let e = RouterOptions {
-            pres_fac_mult: 2.0,
-            ..RouterOptions::default()
-        };
-        assert_ne!(a.fingerprint(), e.fingerprint());
     }
 
     #[test]
-    fn fingerprint_tracks_incremental_and_hpwl_seeding() {
+    fn fingerprint_tracks_incremental() {
         let a = RouterOptions::default();
         assert!(a.incremental, "incremental rip-up is the default");
         let b = RouterOptions::default().with_full_reroute();
         assert_ne!(a.fingerprint(), b.fingerprint());
-        let c = RouterOptions {
-            hpwl_margin_div: 0,
-            ..RouterOptions::default()
-        };
-        assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
     #[test]
@@ -2237,42 +2153,18 @@ mod tests {
             }],
         };
         let options = RouterOptions::default();
-        let margins = seeded_margins(&rrg, &[short, long], &options);
-        assert_eq!(margins[0], options.bbox_margin, "short nets keep the floor");
-        assert_eq!(margins[1], 16 / options.hpwl_margin_div, "hpwl 16 scaled");
-        assert!(margins[1] > margins[0]);
-
-        let fixed = RouterOptions {
-            hpwl_margin_div: 0,
-            ..RouterOptions::default()
-        };
-        let rrg2 = arch_rrg(9, 2);
-        let nets: Vec<RouteNet> = Vec::new();
-        assert!(seeded_margins(&rrg2, &nets, &fixed).is_empty());
-    }
-
-    #[test]
-    fn route_with_margins_matches_options_derived_margins() {
-        let rrg = arch_rrg(6, 3);
-        let all = ModeSet::of(&[0]);
-        let nets: Vec<RouteNet> = (1..=5u16)
-            .map(|y| RouteNet {
-                name: format!("n{y}"),
-                source: rrg.logic_source(site(1, y, 0)),
-                sinks: vec![RouteSink {
-                    node: rrg.logic_sink(site(6, 6 - y, 0)),
-                    activation: all,
-                }],
-            })
+        let extent = fabric_extent(&rrg);
+        let nets = [short, long];
+        let margins: Vec<usize> = nets
+            .iter()
+            .map(|net| initial_margin(&rrg, net, &options, extent))
             .collect();
-        let options = RouterOptions::default();
-        let margins = seeded_margins(&rrg, &nets, &options);
-        let implicit = Router::new(&rrg, options).route(&nets);
-        let explicit = Router::new(&rrg, options).route_with_margins(&nets, &margins);
-        assert_eq!(implicit.iterations, explicit.iterations);
-        for (a, b) in implicit.nets.iter().zip(&explicit.nets) {
-            assert_eq!(a.tree, b.tree);
-            assert_eq!(a.sink_pos, b.sink_pos);
-        }
+        assert_eq!(margins[0], options.bbox_margin, "short nets keep the floor");
+        assert_eq!(margins[1], 16 / HPWL_MARGIN_DIV, "hpwl 16 scaled");
+        assert!(margins[1] > margins[0]);
+        // `route` starts every net from exactly these margins.
+        let mut router = Router::new(&rrg, options);
+        assert!(router.route(&nets).success);
+        assert_eq!(router.net_margin, margins);
     }
 }

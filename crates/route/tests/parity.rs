@@ -4,8 +4,8 @@
 
 use mm_arch::{Architecture, RoutingGraph, Site};
 use mm_boolexpr::ModeSet;
-use mm_route::reference::{route_reference, route_reference_with_margins};
-use mm_route::{seeded_margins, RouteNet, RouteSink, Router, RouterOptions, Routing};
+use mm_route::reference::route_reference;
+use mm_route::{RouteNet, RouteSink, Router, RouterOptions, Routing, REROUTE_ALL_ITERS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -257,7 +257,7 @@ proptest! {
     }
 
     /// A run that converges before any congested-net handling kicks in
-    /// (within `reroute_all_iters` iterations) is byte-identical under
+    /// (within the `REROUTE_ALL_ITERS` warm-up) is byte-identical under
     /// incremental and full rip-up — the incremental path only ever
     /// diverges where tear-down policy matters.
     #[test]
@@ -268,7 +268,7 @@ proptest! {
         let incremental_options = RouterOptions::for_modes(suite.modes);
         let full = Router::new(&suite.rrg, incremental_options.with_full_reroute())
             .route(&suite.nets);
-        if full.iterations <= incremental_options.reroute_all_iters {
+        if full.iterations <= REROUTE_ALL_ITERS {
             let incremental = Router::new(&suite.rrg, incremental_options).route(&suite.nets);
             assert_identical(&incremental, &full)?;
         }
@@ -427,21 +427,6 @@ proptest! {
         let s1 = Router::new(&suite.rrg, steiner).route(&suite.nets);
         let s2 = route_reference(&suite.rrg, steiner, &suite.nets);
         assert_identical(&s1, &s2)?;
-    }
-
-    /// Explicit HPWL-seeded margins through `route_with_margins` match
-    /// the options-derived path on both implementations.
-    #[test]
-    fn explicit_margins_match_implicit(seed in 0u64..1_000_000) {
-        let suite = random_suite(seed.wrapping_mul(13).wrapping_add(7));
-        let options = RouterOptions::for_modes(suite.modes);
-        let margins = seeded_margins(&suite.rrg, &suite.nets, &options);
-        let implicit = Router::new(&suite.rrg, options).route(&suite.nets);
-        let explicit =
-            Router::new(&suite.rrg, options).route_with_margins(&suite.nets, &margins);
-        assert_identical(&implicit, &explicit)?;
-        let reference = route_reference_with_margins(&suite.rrg, options, &suite.nets, &margins);
-        assert_identical(&explicit, &reference)?;
     }
 }
 

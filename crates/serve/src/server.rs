@@ -106,8 +106,6 @@ pub struct ServeOptions {
     /// Queued (not yet running) jobs each shard admits before batches
     /// bounce with a `busy` frame (`scope: "jobs"`).
     pub queue_depth: usize,
-    /// Reactor threads multiplexing the connections (`0` = 2).
-    pub io_threads: usize,
     /// p95 sojourn-latency SLO in milliseconds. When set, batches are
     /// shed lowest-priority-first once a target shard's observed p95
     /// exceeds it (`busy` frame, `scope: "slo"`, carrying the p95);
@@ -134,7 +132,6 @@ impl Default for ServeOptions {
             max_connections: 8,
             workers: 0,
             queue_depth: 256,
-            io_threads: 0,
             slo_ms: None,
             deadline_ms: 30_000,
             fault_spec: None,
@@ -376,6 +373,10 @@ const WRITE_STALL: Duration = Duration::from_secs(30);
 /// How long an idle reactor parks before re-polling its sockets.
 const REACTOR_PARK: Duration = Duration::from_millis(1);
 
+/// Reactor threads multiplexing the connections (they only parse, admit
+/// and shuffle bytes; jobs run on the scheduler's workers).
+const REACTOR_THREADS: usize = 2;
+
 /// Wakes a parked reactor (new connection, delivered result).
 #[derive(Debug, Default)]
 struct Waker {
@@ -414,7 +415,6 @@ pub struct Server {
     listen: Listen,
     state: Arc<ServerState>,
     max_connections: usize,
-    io_threads: usize,
 }
 
 impl std::fmt::Debug for Server {
@@ -506,11 +506,6 @@ impl Server {
                 counters: Counters::default(),
             }),
             max_connections: options.max_connections.max(1),
-            io_threads: if options.io_threads == 0 {
-                2
-            } else {
-                options.io_threads
-            },
         })
     }
 
@@ -557,13 +552,12 @@ impl Server {
             listen,
             state,
             max_connections,
-            io_threads,
         } = self;
         match &listener {
             Listener::Unix(l) => l.set_nonblocking(true)?,
             Listener::Tcp(l) => l.set_nonblocking(true)?,
         }
-        let reactors: Vec<ReactorHandle> = (0..io_threads.max(1))
+        let reactors: Vec<ReactorHandle> = (0..REACTOR_THREADS)
             .map(|_| ReactorHandle {
                 inbox: Mutex::new(Vec::new()),
                 waker: Arc::new(Waker::default()),
