@@ -48,6 +48,13 @@
 //!   the wirelength price paid for it.
 //!
 //! All have a `--smoke` sized variant for CI.
+//!
+//! Each report's `check` lists every gate it violates (parity,
+//! routability, cache transparency, chaos, the timing ratios, and that
+//! its artefact text parses), each as `field: what failed`. It is the
+//! report's only gate: `mmflow bench` refuses to write an artefact
+//! whose `check` is not empty. Gates read the values the artefact
+//! records, so a rounded field is compared rounded.
 
 use mm_arch::{Architecture, RoutingGraph};
 use mm_boolexpr::ModeSet;
@@ -315,7 +322,61 @@ impl RouterPerf {
             .build()
             .to_json()
     }
+
+    /// Every gate this report violates (see the module docs). The smoke
+    /// pair's minimum width is pinned under `config.smoke` only.
+    #[must_use]
+    pub fn check(&self, config: &PerfConfig) -> Vec<String> {
+        let mut g = Gates::default();
+        g.require(self.parity_ok, "parity_ok: optimized router != reference");
+        g.require(self.routed, "routed: the workload did not route");
+        let hf = &self.high_fanout;
+        g.require(hf.len() >= 2, "high_fanout: fewer than 2 fanouts swept");
+        g.require(
+            hf.iter().any(|h| h.fanout >= 64),
+            "high_fanout: the sweep stops below fanout 64",
+        );
+        for h in hf {
+            let at = format!("high_fanout[fanout {}]", h.fanout);
+            g.require(
+                h.parity_ok,
+                format!("{at}.parity_ok: steiner parity failed"),
+            );
+            g.require(h.routed, format!("{at}.routed: the workload did not route"));
+            let (wl, speedup) = (round2(h.wirelength_ratio), round2(h.speedup));
+            g.require(wl <= 1.05, format!("{at}.wirelength_ratio: {wl} > 1.05"));
+            g.require(
+                h.fanout < 64 || speedup >= 1.0,
+                format!("{at}.speedup: {speedup}, steiner mode must not be slower"),
+            );
+        }
+        let ws = &self.width_search;
+        g.require(
+            ws.failed_probes >= 1,
+            "width_search.failed_probes: the search has no failed probe",
+        );
+        g.require(
+            ws.failed_probe_iterations < ws.max_iterations * ws.failed_probes,
+            format!(
+                "width_search.failed_probe_iterations: {} reaches the cap of {} x {} failed probes",
+                ws.failed_probe_iterations, ws.max_iterations, ws.failed_probes
+            ),
+        );
+        g.require(
+            !config.smoke || ws.min_width == SMOKE_MIN_WIDTH,
+            format!(
+                "width_search.min_width: {}, the smoke pair's is {SMOKE_MIN_WIDTH}",
+                ws.min_width
+            ),
+        );
+        g.finish(&self.to_json())
+    }
 }
+
+/// The smoke width-search pair's minimum channel width before the
+/// routability predictor existed: stopping hopeless probes early must
+/// not move it.
+const SMOKE_MIN_WIDTH: usize = 7;
 
 /// One relaxed-width search (`mm_route::min_channel_width`) on the DCS
 /// wire-length leg of a pair, read off [`MinWidthResult::probes`]: how
@@ -438,6 +499,28 @@ fn width_search_run(smoke: bool, reps: usize) -> WidthSearchRun {
 
 fn round2(x: f64) -> f64 {
     (x * 100.0).round() / 100.0
+}
+
+/// The gates one report violates, in order, each as `field: what
+/// failed`.
+#[derive(Default)]
+struct Gates(Vec<String>);
+
+impl Gates {
+    /// Notes `why` unless the gate holds.
+    fn require(&mut self, holds: bool, why: impl Into<String>) {
+        if !holds {
+            self.0.push(why.into());
+        }
+    }
+
+    /// The gate every artefact shares, then the list: `text` must parse
+    /// with [`mm_engine::json::parse`].
+    fn finish(mut self, text: &str) -> Vec<String> {
+        let parsed = mm_engine::json::parse(text);
+        self.require(parsed.is_ok(), "json: the artefact text does not parse");
+        self.0
+    }
 }
 
 fn routings_identical(a: &mm_route::Routing, b: &mm_route::Routing) -> bool {
@@ -711,6 +794,21 @@ impl PlacePerf {
             .build()
             .to_json()
     }
+
+    /// Every gate this report violates (see the module docs).
+    #[must_use]
+    pub fn check(&self, _config: &PerfConfig) -> Vec<String> {
+        let mut g = Gates::default();
+        g.require(
+            self.hybrid.parity_ok,
+            "hybrid.parity_ok: flat model != naive model",
+        );
+        g.require(
+            self.wirelength.parity_ok,
+            "wirelength.parity_ok: flat model != naive model",
+        );
+        g.finish(&self.to_json())
+    }
 }
 
 /// Anneals the workload under one cost kind on both models and compares.
@@ -942,6 +1040,42 @@ impl FlowPerf {
             .build()
             .to_json()
     }
+
+    /// Every gate this report violates (see the module docs).
+    #[must_use]
+    pub fn check(&self, _config: &PerfConfig) -> Vec<String> {
+        let (n, sg) = (&self.nmodes, &self.stagegraph);
+        let mut g = Gates::default();
+        g.require(
+            n.modes >= 3,
+            format!("nmodes.modes: {}, not more than 2", n.modes),
+        );
+        g.require(
+            n.parity_ok,
+            "nmodes.parity_ok: run_combined_n(N=2) != run_pair",
+        );
+        g.require(
+            n.warm_stages_recomputed == 0,
+            "nmodes.warm_stages_recomputed: the N-mode warm run recomputed stages",
+        );
+        g.require(
+            sg.parity_ok,
+            "stagegraph.parity_ok: replay bytes != a cacheless run",
+        );
+        g.require(
+            sg.replay_upstream_recomputed == 0,
+            "stagegraph.replay_upstream_recomputed: a router-only replay recomputed a placement",
+        );
+        g.require(
+            sg.replay_placement_hits > 0,
+            "stagegraph.replay_placement_hits: the replay never hit a cached placement",
+        );
+        g.require(
+            sg.replay_summaries_recomputed > 0,
+            "stagegraph.replay_summaries_recomputed: changed router options recomputed no summary",
+        );
+        g.finish(&self.to_json())
+    }
 }
 
 /// A deterministic random LUT circuit (the shape used across the repo's
@@ -949,23 +1083,6 @@ impl FlowPerf {
 /// BENCH workloads and the test fixtures stay byte-identical per seed.
 fn random_circuit(name: &str, n_inputs: usize, n_luts: usize, seed: u64) -> LutCircuit {
     mm_gen::seeded_test_circuit(name, n_inputs, n_luts, seed)
-}
-
-/// A small seeded two-mode problem plus quick options — the workload the
-/// criterion flow/placer benches iterate on.
-///
-/// # Panics
-///
-/// Never for the fixed seeds used.
-#[must_use]
-pub fn small_pair_input() -> (mm_flow::MultiModeInput, FlowOptions) {
-    let a = random_circuit("m0", 5, 14, 77);
-    let b = random_circuit("m1", 5, 15, 78);
-    let input = mm_flow::MultiModeInput::new(vec![a, b]).expect("seeded circuits are valid");
-    let mut options = FlowOptions::default().with_fixed_width(12).with_seed(0xbe);
-    options.placer.inner_num = 1.0;
-    options.router.max_iterations = 30;
-    (input, options)
 }
 
 /// Runs the flow/engine benchmark: cold vs warm batch plus the
@@ -1298,18 +1415,50 @@ pub struct ChaosPerf {
 }
 
 impl ChaosPerf {
-    /// The CI gate: faults fired, nothing was lost or duplicated, bytes
-    /// matched, priority 0 was shed while priority 9 rode through, and
-    /// the store recovered.
-    #[must_use]
-    pub fn ok(&self) -> bool {
-        self.faults_fired > 0
-            && self.records_lost == 0
-            && self.records_duplicated == 0
-            && self.parity_ok
-            && self.shed_low_priority > 0
-            && self.shed_high_priority == 0
-            && self.recovered_after_disarm
+    /// The chaos gates that fail, one definition for [`ServePerf::check`]
+    /// and the section's `ok` field: faults fired in a real storm,
+    /// nothing was lost or duplicated, bytes matched, priority 0 was shed
+    /// (with the observed p95) while priority 9 rode through, and the
+    /// store recovered.
+    fn failures(&self) -> Vec<String> {
+        let mut g = Gates::default();
+        g.require(self.faults_fired > 0, "chaos.faults_fired: no fault fired");
+        g.require(
+            self.storm_batches >= 2,
+            "chaos.storm_batches: the storm is degenerate",
+        );
+        g.require(
+            self.records_lost == 0,
+            format!("chaos.records_lost: {} records lost", self.records_lost),
+        );
+        g.require(
+            self.records_duplicated == 0,
+            format!(
+                "chaos.records_duplicated: {} records duplicated",
+                self.records_duplicated
+            ),
+        );
+        g.require(
+            self.parity_ok,
+            "chaos.parity_ok: surviving records != reference bytes",
+        );
+        g.require(
+            self.shed_low_priority > 0,
+            "chaos.shed_low_priority: the SLO controller never shed the p0 probe",
+        );
+        g.require(
+            self.shed_high_priority == 0,
+            "chaos.shed_high_priority: the SLO controller shed a p9 batch",
+        );
+        g.require(
+            round2(self.slo_observed_p95_ms) > 0.0,
+            "chaos.slo_observed_p95_ms: the shedding busy frame carried no p95",
+        );
+        g.require(
+            self.recovered_after_disarm,
+            "chaos.recovered_after_disarm: the store did not recover after disarm",
+        );
+        g.0
     }
 
     fn json(&self) -> mm_engine::json::Value {
@@ -1331,7 +1480,7 @@ impl ChaosPerf {
             .field("shed_high_priority", self.shed_high_priority)
             .field("slo_observed_p95_ms", round2(self.slo_observed_p95_ms))
             .field("recovered_after_disarm", self.recovered_after_disarm)
-            .field("ok", self.ok())
+            .field("ok", self.failures().is_empty())
             .build()
     }
 }
@@ -1384,6 +1533,51 @@ impl ServePerf {
             .field("chaos", self.chaos.json())
             .build()
             .to_json()
+    }
+
+    /// Every gate this report violates (see the module docs), the chaos
+    /// section's included.
+    #[must_use]
+    pub fn check(&self, _config: &PerfConfig) -> Vec<String> {
+        let c = &self.contention;
+        let mut g = Gates::default();
+        g.require(
+            self.parity_ok,
+            "parity_ok: socket stream != direct engine bytes",
+        );
+        g.require(self.threads >= 1, "threads: no real worker count recorded");
+        g.require(
+            c.clients >= 4,
+            format!("contention.clients: {} < 4", c.clients),
+        );
+        g.require(
+            c.parity_ok,
+            "contention.parity_ok: contended streams != reference bytes",
+        );
+        let (saturation, warm) = (
+            round2(c.saturation_jobs_per_sec),
+            round2(self.warm_jobs_per_sec),
+        );
+        g.require(
+            saturation > warm,
+            format!("contention.saturation_jobs_per_sec: {saturation} <= the warm rate {warm}"),
+        );
+        let (p50, p95, p99) = (round2(c.p50_ms), round2(c.p95_ms), round2(c.p99_ms));
+        g.require(
+            p50 <= p95 && p95 <= p99,
+            format!("contention.p50_ms: percentiles disordered ({p50}, {p95}, {p99})"),
+        );
+        let fairness = round2(c.fairness);
+        g.require(
+            0.0 < fairness && fairness <= 1.0,
+            format!("contention.fairness: {fairness} outside (0, 1]"),
+        );
+        g.require(
+            c.batches_per_client >= 2 && c.jobs_per_batch >= 1,
+            "contention.batches_per_client: the workload is degenerate",
+        );
+        g.0.extend(self.chaos.failures());
+        g.finish(&self.to_json())
     }
 }
 
@@ -1928,6 +2122,37 @@ impl StaPerf {
             .build()
             .to_json()
     }
+
+    /// Every gate this report violates (see the module docs).
+    #[must_use]
+    pub fn check(&self, _config: &PerfConfig) -> Vec<String> {
+        let tf = &self.flow;
+        let mut g = Gates::default();
+        g.require(
+            self.parity_ok,
+            "parity_ok: incremental STA != from-scratch reference",
+        );
+        g.require(
+            round2(self.incremental_us_per_update) > 0.0,
+            "incremental_us_per_update: empty STA measurement",
+        );
+        g.require(
+            tf.improved,
+            format!(
+                "flow.improved: timing-driven critical path {} vs the baseline's {}",
+                tf.timing_critical_path, tf.baseline_critical_path
+            ),
+        );
+        g.require(
+            tf.timing_critical_path < tf.baseline_critical_path,
+            "flow.timing_critical_path: inconsistent with the improved gate",
+        );
+        g.require(
+            round2(tf.wires_ratio) > 0.0,
+            "flow.wires_ratio: the wirelength price is not reported",
+        );
+        g.finish(&self.to_json())
+    }
 }
 
 /// Runs the timing benchmark: incremental vs from-scratch STA under a
@@ -2054,13 +2279,36 @@ mod tests {
     /// this lock so injected cache faults cannot leak across tests.
     static FAULT_SENSITIVE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+    const SMOKE: PerfConfig = PerfConfig {
+        smoke: true,
+        reps: 1,
+        threads: 0,
+    };
+
+    /// The gate on `field` has teeth: `check` does not name it on the
+    /// measured report, and does once `break_field` corrupts a copy.
+    fn assert_gate_bites<R: Clone>(
+        report: &R,
+        check: impl Fn(&R) -> Vec<String>,
+        field: &str,
+        break_field: impl FnOnce(&mut R),
+    ) {
+        let names =
+            |failures: &[String]| failures.iter().any(|f| f.starts_with(&format!("{field}:")));
+        let before = check(report);
+        assert!(
+            !names(&before),
+            "{field} fails before it is broken: {before:?}"
+        );
+        let mut broken = report.clone();
+        break_field(&mut broken);
+        let after = check(&broken);
+        assert!(names(&after), "breaking {field} went unnoticed: {after:?}");
+    }
+
     #[test]
     fn router_perf_smoke_reports_plausible_numbers() {
-        let perf = router_perf(&PerfConfig {
-            smoke: true,
-            reps: 1,
-            threads: 0,
-        });
+        let perf = router_perf(&SMOKE);
         assert!(perf.routed, "workload must route");
         assert!(perf.parity_ok, "optimized must match the reference");
         assert!(perf.baseline_ms > 0.0 && perf.optimized_ms > 0.0);
@@ -2078,15 +2326,33 @@ mod tests {
             mm_engine::json::parse(&json).is_ok(),
             "report must be valid JSON"
         );
+        let check = |r: &RouterPerf| r.check(&SMOKE);
+        assert_gate_bites(&perf, check, "width_search.min_width", |r| {
+            r.width_search.min_width = 8;
+        });
+        assert_gate_bites(&perf, check, "width_search.failed_probe_iterations", |r| {
+            r.width_search.failed_probe_iterations =
+                r.width_search.max_iterations * r.width_search.failed_probes;
+        });
+        assert_gate_bites(&perf, check, "high_fanout[fanout 64].parity_ok", |r| {
+            r.high_fanout[1].parity_ok = false;
+        });
+        // The minimum width is pinned for the smoke pair only.
+        let mut full_width = perf.clone();
+        full_width.width_search.min_width = 9;
+        let full = PerfConfig {
+            smoke: false,
+            ..SMOKE
+        };
+        assert!(!full_width
+            .check(&full)
+            .iter()
+            .any(|f| f.starts_with("width_search.min_width:")));
     }
 
     #[test]
     fn placer_perf_smoke_reports_plausible_numbers() {
-        let perf = placer_perf(&PerfConfig {
-            smoke: true,
-            reps: 1,
-            threads: 0,
-        });
+        let perf = placer_perf(&SMOKE);
         assert!(perf.parity_ok(), "optimized must match the naive model");
         assert!(perf.hybrid.moves > 0, "the annealer must attempt moves");
         assert!(perf.hybrid.baseline_ms > 0.0 && perf.hybrid.optimized_ms > 0.0);
@@ -2098,24 +2364,28 @@ mod tests {
             mm_engine::json::parse(&json).is_ok(),
             "report must be valid JSON"
         );
+        let check = |r: &PlacePerf| r.check(&SMOKE);
+        assert_gate_bites(&perf, check, "hybrid.parity_ok", |r| {
+            r.hybrid.parity_ok = false;
+        });
+        assert_gate_bites(&perf, check, "wirelength.parity_ok", |r| {
+            r.wirelength.parity_ok = false;
+        });
     }
 
     #[test]
     fn serve_perf_smoke_roundtrips_over_a_real_socket() {
         let _lock = FAULT_SENSITIVE.lock().unwrap_or_else(|e| e.into_inner());
-        let perf = serve_perf(&PerfConfig {
-            smoke: true,
-            reps: 1,
-            threads: 0,
-        });
+        let perf = serve_perf(&SMOKE);
         assert!(perf.parity_ok, "socket stream == direct engine bytes");
         assert_eq!(perf.jobs, 4);
         assert!(perf.cold_wall_ms > 0.0 && perf.warm_wall_ms > 0.0);
         assert!(perf.warm_jobs_per_sec > 0.0);
+        let chaos = perf.chaos.failures();
         assert!(
-            perf.chaos.ok(),
+            chaos.is_empty(),
             "chaos storm must survive with zero lost/duplicated records, \
-             SLO shedding p0 before p9 and a clean recovery: {:?}",
+             SLO shedding p0 before p9 and a clean recovery: {chaos:?} {:?}",
             perf.chaos
         );
         assert!(perf.chaos.faults_fired > 0, "the storm must actually fault");
@@ -2123,15 +2393,19 @@ mod tests {
             mm_engine::json::parse(&perf.to_json()).is_ok(),
             "report must be valid JSON"
         );
+        let check = |r: &ServePerf| r.check(&SMOKE);
+        assert_gate_bites(&perf, check, "chaos.records_lost", |r| {
+            r.chaos.records_lost = 1;
+        });
+        assert_gate_bites(&perf, check, "contention.parity_ok", |r| {
+            r.contention.parity_ok = false;
+        });
+        assert_gate_bites(&perf, check, "parity_ok", |r| r.parity_ok = false);
     }
 
     #[test]
     fn sta_perf_smoke_wins_on_delay_and_keeps_parity() {
-        let perf = sta_perf(&PerfConfig {
-            smoke: true,
-            reps: 1,
-            threads: 0,
-        });
+        let perf = sta_perf(&SMOKE);
         assert!(perf.parity_ok, "incremental STA == from-scratch bits");
         assert!(perf.incremental_us_per_update > 0.0);
         assert!(perf.reference_us_per_update > 0.0);
@@ -2148,16 +2422,17 @@ mod tests {
             mm_engine::json::parse(&json).is_ok(),
             "report must be valid JSON"
         );
+        let check = |r: &StaPerf| r.check(&SMOKE);
+        assert_gate_bites(&perf, check, "flow.improved", |r| {
+            r.flow.improved = false;
+        });
+        assert_gate_bites(&perf, check, "parity_ok", |r| r.parity_ok = false);
     }
 
     #[test]
     fn flow_perf_smoke_exercises_cache_and_pair_sharing() {
         let _lock = FAULT_SENSITIVE.lock().unwrap_or_else(|e| e.into_inner());
-        let perf = flow_perf(&PerfConfig {
-            smoke: true,
-            reps: 1,
-            threads: 0,
-        });
+        let perf = flow_perf(&SMOKE);
         assert_eq!(perf.warm_stages_recomputed, 0, "warm run fully cached");
         assert_eq!(perf.warm_results_from_cache, perf.jobs);
         assert_eq!(
@@ -2194,5 +2469,12 @@ mod tests {
         assert!(json.contains("\"nmodes\""), "{json}");
         assert!(json.contains("\"stagegraph\""), "{json}");
         assert!(mm_engine::json::parse(&json).is_ok());
+        let check = |r: &FlowPerf| r.check(&SMOKE);
+        assert_gate_bites(&perf, check, "stagegraph.replay_upstream_recomputed", |r| {
+            r.stagegraph.replay_upstream_recomputed = 1;
+        });
+        assert_gate_bites(&perf, check, "nmodes.parity_ok", |r| {
+            r.nmodes.parity_ok = false;
+        });
     }
 }

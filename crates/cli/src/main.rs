@@ -145,9 +145,9 @@ BENCH OPTIONS:
   --json           write BENCH_router.json, BENCH_place.json,
                    BENCH_flow.json, BENCH_serve.json and BENCH_sta.json
   --out-dir <DIR>  where to write them (default .)
-  --suite <S>      run one workload: router|place|flow|serve|sta|chaos
-                   (default all; chaos runs the serve workload, whose
-                   report carries the fault-injection storm section)
+  --suite <S>      run one workload: router|place|flow|serve|sta
+                   (default all; serve includes the fault-injection
+                   storm)
   --smoke          tiny CI-sized workload
   --reps <N>       timed repetitions per measurement
   --threads <N>    worker threads for the flow/serve workloads
@@ -792,15 +792,11 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
             other => return Err(format!("unknown bench option '{other}'").into()),
         }
     }
-    let known = ["all", "router", "place", "flow", "serve", "sta", "chaos"];
+    let known = ["all", "router", "place", "flow", "serve", "sta"];
     if !known.contains(&suite.as_str()) {
         return Err(format!("unknown bench suite '{suite}' (one of {})", known.join("|")).into());
     }
     let runs = |name: &str| suite == "all" || suite == name;
-    // The chaos phases live inside the serve workload, so `--suite
-    // chaos` runs the serve benchmark (its report carries the `chaos`
-    // section either way).
-    let run_serve = runs("serve") || suite == "chaos";
     let mut config = PerfConfig::new(smoke);
     if let Some(r) = reps {
         config.reps = r;
@@ -811,14 +807,20 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
     if json {
         std::fs::create_dir_all(&out_dir)?;
     }
-    let mut write_json = |name: &str, text: String| -> std::io::Result<()> {
-        if json {
-            let path = out_dir.join(name);
-            std::fs::write(&path, text + "\n")?;
-            wrote.push(path.display().to_string());
-        }
-        Ok(())
-    };
+    // A report's `check` is its whole gate: any violated gate fails the
+    // run before that report's artefact is written.
+    let mut emit =
+        |name: &str, failures: Vec<String>, text: String| -> Result<(), Box<dyn Error>> {
+            if !failures.is_empty() {
+                return Err(format!("{name} not written: {}", failures.join("; ")).into());
+            }
+            if json {
+                let path = out_dir.join(name);
+                std::fs::write(&path, text + "\n")?;
+                wrote.push(path.display().to_string());
+            }
+            Ok(())
+        };
 
     if runs("router") {
         eprintln!(
@@ -859,13 +861,7 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
             ws.max_iterations,
             ws.wall_ms,
         );
-        if !router.parity_ok || !router.routed {
-            return Err("router benchmark failed its parity/routability sanity checks".into());
-        }
-        if router.high_fanout.iter().any(|h| !h.parity_ok || !h.routed) {
-            return Err("high-fanout benchmark failed its parity/routability sanity checks".into());
-        }
-        write_json("BENCH_router.json", router.to_json())?;
+        emit("BENCH_router.json", router.check(&config), router.to_json())?;
     }
     if runs("place") {
         eprintln!("bench: placer workload ...");
@@ -883,10 +879,7 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
                 if run.parity_ok { "ok" } else { "FAILED" },
             );
         }
-        if !place.parity_ok() {
-            return Err("placer benchmark failed its parity sanity checks".into());
-        }
-        write_json("BENCH_place.json", place.to_json())?;
+        emit("BENCH_place.json", place.check(&config), place.to_json())?;
     }
     if runs("flow") {
         eprintln!("bench: flow workload ...");
@@ -915,9 +908,6 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
                 "FAILED"
             },
         );
-        if !flow.nmodes.parity_ok {
-            return Err("flow benchmark: run_combined_n(N=2) diverged from run_pair".into());
-        }
         let sg = &flow.stagegraph;
         eprintln!(
             "  flow[stagegraph]: cold {:.2} ms, router-only replay {:.2} ms → {:.2}x; \
@@ -929,15 +919,9 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
             sg.replay_upstream_recomputed,
             if sg.parity_ok { "ok" } else { "FAILED" },
         );
-        if sg.replay_upstream_recomputed > 0 {
-            return Err("flow benchmark: router-only replay recomputed a placement node".into());
-        }
-        if !sg.parity_ok {
-            return Err("flow benchmark: stage-graph replay diverged from a cacheless run".into());
-        }
-        write_json("BENCH_flow.json", flow.to_json())?;
+        emit("BENCH_flow.json", flow.check(&config), flow.to_json())?;
     }
-    if run_serve {
+    if runs("serve") {
         eprintln!("bench: serve workload (real unix socket) ...");
         let serve = serve_perf(&config);
         eprintln!(
@@ -973,17 +957,7 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
                 "FAILED"
             },
         );
-        if !serve.parity_ok {
-            return Err("serve benchmark streamed different bytes than the engine".into());
-        }
-        if !chaos.ok() {
-            return Err(
-                "chaos benchmark: records were lost/duplicated/diverged or SLO shedding \
-                 misbehaved under armed faults"
-                    .into(),
-            );
-        }
-        write_json("BENCH_serve.json", serve.to_json())?;
+        emit("BENCH_serve.json", serve.check(&config), serve.to_json())?;
     }
     if runs("sta") {
         eprintln!("bench: sta workload ...");
@@ -1007,15 +981,7 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
             sta.flow.timing_wires,
             sta.flow.wires_ratio,
         );
-        if !sta.parity_ok {
-            return Err("sta benchmark: incremental analysis diverged from the reference".into());
-        }
-        if !sta.flow.improved {
-            return Err(
-                "sta benchmark: timing-driven flow did not beat the baseline critical path".into(),
-            );
-        }
-        write_json("BENCH_sta.json", sta.to_json())?;
+        emit("BENCH_sta.json", sta.check(&config), sta.to_json())?;
     }
     if !wrote.is_empty() {
         eprintln!("wrote {}", wrote.join(", "));

@@ -238,6 +238,18 @@ fn batch_validates_suite_mode_counts() {
 }
 
 #[test]
+fn batch_rejects_an_out_of_range_k_without_panicking() {
+    let out = mmflow()
+        .args(["batch", "suite:regexp", "-k", "9", "--no-cache"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("k must be in 2..=6"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn bad_usage_fails_with_help() {
     let out = mmflow().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
@@ -268,7 +280,15 @@ fn bench_smoke_writes_parseable_json_artefacts() {
     assert!(out.status.success(), "{stderr}");
     assert!(stderr.contains("router:"), "{stderr}");
     assert!(stderr.contains("parity ok"), "{stderr}");
-    for artefact in ["BENCH_router.json", "BENCH_flow.json"] {
+    // `mmflow bench` exits non-zero on any violated gate of a report
+    // (the timing ratios included), so success means every gate held.
+    for artefact in [
+        "BENCH_router.json",
+        "BENCH_place.json",
+        "BENCH_flow.json",
+        "BENCH_serve.json",
+        "BENCH_sta.json",
+    ] {
         let text = std::fs::read_to_string(dir.join(artefact)).unwrap();
         assert!(
             mm_engine::json::parse(&text).is_ok(),

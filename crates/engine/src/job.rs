@@ -22,6 +22,7 @@ use mm_flow::stage::{StagePlan, StageTiming};
 use mm_flow::{FlowOptions, MultiModeInput, PairMetrics, TunableStats, WidthChoice};
 use mm_netlist::{blif, LutCircuit};
 use mm_place::{CostKind, MultiPlacement, Placement};
+use std::ops::RangeInclusive;
 use std::path::Path;
 use std::time::Duration;
 
@@ -618,7 +619,9 @@ pub struct BatchSpec {
 ///
 /// # Errors
 ///
-/// Fails with a description of the first malformed entry.
+/// Fails with a description of the first malformed entry, and on a `k`
+/// the spec cannot use (2..=6 to map a suite, 1..=`MAX_LUT_INPUTS` to
+/// parse BLIF files) before any circuit is generated or parsed.
 pub fn load_spec(spec: &str, base: &FlowOptions, k: usize) -> Result<BatchSpec, String> {
     load_spec_with_modes(spec, base, k, None)
 }
@@ -632,7 +635,8 @@ pub fn load_spec(spec: &str, base: &FlowOptions, k: usize) -> Result<BatchSpec, 
 ///
 /// # Errors
 ///
-/// Fails with a description of the first malformed entry.
+/// As [`load_spec`]; also fails on a `modes` override of a non-suite
+/// spec.
 pub fn load_spec_with_modes(
     spec: &str,
     base: &FlowOptions,
@@ -662,6 +666,7 @@ pub fn load_spec_with_modes(
     }
     let path = Path::new(spec);
     if path.is_dir() {
+        check_k(k, BLIF_K, "BLIF mode files")?;
         return Ok(BatchSpec {
             jobs: directory_jobs(path, base, k)?,
             source: SpecSource::Directory,
@@ -674,20 +679,30 @@ pub fn load_spec_with_modes(
     })
 }
 
-/// The paper's multi-mode pairings of one generated suite as jobs
-/// (named `<a>+<b>`), mapped to `k`-LUTs, with `base` options and the
-/// DCS wire-length flow.
-///
-/// # Errors
-///
-/// Fails on unknown suite names.
-pub fn suite_jobs(suite: &str, base: &FlowOptions, k: usize) -> Result<Vec<Job>, String> {
-    suite_jobs_n(suite, base, k, 2)
+/// The LUT widths generated suites can be mapped to
+/// (`mm_synth::MapOptions::for_k` panics outside them).
+const SUITE_K: RangeInclusive<usize> = 2..=6;
+
+/// The LUT widths BLIF mode files can be parsed at
+/// ([`LutCircuit::new`] panics outside them).
+const BLIF_K: RangeInclusive<usize> = 1..=mm_netlist::MAX_LUT_INPUTS;
+
+/// Fails unless `k` lies in `range`, the widths `what` accepts.
+fn check_k(k: usize, range: RangeInclusive<usize>, what: &str) -> Result<(), String> {
+    if range.contains(&k) {
+        Ok(())
+    } else {
+        Err(format!(
+            "k must be in {}..={} for {what}, got {k}",
+            range.start(),
+            range.end()
+        ))
+    }
 }
 
 /// The `modes`-ary combinations of one generated suite as jobs (named
 /// `<a>+<b>+…`), mapped to `k`-LUTs, with `base` options and the DCS
-/// wire-length flow. `modes == 2` reproduces [`suite_jobs`] exactly.
+/// wire-length flow; `modes == 2` gives the paper's pairings.
 ///
 /// RegExp and MCNC enumerate every ascending combination of `modes`
 /// circuits out of the five; FIR interleaves the low-pass and high-pass
@@ -695,8 +710,8 @@ pub fn suite_jobs(suite: &str, base: &FlowOptions, k: usize) -> Result<Vec<Job>,
 ///
 /// # Errors
 ///
-/// Fails on unknown suite names and on mode counts the suite cannot
-/// supply.
+/// Fails on unknown suite names, on mode counts the suite cannot
+/// supply, and (before generating anything) on a `k` outside 2..=6.
 pub fn suite_jobs_n(
     suite: &str,
     base: &FlowOptions,
@@ -708,6 +723,7 @@ pub fn suite_jobs_n(
             "suite '{suite}' needs at least 2 modes per problem, got {modes}"
         ));
     }
+    check_k(k, SUITE_K, "generated suites")?;
     let (circuits, tuples) = match suite {
         "regexp" => (
             mm_gen::regexp_suite(k),
@@ -818,6 +834,7 @@ fn spec_file_jobs(
         .map(|v| v.as_usize().ok_or("\"k\" must be a non-negative integer"))
         .transpose()?
         .unwrap_or(default_k);
+    check_k(k, BLIF_K, "BLIF mode files").map_err(|e| format!("{}: {e}", path.display()))?;
     let defaults = doc.get("defaults");
     let jobs_value = doc
         .get("jobs")
@@ -1203,6 +1220,13 @@ mod tests {
         assert_eq!(batch.jobs[1].flow, FlowKind::Mdr);
         assert_eq!(batch.jobs[1].options.placer.seed, 99);
         assert_eq!(batch.jobs[2].flow, FlowKind::Dcs(CostKind::EdgeMatching));
+        // The file's own "k" replaces the caller's, and is range-checked
+        // before any BLIF is parsed.
+        assert!(load_spec(spec_path.to_str().unwrap(), &FlowOptions::default(), 9).is_ok());
+        let bad = dir.join("bad_k.json");
+        std::fs::write(&bad, r#"{"k": 9, "jobs": [{"modes": ["a.blif"]}]}"#).unwrap();
+        let err = load_spec(bad.to_str().unwrap(), &FlowOptions::default(), 4).unwrap_err();
+        assert!(err.contains("k must be in 1..=6"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1229,6 +1253,10 @@ mod tests {
         let names: Vec<&str> = batch.jobs.iter().map(|j| j.name.as_str()).collect();
         assert_eq!(names, vec!["g0", "g1"], "sorted, deterministic");
         assert_eq!(batch.jobs[0].circuits.len(), 2);
+        for k in [0, 7] {
+            let err = load_spec(dir.to_str().unwrap(), &FlowOptions::default(), k).unwrap_err();
+            assert!(err.contains("k must be in 1..=6"), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1247,6 +1275,11 @@ mod tests {
         let err = load_spec("suite:regexp:1", &base, 4).unwrap_err();
         assert!(err.contains("at least 2 modes"), "{err}");
         assert!(load_spec_with_modes("suite:nope", &base, 4, Some(3)).is_err());
+        // So does a LUT width the suite mapper cannot use.
+        for k in [1, 7] {
+            let err = load_spec("suite:regexp", &base, k).unwrap_err();
+            assert!(err.contains("k must be in 2..=6"), "{err}");
+        }
         // A mode-count override only applies to generated suites.
         let err = load_spec_with_modes("/nonexistent/spec.json", &base, 4, Some(3)).unwrap_err();
         assert!(err.contains("generated suites"), "{err}");

@@ -46,16 +46,13 @@ pub mod hash;
 mod job;
 pub mod json;
 pub mod protocol;
-/// The work-stealing pool now lives in `mm-flow` so flows can
-/// parallelize *inside* one job; re-exported here for compatibility.
-pub use mm_flow::pool;
 
 pub use cache::{CacheStats, GcSummary, StageCache};
 pub use engine::{BatchReport, Engine, EngineOptions, EngineStats};
 pub use job::{
     load_spec, load_spec_with_modes, multi_placement_from, placements_from, placements_value,
-    suite_jobs, suite_jobs_n, BatchSpec, DcsSummary, FlowKind, Job, JobCacheInfo, JobError,
-    JobOutcome, JobResult, MdrSummary, SpecSource,
+    suite_jobs_n, BatchSpec, DcsSummary, FlowKind, Job, JobCacheInfo, JobError, JobOutcome,
+    JobResult, MdrSummary, SpecSource,
 };
 
 // Everything crossing a worker-thread boundary must be Send + Sync.

@@ -145,7 +145,7 @@ pub trait CostTracker {
     fn wirelength(&self) -> f64;
     /// The number of distinct tunable connections (0 unless tracked).
     fn tunable_connections(&self) -> usize;
-    /// Number of tunable nets (for the annealer's exit criterion).
+    /// Number of tunable nets (the annealer's exit test scales with it).
     fn net_count(&self) -> usize;
 }
 

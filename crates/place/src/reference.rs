@@ -11,9 +11,8 @@
 //!   assert the flat model produces bit-identical costs and deltas (and
 //!   therefore the annealer byte-identical placements), so every
 //!   data-structure optimization is provably semantics-preserving;
-//! * **benchmarking** — `mmflow bench` and the criterion suite measure
-//!   the optimized annealer hot path against this baseline
-//!   (`BENCH_place.json`).
+//! * **benchmarking** — `mmflow bench` measures the optimized annealer
+//!   hot path against this baseline (`BENCH_place.json`).
 //!
 //! It is deliberately slow; never use it from a flow.
 

@@ -13,8 +13,8 @@
 //!   rip-up, HPWL-seeded bounding boxes, the high-fanout Steiner
 //!   decomposition and the routability predictor's early stop are
 //!   mirrored here so parity covers them too;
-//! * **benchmarking** — `mmflow bench` and the criterion suite measure
-//!   the optimized hot path against this baseline (run it with
+//! * **benchmarking** — `mmflow bench` measures the optimized hot path
+//!   against this baseline (`BENCH_router.json`; run it with
 //!   [`RouterOptions::without_bbox`] and
 //!   [`RouterOptions::with_full_reroute`] for the pre-optimization
 //!   behaviour).

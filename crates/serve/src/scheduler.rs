@@ -16,13 +16,13 @@
 //!   higher level always runs before any lower-level job (the usual
 //!   starvation caveat applies and is the operator's knob, not a bug);
 //! * **per-client fairness** — within a level, clients are served by
-//!   deficit round-robin: each client's lane is granted `weight` pops
-//!   per rotation, so a tenant with a 10k-job batch and a tenant with a
+//!   deficit round-robin: each client's lane is granted one pop per
+//!   rotation, so a tenant with a 10k-job batch and a tenant with a
 //!   2-job batch interleave instead of the small batch waiting out the
 //!   large one. A lane that empties forfeits its remaining deficit (no
 //!   banking credit across bursts).
 //!
-//! Admission control is batch-atomic: [`Scheduler::try_submit`] either
+//! Admission control is batch-atomic: [`Scheduler::submit_jobs`] either
 //! enqueues *all* jobs of a batch or — when any target shard would
 //! exceed its `queue_depth` — enqueues none and reports the occupancy,
 //! which the server turns into a structured `busy` frame instead of a
@@ -99,8 +99,6 @@ struct Lane<T> {
     jobs: VecDeque<T>,
     /// Pops this client may still take before the rotation moves on.
     deficit: u64,
-    /// Pops granted per rotation (≥ 1).
-    weight: u64,
 }
 
 /// One strict-priority level: a round-robin ring of clients plus their
@@ -119,9 +117,8 @@ impl<T> Level<T> {
     }
 
     /// Deficit round-robin pop. The front client spends one unit of
-    /// deficit per job; at zero it is re-credited with its weight and
-    /// rotated to the back, so interleaving across clients is
-    /// proportional to their weights.
+    /// deficit per job; at zero it is re-credited with one pop and
+    /// rotated to the back, so clients interleave job by job.
     fn pop(&mut self) -> Option<T> {
         loop {
             let client = *self.ring.front()?;
@@ -132,7 +129,7 @@ impl<T> Level<T> {
                 continue;
             }
             if lane.deficit == 0 {
-                lane.deficit = lane.weight.max(1);
+                lane.deficit = 1;
                 self.ring.rotate_left(1);
                 continue;
             }
@@ -175,19 +172,16 @@ impl<T> FairQueue<T> {
         self.levels.values().map(|l| l.lanes.len()).sum()
     }
 
-    /// Enqueues one job for `client` at `priority` with the client's
-    /// fairness `weight`.
-    pub(crate) fn push(&mut self, client: ClientId, priority: u8, weight: u64, job: T) {
+    /// Enqueues one job for `client` at `priority`.
+    pub(crate) fn push(&mut self, client: ClientId, priority: u8, job: T) {
         let level = self.levels.entry(priority).or_insert_with(Level::new);
         let lane = level.lanes.entry(client).or_insert_with(|| {
             level.ring.push_back(client);
             Lane {
                 jobs: VecDeque::new(),
                 deficit: 0,
-                weight: weight.max(1),
             }
         });
-        lane.weight = weight.max(1);
         lane.jobs.push_back(job);
         self.len += 1;
     }
@@ -457,18 +451,10 @@ impl Scheduler {
     /// `shards` worker groups (`0` = one group per two workers, capped
     /// at 8). Shards never outnumber workers; every shard owns at least
     /// one worker. `queue_depth` bounds each shard's queued (not yet
-    /// running) jobs. No deadline, no SLO — see
-    /// [`Scheduler::with_options`].
+    /// running) jobs. `deadline` arms the per-job execution watchdog,
+    /// `slo_ms` the p95-latency admission controller.
     #[must_use]
-    pub fn new(shards: usize, threads: usize, queue_depth: usize) -> Self {
-        Self::with_options(shards, threads, queue_depth, None, None)
-    }
-
-    /// [`Scheduler::new`] plus robustness knobs: `deadline` arms the
-    /// per-job execution watchdog, `slo_ms` arms the p95-latency
-    /// admission controller.
-    #[must_use]
-    pub fn with_options(
+    pub fn new(
         shards: usize,
         threads: usize,
         queue_depth: usize,
@@ -563,31 +549,6 @@ impl Scheduler {
         self.deadline
     }
 
-    /// Admits a whole batch or nothing — compatibility wrapper over
-    /// [`Scheduler::submit_jobs`] for tasks without timeout callbacks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Rejected`] when a target shard's queue is full or the
-    /// SLO controller sheds the batch.
-    pub fn try_submit(
-        &self,
-        client: ClientId,
-        priority: u8,
-        weight: u64,
-        tasks: Vec<(u64, Task)>,
-    ) -> Result<Admitted, Rejected> {
-        self.submit_jobs(
-            client,
-            priority,
-            weight,
-            tasks
-                .into_iter()
-                .map(|(fingerprint, run)| JobTask::new(fingerprint, run))
-                .collect(),
-        )
-    }
-
     /// Admits a whole batch or nothing: every job is routed to its
     /// shard by fingerprint; if any target shard would exceed
     /// `queue_depth`, no job is enqueued and the occupancy comes back
@@ -610,7 +571,6 @@ impl Scheduler {
         &self,
         client: ClientId,
         priority: u8,
-        weight: u64,
         tasks: Vec<JobTask>,
     ) -> Result<Admitted, Rejected> {
         let enqueued = Instant::now();
@@ -680,7 +640,7 @@ impl Scheduler {
                 continue;
             }
             for entry in add {
-                guard.queue.push(client, priority, weight, entry);
+                guard.queue.push(client, priority, entry);
             }
             guard.peak_queued = guard.peak_queued.max(guard.queue.len());
             shard.work.notify_all();
@@ -817,14 +777,23 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Plain `(fingerprint, task)` pairs as jobs without timeout
+    /// callbacks.
+    fn jobs(tasks: Vec<(u64, Task)>) -> Vec<JobTask> {
+        tasks
+            .into_iter()
+            .map(|(fingerprint, run)| JobTask::new(fingerprint, run))
+            .collect()
+    }
+
     #[test]
     fn fair_queue_interleaves_clients_round_robin() {
         let mut q = FairQueue::new();
         for i in 0..6 {
-            q.push(1, 1, 1, format!("a{i}"));
+            q.push(1, 1, format!("a{i}"));
         }
-        q.push(2, 1, 1, "b0".to_string());
-        q.push(2, 1, 1, "b1".to_string());
+        q.push(2, 1, "b0".to_string());
+        q.push(2, 1, "b1".to_string());
         let order: Vec<String> = std::iter::from_fn(|| q.pop()).collect();
         // The 2-job client is done after at most 4 pops despite arriving
         // behind a 6-job burst.
@@ -835,25 +804,11 @@ mod tests {
     }
 
     #[test]
-    fn fair_queue_weights_scale_the_interleave() {
-        let mut q = FairQueue::new();
-        for i in 0..8 {
-            q.push(1, 1, 3, format!("h{i}")); // weight 3
-            q.push(2, 1, 1, format!("l{i}")); // weight 1
-        }
-        let first8: Vec<String> = (0..8).map(|_| q.pop().unwrap()).collect();
-        let heavy = first8.iter().filter(|j| j.starts_with('h')).count();
-        // Deficit round-robin serves roughly 3 heavy jobs per light one.
-        assert!(heavy >= 5, "weight 3 should dominate: {first8:?}");
-        assert!(heavy < 8, "weight 1 must still progress: {first8:?}");
-    }
-
-    #[test]
     fn fair_queue_priorities_are_strict() {
         let mut q = FairQueue::new();
-        q.push(1, 0, 1, "low");
-        q.push(1, 9, 1, "high");
-        q.push(2, 4, 1, "mid");
+        q.push(1, 0, "low");
+        q.push(1, 9, "high");
+        q.push(2, 4, "mid");
         assert_eq!(q.pop(), Some("high"));
         assert_eq!(q.pop(), Some("mid"));
         assert_eq!(q.pop(), Some("low"));
@@ -864,8 +819,8 @@ mod tests {
     fn fair_queue_cancel_purges_only_that_client() {
         let mut q = FairQueue::new();
         for i in 0..4 {
-            q.push(1, 1, 1, format!("a{i}"));
-            q.push(2, 5, 1, format!("b{i}"));
+            q.push(1, 1, format!("a{i}"));
+            q.push(2, 5, format!("b{i}"));
         }
         assert_eq!(q.cancel_client(2), 4);
         assert_eq!(q.len(), 4);
@@ -878,7 +833,7 @@ mod tests {
 
     #[test]
     fn scheduler_runs_every_admitted_task_and_drains_on_drop() {
-        let s = Scheduler::new(2, 4, 64);
+        let s = Scheduler::new(2, 4, 64, None, None);
         assert_eq!(s.shards(), 2);
         assert_eq!(s.threads(), 4);
         let count = Arc::new(AtomicUsize::new(0));
@@ -891,7 +846,7 @@ mod tests {
                 (i, task)
             })
             .collect();
-        s.try_submit(1, 1, 1, tasks).expect("fits");
+        s.submit_jobs(1, 1, jobs(tasks)).expect("fits");
         drop(s); // drains
         assert_eq!(count.load(Ordering::SeqCst), 32);
     }
@@ -899,32 +854,25 @@ mod tests {
     #[test]
     fn admission_is_batch_atomic_and_reports_occupancy() {
         // One paused worker so queued jobs stay queued.
-        let s = Scheduler::new(1, 1, 4);
+        let s = Scheduler::new(1, 1, 4, None, None);
         let gate = Arc::new(std::sync::Barrier::new(2));
         let g = Arc::clone(&gate);
-        s.try_submit(
-            1,
-            1,
-            1,
-            vec![(
-                0,
-                Box::new(move || {
-                    g.wait();
-                }) as Task,
-            )],
-        )
-        .expect("admitted");
+        let blocker: Task = Box::new(move || {
+            g.wait();
+        });
+        s.submit_jobs(1, 1, vec![JobTask::new(0, blocker)])
+            .expect("admitted");
         // Wait until the worker picked the blocker up.
         while s.stats()[0].executed == 0 {
             std::thread::yield_now();
         }
         // 4 queued jobs fill the depth exactly.
         let fill: Vec<(u64, Task)> = (0..4).map(|i| (i, Box::new(|| {}) as Task)).collect();
-        let admitted = s.try_submit(1, 1, 1, fill).expect("fills the queue");
+        let admitted = s.submit_jobs(1, 1, jobs(fill)).expect("fills the queue");
         assert_eq!(admitted.ahead, 0);
         // A 2-job batch must be rejected whole, not half-enqueued.
         let over: Vec<(u64, Task)> = (0..2).map(|i| (i, Box::new(|| {}) as Task)).collect();
-        let rejected = s.try_submit(2, 1, 1, over).expect_err("over depth");
+        let rejected = s.submit_jobs(2, 1, jobs(over)).expect_err("over depth");
         assert_eq!(rejected.queued, 4);
         assert_eq!(rejected.capacity, 4);
         assert_eq!(rejected.p95_ms, None, "depth rejection, not an SLO shed");
@@ -934,22 +882,15 @@ mod tests {
 
     #[test]
     fn cancel_client_purges_queued_jobs_and_frees_lanes() {
-        let s = Scheduler::new(1, 1, 64);
+        let s = Scheduler::new(1, 1, 64, None, None);
         let gate = Arc::new(std::sync::Barrier::new(2));
         let g = Arc::clone(&gate);
         let ran = Arc::new(AtomicUsize::new(0));
-        s.try_submit(
-            9,
-            1,
-            1,
-            vec![(
-                0,
-                Box::new(move || {
-                    g.wait();
-                }) as Task,
-            )],
-        )
-        .expect("admitted");
+        let blocker: Task = Box::new(move || {
+            g.wait();
+        });
+        s.submit_jobs(9, 1, vec![JobTask::new(0, blocker)])
+            .expect("admitted");
         while s.stats()[0].executed == 0 {
             std::thread::yield_now();
         }
@@ -965,7 +906,7 @@ mod tests {
                     )
                 })
                 .collect();
-            s.try_submit(client, 1, 1, tasks).expect("admitted");
+            s.submit_jobs(client, 1, jobs(tasks)).expect("admitted");
         }
         assert_eq!(s.cancel_client(1), 5);
         assert_eq!(s.client_lanes(), 1, "client 2's lane survives");
@@ -976,7 +917,7 @@ mod tests {
 
     #[test]
     fn a_panicking_task_does_not_kill_its_worker() {
-        let s = Scheduler::new(1, 1, 64);
+        let s = Scheduler::new(1, 1, 64, None, None);
         let done = Arc::new(AtomicUsize::new(0));
         let mut tasks: Vec<(u64, Task)> = vec![(0, Box::new(|| panic!("boom")) as Task)];
         for i in 0..4 {
@@ -988,7 +929,7 @@ mod tests {
                 }) as Task,
             ));
         }
-        s.try_submit(1, 1, 1, tasks).expect("admitted");
+        s.submit_jobs(1, 1, jobs(tasks)).expect("admitted");
         drop(s);
         assert_eq!(done.load(Ordering::SeqCst), 4, "worker survived the panic");
     }
@@ -1003,18 +944,18 @@ mod tests {
 
     #[test]
     fn shard_resolution_bounds() {
-        let s = Scheduler::new(0, 4, 8);
+        let s = Scheduler::new(0, 4, 8, None, None);
         assert_eq!(s.shards(), 2, "auto: one group per two workers");
-        let s = Scheduler::new(8, 2, 8);
+        let s = Scheduler::new(8, 2, 8, None, None);
         assert_eq!(s.shards(), 2, "groups never outnumber workers");
-        let s = Scheduler::new(0, 1, 8);
+        let s = Scheduler::new(0, 1, 8, None, None);
         assert_eq!(s.shards(), 1);
         assert_eq!(s.shard_of(7), s.shard_of(7));
     }
 
     #[test]
     fn watchdog_times_out_a_stuck_job_and_the_shard_survives() {
-        let s = Scheduler::with_options(1, 1, 64, Some(Duration::from_millis(30)), None);
+        let s = Scheduler::new(1, 1, 64, Some(Duration::from_millis(30)), None);
         let timed_out = Arc::new(AtomicUsize::new(0));
         let t = Arc::clone(&timed_out);
         let stuck = JobTask {
@@ -1033,7 +974,7 @@ mod tests {
             }),
             on_timeout: Some(Box::new(|| panic!("follower must not time out"))),
         };
-        s.submit_jobs(1, 1, 1, vec![stuck, follower])
+        s.submit_jobs(1, 1, vec![stuck, follower])
             .expect("admitted");
         // The watchdog fires while the stuck job is still sleeping.
         let start = Instant::now();
@@ -1061,7 +1002,7 @@ mod tests {
 
     #[test]
     fn fast_jobs_never_trip_the_watchdog() {
-        let s = Scheduler::with_options(1, 1, 64, Some(Duration::from_secs(10)), None);
+        let s = Scheduler::new(1, 1, 64, Some(Duration::from_secs(10)), None);
         let tasks: Vec<JobTask> = (0..8)
             .map(|i| JobTask {
                 fingerprint: i,
@@ -1069,7 +1010,7 @@ mod tests {
                 on_timeout: Some(Box::new(|| panic!("must not fire"))),
             })
             .collect();
-        s.submit_jobs(1, 1, 1, tasks).expect("admitted");
+        s.submit_jobs(1, 1, tasks).expect("admitted");
         drop(s);
         // The panicking callbacks never ran (they would have printed and
         // been swallowed, but the timed_out counter gives it away).
@@ -1078,11 +1019,11 @@ mod tests {
     #[test]
     fn slo_controller_sheds_low_priority_first_and_reports_p95() {
         // Absurdly tight SLO: any completed work trips it.
-        let s = Scheduler::with_options(1, 1, 64, None, Some(0.000_001));
+        let s = Scheduler::new(1, 1, 64, None, Some(0.000_001));
         assert_eq!(s.shed_batches(), 0);
         // Before any completion the latency window is empty — everything
         // is admitted.
-        s.try_submit(1, 0, 1, vec![(0, Box::new(|| {}) as Task)])
+        s.submit_jobs(1, 0, jobs(vec![(0, Box::new(|| {}) as Task)]))
             .expect("no latency signal yet");
         // Wait for the completion to populate the window.
         let start = Instant::now();
@@ -1094,13 +1035,13 @@ mod tests {
             std::thread::yield_now();
         }
         let rejected = s
-            .try_submit(1, 0, 1, vec![(0, Box::new(|| {}) as Task)])
+            .submit_jobs(1, 0, jobs(vec![(0, Box::new(|| {}) as Task)]))
             .expect_err("p95 over SLO sheds priority 0");
         assert!(rejected.p95_ms.is_some(), "shed carries the observed p95");
         assert!(rejected.p95_ms.unwrap() > 0.0);
         assert_eq!(s.shed_batches(), 1);
         // Priority 9 is never shed.
-        s.try_submit(1, 9, 1, vec![(0, Box::new(|| {}) as Task)])
+        s.submit_jobs(1, 9, jobs(vec![(0, Box::new(|| {}) as Task)]))
             .expect("priority 9 always admitted");
         drop(s);
     }

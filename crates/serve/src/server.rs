@@ -443,7 +443,7 @@ impl Server {
                 std::io::Error::new(std::io::ErrorKind::InvalidInput, message)
             })?;
         }
-        let scheduler = Arc::new(Scheduler::with_options(
+        let scheduler = Arc::new(Scheduler::new(
             options.workers,
             options.threads,
             options.queue_depth,
@@ -1122,7 +1122,7 @@ impl Conn {
             .collect();
         match ctx
             .scheduler
-            .submit_jobs(self.client, request.priority, 1, tasks)
+            .submit_jobs(self.client, request.priority, tasks)
         {
             Ok(admitted) => {
                 ctx.state.counters.batches.fetch_add(1, Ordering::Relaxed);

@@ -189,6 +189,48 @@ fn deeply_nested_request_is_an_error_frame_not_an_abort() {
 }
 
 #[test]
+fn out_of_range_k_is_an_error_frame_on_every_reactor() {
+    let root = tmp_dir("bad_k");
+    let server = RunningServer::start(&root, ServeOptions::default());
+    // Timed reads: a daemon that lost its reactors fails the test
+    // instead of hanging it.
+    let open = || {
+        let stream = server.connect();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    };
+    // Two open connections, so the line reaches both reactors.
+    let mut held = Vec::new();
+    for _ in 0..2 {
+        let (mut stream, mut reader) = open();
+        stream
+            .write_all(b"{\"cmd\":\"batch\",\"spec\":\"suite:regexp\",\"k\":9}\n")
+            .unwrap();
+        let (records, frames) = read_exchange(&mut reader);
+        assert!(records.is_empty());
+        match frames.as_slice() {
+            [Frame::Error { message, .. }] => {
+                assert!(message.contains("k must be in 2..=6"), "{message}");
+            }
+            other => panic!("expected one error frame, got {other:?}"),
+        }
+        held.push((stream, reader));
+    }
+
+    let (mut stream, mut reader) = open();
+    send(&mut stream, &Request::Ping);
+    assert_eq!(read_exchange(&mut reader).1, vec![Frame::Pong]);
+    send(&mut stream, &Request::Shutdown);
+    assert_eq!(read_exchange(&mut reader).1, vec![Frame::ShuttingDown]);
+    drop((stream, reader, held));
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn batch_records_are_byte_identical_to_the_engine() {
     let root = tmp_dir("bytes");
     let spec = write_spec_dir(&root, 3);
