@@ -144,7 +144,9 @@ SUBMIT OPTIONS:
 BENCH OPTIONS:
   --json           write BENCH_router.json, BENCH_place.json,
                    BENCH_flow.json, BENCH_serve.json and BENCH_sta.json
-  --out-dir <DIR>  where to write them (default .)
+  --out-dir <DIR>  where to write them (default .; required with
+                   --smoke, so smoke numbers never replace the
+                   committed full-run files)
   --suite <S>      run one workload: router|place|flow|serve|sta
                    (default all; serve includes the fault-injection
                    storm)
@@ -241,10 +243,7 @@ fn load_circuits(files: &[String], k: usize) -> Result<Vec<LutCircuit>, Box<dyn 
     }
     files
         .iter()
-        .map(|f| {
-            let text = std::fs::read_to_string(f).map_err(|e| format!("{f}: {e}"))?;
-            blif::from_blif(&text, k).map_err(|e| -> Box<dyn Error> { format!("{f}: {e}").into() })
-        })
+        .map(|f| mm_engine::read_blif(std::path::Path::new(f), k).map_err(Into::into))
         .collect()
 }
 
@@ -779,7 +778,7 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
     let mut suite = "all".to_string();
     let mut reps: Option<usize> = None;
     let mut threads = 0usize;
-    let mut out_dir = std::path::PathBuf::from(".");
+    let mut out_dir: Option<std::path::PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -788,10 +787,15 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--suite" => suite = next_value(&mut it, "--suite")?.clone(),
             "--reps" => reps = Some(next_value(&mut it, "--reps")?.parse()?),
             "--threads" => threads = next_value(&mut it, "--threads")?.parse()?,
-            "--out-dir" => out_dir = next_value(&mut it, "--out-dir")?.into(),
+            "--out-dir" => out_dir = Some(next_value(&mut it, "--out-dir")?.into()),
             other => return Err(format!("unknown bench option '{other}'").into()),
         }
     }
+    if smoke && json && out_dir.is_none() {
+        let why = "the default . holds the committed full-run BENCH_*.json";
+        return Err(format!("bench --smoke --json needs --out-dir DIR ({why})").into());
+    }
+    let out_dir = out_dir.unwrap_or_else(|| ".".into());
     let known = ["all", "router", "place", "flow", "serve", "sta"];
     if !known.contains(&suite.as_str()) {
         return Err(format!("unknown bench suite '{suite}' (one of {})", known.join("|")).into());

@@ -304,6 +304,47 @@ fn bench_smoke_writes_parseable_json_artefacts() {
 }
 
 #[test]
+fn bench_smoke_json_needs_an_out_dir() {
+    // The default `.` is where the committed full-run BENCH_*.json live.
+    let dir = tmpdir("bench_cwd");
+    let out = mmflow()
+        .args(["bench", "--suite", "sta", "--smoke", "--json"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("--out-dir"), "{stderr}");
+    assert!(
+        !dir.join("BENCH_sta.json").exists(),
+        "smoke numbers written"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn merge_rejects_bad_inputs_without_panicking() {
+    let dir = tmpdir("merge_bad");
+    let a = write_blif(&dir, "a.blif", MODE_A);
+    let b = write_blif(&dir, "b.blif", MODE_B);
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    for (args, expected) in [
+        (
+            vec!["merge", a, "/dev/null"],
+            "/dev/null: not a regular file",
+        ),
+        (vec!["merge", a, b, "-k", "9"], "k must be in 1..=6"),
+    ] {
+        let out = mmflow().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cache_gc_evicts_and_reports() {
     let dir = tmpdir("gc");
     let a = write_blif(&dir, "a.blif", MODE_A);

@@ -2,7 +2,7 @@
 //!
 //! A *fault point* is a named site in the serving stack where a failure
 //! can be injected on demand: the cache read/write paths, the worker
-//! execution path, the connection reactor. Production code asks
+//! execution path, the connection handler. Production code asks
 //! [`fire`] at each site; when the subsystem is disarmed (the default)
 //! that is a single relaxed atomic load returning `false`, so the hot
 //! path pays nothing measurable. Tests, the chaos bench and

@@ -672,11 +672,56 @@ pub fn load_spec_with_modes(
             source: SpecSource::Directory,
         });
     }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{spec}: {e}"))?;
+    let text = read_input_file(path)?;
     Ok(BatchSpec {
         jobs: spec_file_jobs(&text, path, base, k)?,
         source: SpecSource::File,
     })
+}
+
+/// The largest spec or BLIF file read: far above any real one, and a
+/// bound on what one path can make the process allocate.
+const MAX_INPUT_FILE: u64 = 16 << 20;
+
+/// Reads a spec or BLIF file as text. Only a regular file of at most
+/// [`MAX_INPUT_FILE`] bytes is read, so a FIFO, a device such as
+/// `/dev/zero` or a huge file is an error naming the path instead of a
+/// read that blocks or exhausts memory; a file that grows past the cap
+/// while it is read is caught too.
+fn read_input_file(path: &Path) -> Result<String, String> {
+    use std::io::Read;
+    let named = |what: String| format!("{}: {what}", path.display());
+    let too_large = || named(format!("larger than the {MAX_INPUT_FILE}-byte cap"));
+    // Checked before opening: opening a FIFO blocks until a writer
+    // appears.
+    let meta = std::fs::metadata(path).map_err(|e| named(e.to_string()))?;
+    if !meta.is_file() {
+        return Err(named("not a regular file".to_string()));
+    }
+    if meta.len() > MAX_INPUT_FILE {
+        return Err(too_large());
+    }
+    let mut text = String::new();
+    std::fs::File::open(path)
+        .and_then(|file| file.take(MAX_INPUT_FILE + 1).read_to_string(&mut text))
+        .map_err(|e| named(e.to_string()))?;
+    if text.len() as u64 > MAX_INPUT_FILE {
+        return Err(too_large());
+    }
+    Ok(text)
+}
+
+/// Reads and parses one BLIF mode file at LUT width `k`. Only a regular
+/// file of at most 16 MiB is read.
+///
+/// # Errors
+///
+/// Fails on a `k` outside 1..=`MAX_LUT_INPUTS`, and, naming the path,
+/// when the file is not a regular file, is over the cap, or cannot be
+/// read or parsed.
+pub fn read_blif(path: &Path, k: usize) -> Result<LutCircuit, String> {
+    check_k(k, BLIF_K, "BLIF mode files")?;
+    blif::from_blif(&read_input_file(path)?, k).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// The LUT widths generated suites can be mapped to
@@ -813,13 +858,7 @@ fn directory_jobs(dir: &Path, base: &FlowOptions, k: usize) -> Result<Vec<Job>, 
 }
 
 fn read_modes(paths: &[std::path::PathBuf], k: usize) -> Result<Vec<LutCircuit>, String> {
-    paths
-        .iter()
-        .map(|p| {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-            blif::from_blif(&text, k).map_err(|e| format!("{}: {e}", p.display()))
-        })
-        .collect()
+    paths.iter().map(|p| read_blif(p, k)).collect()
 }
 
 fn spec_file_jobs(
@@ -1264,6 +1303,32 @@ mod tests {
     fn bad_specs_are_rejected() {
         assert!(load_spec("suite:nope", &FlowOptions::default(), 4).is_err());
         assert!(load_spec("/nonexistent/spec.json", &FlowOptions::default(), 4).is_err());
+    }
+
+    #[test]
+    fn spec_and_blif_files_must_be_bounded_regular_files() {
+        let err = load_spec("/dev/null", &FlowOptions::default(), 4).unwrap_err();
+        assert!(
+            err.contains("/dev/null") && err.contains("not a regular file"),
+            "{err}"
+        );
+        let dir = std::env::temp_dir().join(format!("mm_engine_cap_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("g0")).unwrap();
+        // Sparse: one byte over the cap costs no disk.
+        let huge = dir.join("g0").join("m0.blif");
+        std::fs::File::create(&huge)
+            .unwrap()
+            .set_len(MAX_INPUT_FILE + 1)
+            .unwrap();
+        let cap = MAX_INPUT_FILE.to_string();
+        let err = read_blif(&huge, 4).unwrap_err();
+        assert!(err.contains("m0.blif") && err.contains(&cap), "{err}");
+        let err = load_spec(dir.to_str().unwrap(), &FlowOptions::default(), 4).unwrap_err();
+        assert!(err.contains(&cap), "{err}");
+        let err = load_spec(huge.to_str().unwrap(), &FlowOptions::default(), 4).unwrap_err();
+        assert!(err.contains(&cap), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

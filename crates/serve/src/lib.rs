@@ -11,11 +11,12 @@
 //!   central [`Scheduler`]: worker threads are split into shards, jobs
 //!   are routed by content fingerprint (identical legs land on the same
 //!   shard and hit the same warm state), strict priorities order the
-//!   queues and a deficit round-robin interleaves clients fairly within
-//!   each priority.
-//! * **Multiplexed connections** — a few reactor threads drive every
-//!   socket; execution capacity is the worker count, not the connection
-//!   count.
+//!   queues and round-robin interleaves clients fairly within each
+//!   priority.
+//! * **One thread per connection** — each admitted connection (at most
+//!   `max_connections`) reads, resolves and streams on its own thread,
+//!   so a slow or panicking request costs only its own client;
+//!   execution capacity is the worker count, not the connection count.
 //! * **Backpressure is structured, never silent** — over-capacity
 //!   connections and over-quota batches get `busy` frames; admitted
 //!   batches that wait get a `queued` frame.

@@ -15,12 +15,11 @@
 //! * **priorities** — levels `0..=9` are strict: a queued job at a
 //!   higher level always runs before any lower-level job (the usual
 //!   starvation caveat applies and is the operator's knob, not a bug);
-//! * **per-client fairness** — within a level, clients are served by
-//!   deficit round-robin: each client's lane is granted one pop per
-//!   rotation, so a tenant with a 10k-job batch and a tenant with a
-//!   2-job batch interleave instead of the small batch waiting out the
-//!   large one. A lane that empties forfeits its remaining deficit (no
-//!   banking credit across bursts).
+//! * **per-client fairness** — within a level, clients are served
+//!   round-robin, one job per turn, so a tenant with a 10k-job batch
+//!   and a tenant with a 2-job batch interleave instead of the small
+//!   batch waiting out the large one; a client that joins mid-rotation
+//!   takes its turn after everyone already waiting.
 //!
 //! Admission control is batch-atomic: [`Scheduler::submit_jobs`] either
 //! enqueues *all* jobs of a batch or — when any target shard would
@@ -94,18 +93,11 @@ struct Entry {
     enqueued: Instant,
 }
 
-/// One client's queue within a priority level.
-struct Lane<T> {
-    jobs: VecDeque<T>,
-    /// Pops this client may still take before the rotation moves on.
-    deficit: u64,
-}
-
-/// One strict-priority level: a round-robin ring of clients plus their
-/// lanes.
+/// One strict-priority level: a round-robin ring of the clients with
+/// queued jobs, plus each one's queue (its lane).
 struct Level<T> {
     ring: VecDeque<ClientId>,
-    lanes: HashMap<ClientId, Lane<T>>,
+    lanes: HashMap<ClientId, VecDeque<T>>,
 }
 
 impl<T> Level<T> {
@@ -116,32 +108,19 @@ impl<T> Level<T> {
         }
     }
 
-    /// Deficit round-robin pop. The front client spends one unit of
-    /// deficit per job; at zero it is re-credited with one pop and
-    /// rotated to the back, so clients interleave job by job.
+    /// Round-robin pop: the front client's next job, after which that
+    /// client moves to the back of the ring, or leaves it when its lane
+    /// is empty.
     fn pop(&mut self) -> Option<T> {
-        loop {
-            let client = *self.ring.front()?;
-            let lane = self.lanes.get_mut(&client).expect("lane for ring entry");
-            if lane.jobs.is_empty() {
-                self.lanes.remove(&client);
-                self.ring.pop_front();
-                continue;
-            }
-            if lane.deficit == 0 {
-                lane.deficit = 1;
-                self.ring.rotate_left(1);
-                continue;
-            }
-            lane.deficit -= 1;
-            let job = lane.jobs.pop_front().expect("non-empty lane");
-            if lane.jobs.is_empty() {
-                // Forfeit the rest of the credit with the burst.
-                self.lanes.remove(&client);
-                self.ring.pop_front();
-            }
-            return Some(job);
+        let client = self.ring.pop_front()?;
+        let lane = self.lanes.get_mut(&client).expect("lane for ring entry");
+        let job = lane.pop_front().expect("ring entries have queued jobs");
+        if lane.is_empty() {
+            self.lanes.remove(&client);
+        } else {
+            self.ring.push_back(client);
         }
+        Some(job)
     }
 }
 
@@ -177,30 +156,22 @@ impl<T> FairQueue<T> {
         let level = self.levels.entry(priority).or_insert_with(Level::new);
         let lane = level.lanes.entry(client).or_insert_with(|| {
             level.ring.push_back(client);
-            Lane {
-                jobs: VecDeque::new(),
-                deficit: 0,
-            }
+            VecDeque::new()
         });
-        lane.jobs.push_back(job);
+        lane.push_back(job);
         self.len += 1;
     }
 
     /// Dequeues the next job: highest priority level first, fair within
     /// the level.
     pub(crate) fn pop(&mut self) -> Option<T> {
-        loop {
-            let priority = *self.levels.keys().next_back()?;
-            let level = self.levels.get_mut(&priority).expect("level for key");
-            let job = level.pop();
-            if level.ring.is_empty() {
-                self.levels.remove(&priority);
-            }
-            if let Some(job) = job {
-                self.len -= 1;
-                return Some(job);
-            }
+        let mut level = self.levels.last_entry()?;
+        let job = level.get_mut().pop().expect("levels in the map hold jobs");
+        if level.get().ring.is_empty() {
+            level.remove();
         }
+        self.len -= 1;
+        Some(job)
     }
 
     /// Drops every queued job of `client` (all levels) and frees its
@@ -209,7 +180,7 @@ impl<T> FairQueue<T> {
         let mut purged = 0;
         self.levels.retain(|_, level| {
             if let Some(lane) = level.lanes.remove(&client) {
-                purged += lane.jobs.len();
+                purged += lane.len();
                 level.ring.retain(|c| *c != client);
             }
             !level.ring.is_empty()
@@ -801,6 +772,24 @@ mod tests {
         assert!(b1 <= 3, "small client starved: {order:?}");
         assert_eq!(order.len(), 8);
         assert_eq!(q.lanes(), 0, "drained queue leaks no lanes");
+    }
+
+    #[test]
+    fn fair_queue_serves_a_client_joining_mid_rotation_in_its_turn() {
+        let mut q = FairQueue::new();
+        for i in 0..4 {
+            q.push(1, 1, format!("a{i}"));
+        }
+        for i in 0..4 {
+            q.push(2, 1, format!("b{i}"));
+        }
+        let first: Vec<String> = (0..3).filter_map(|_| q.pop()).collect();
+        assert_eq!(first, ["a0", "b0", "a1"]);
+        q.push(3, 1, "c0".to_string());
+        let next: Vec<String> = (0..3).filter_map(|_| q.pop()).collect();
+        // c waits for the clients already queued, one job each, no more.
+        assert_eq!(next, ["b1", "a2", "c0"]);
+        assert_eq!(q.len(), 3);
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! The batch service: accept loop, multiplexed connection reactors,
-//! scheduler admission, ordered result streaming and graceful drain.
+//! The batch service: a blocking accept loop, one thread per admitted
+//! connection, scheduler admission, ordered result streaming and
+//! graceful drain.
 //!
 //! # Connection model
 //!
-//! Connections are *multiplexed*, not thread-per-connection: a small
-//! fixed set of reactor threads each owns many non-blocking sockets and
-//! drives them through a per-connection state machine (read request
-//! lines → admit batches to the [`Scheduler`] → pump in-order results
-//! into the outbound buffer → flush). Job execution never happens on a
-//! reactor thread — the scheduler's sharded worker groups do that — so
-//! a reactor's only work per connection is parsing, admission and byte
-//! shuffling, and hundreds of idle connections cost no threads.
+//! Every admitted connection (at most `max_connections` at a time) is
+//! served by its own scoped thread: it reads one request line at a time,
+//! resolves and admits batches to the [`Scheduler`], and writes each
+//! batch's records in job order as the workers deliver them. Job
+//! execution never happens on a connection thread — the scheduler's
+//! sharded worker groups do that — so a slow spec resolution or a
+//! panicking request costs only its own client. An idle connection, like
+//! the idle accept loop, waits in a blocking call and costs no CPU.
 //!
 //! # Backpressure
 //!
@@ -22,22 +23,25 @@
 //!   `busy` frame (`scope: "jobs"`) — the connection stays usable and
 //!   the client retries;
 //! * an admitted batch that has to wait is told so with a `queued`
-//!   frame carrying the number of jobs ahead of it.
+//!   frame carrying the number of jobs ahead of it;
+//! * a client that reads slowly blocks only its own connection's
+//!   writes, and one that accepts no bytes for 30 s is dropped.
 
 use crate::scheduler::{panic_message, ClientId, JobTask, Scheduler, Task};
 use mm_engine::faultpoint;
 use mm_engine::json::{ObjBuilder, Value};
 use mm_engine::protocol::{BatchRequest, Frame, Request};
 use mm_engine::{
-    load_spec_with_modes, BatchReport, CacheStats, Engine, EngineOptions, EngineStats, Job,
-    JobCacheInfo, JobError, JobResult,
+    load_spec_with_modes, BatchReport, Engine, EngineOptions, EngineStats, Job, JobCacheInfo,
+    JobError, JobResult,
 };
 use mm_flow::FlowOptions;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -178,9 +182,48 @@ struct Counters {
 #[derive(Debug)]
 struct ServerState {
     shutdown: AtomicBool,
-    active: AtomicUsize,
     next_client: AtomicU64,
     counters: Counters,
+    /// Where the listener is bound (TCP port 0 resolved).
+    listen: Listen,
+    /// Every admitted connection still open — its length is the number
+    /// of occupied connection slots — with a handle the drain uses to
+    /// end its read, and whether it is waiting for a request line.
+    open: Mutex<HashMap<ClientId, (SocketStream, bool)>>,
+}
+
+impl ServerState {
+    /// Starts the drain, once: the accept loop stops, and a connection
+    /// waiting for a request reads only what its client has already
+    /// sent. The accept loop waits in a blocking `accept`, so one
+    /// connection to the listen address wakes it; it sees the flag and
+    /// counts nothing.
+    fn begin_drain(&self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        for (stream, waiting) in self.open.lock().expect("connection registry").values() {
+            if *waiting {
+                let _ = stream.shutdown_read();
+            }
+        }
+        let _ = SocketStream::connect_timeout(&self.listen, Duration::from_secs(1));
+    }
+
+    /// Marks whether `client` waits for its next request line. The drain
+    /// ends only waiting reads, so a batch that streams meanwhile still
+    /// sees its client hang up, and its client may still send lines for
+    /// the drain to answer; a connection that starts waiting once the
+    /// drain has begun ends its own read.
+    fn set_waiting(&self, client: ClientId, waiting: bool) {
+        let mut open = self.open.lock().expect("connection registry");
+        if let Some((stream, is_waiting)) = open.get_mut(&client) {
+            *is_waiting = waiting;
+            if waiting && self.shutdown.load(Ordering::Relaxed) {
+                let _ = stream.shutdown_read();
+            }
+        }
+    }
 }
 
 /// A clonable remote control for a running [`Server`] — the programmatic
@@ -193,7 +236,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Asks the server to stop accepting and drain in-flight work.
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::Relaxed);
+        self.state.begin_drain();
     }
 
     /// Whether shutdown has been requested.
@@ -219,18 +262,6 @@ enum StreamInner {
 pub struct SocketStream(StreamInner);
 
 impl SocketStream {
-    /// Connects to a serving address.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the socket cannot be reached.
-    pub fn connect(listen: &Listen) -> std::io::Result<Self> {
-        Ok(SocketStream(match listen {
-            Listen::Unix(path) => StreamInner::Unix(UnixStream::connect(path)?),
-            Listen::Tcp(addr) => StreamInner::Tcp(TcpStream::connect(addr.as_str())?),
-        }))
-    }
-
     /// Connects with a bound on the TCP connection attempt — a routed
     /// but unresponsive address fails in `timeout` instead of the
     /// kernel's (minutes-long) default. Unix sockets connect or fail
@@ -283,40 +314,29 @@ impl SocketStream {
         }))
     }
 
-    /// Bounds blocking reads (shared by all clones of the socket).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the option cannot be set.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        match &self.0 {
-            StreamInner::Unix(s) => s.set_read_timeout(timeout),
-            StreamInner::Tcp(s) => s.set_read_timeout(timeout),
-        }
-    }
-
     /// Bounds blocking writes (shared by all clones of the socket).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the option cannot be set.
-    pub fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         match &self.0 {
             StreamInner::Unix(s) => s.set_write_timeout(timeout),
             StreamInner::Tcp(s) => s.set_write_timeout(timeout),
         }
     }
 
-    /// Switches the socket between blocking and non-blocking mode (the
-    /// reactors multiplex connections in non-blocking mode).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the option cannot be set.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+    /// Switches the socket (all clones) between blocking and
+    /// non-blocking mode.
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
         match &self.0 {
             StreamInner::Unix(s) => s.set_nonblocking(nonblocking),
             StreamInner::Tcp(s) => s.set_nonblocking(nonblocking),
+        }
+    }
+
+    /// Ends reading: a blocked or later read returns what the peer has
+    /// already sent, then end-of-file.
+    fn shutdown_read(&self) -> std::io::Result<()> {
+        match &self.0 {
+            StreamInner::Unix(s) => s.shutdown(Shutdown::Read),
+            StreamInner::Tcp(s) => s.shutdown(Shutdown::Read),
         }
     }
 }
@@ -356,49 +376,16 @@ impl Write for SocketStream {
 }
 
 /// Upper bound on one request line — far above any real batch request,
-/// far below harm. Also the inbound buffering bound per connection:
-/// a client pipelining past it is simply not read until the buffer
-/// drains (socket-level backpressure).
+/// far below harm.
 const MAX_REQUEST_LINE: usize = 1 << 20;
-
-/// Outbound buffering high-water mark: result pumping pauses (results
-/// wait in their collector slots) until the client reads us back below
-/// it.
-const OUT_HIGH_WATER: usize = 256 * 1024;
 
 /// A client that accepts no bytes for this long mid-stream is declared
 /// gone.
 const WRITE_STALL: Duration = Duration::from_secs(30);
 
-/// How long an idle reactor parks before re-polling its sockets.
-const REACTOR_PARK: Duration = Duration::from_millis(1);
-
-/// Reactor threads multiplexing the connections (they only parse, admit
-/// and shuffle bytes; jobs run on the scheduler's workers).
-const REACTOR_THREADS: usize = 2;
-
-/// Wakes a parked reactor (new connection, delivered result).
-#[derive(Debug, Default)]
-struct Waker {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Waker {
-    fn wake(&self) {
-        *self.flag.lock().expect("waker lock") = true;
-        self.cv.notify_all();
-    }
-
-    fn park(&self, timeout: Duration) {
-        let mut flag = self.flag.lock().expect("waker lock");
-        if !*flag {
-            let (guard, _) = self.cv.wait_timeout(flag, timeout).expect("waker lock");
-            flag = guard;
-        }
-        *flag = false;
-    }
-}
+/// How often a connection waiting for its batch's next result checks,
+/// without blocking, whether its client has hung up.
+const HANGUP_POLL: Duration = Duration::from_millis(10);
 
 /// The long-running batch service.
 ///
@@ -412,7 +399,6 @@ pub struct Server {
     engine: Arc<Engine>,
     scheduler: Arc<Scheduler>,
     listener: Listener,
-    listen: Listen,
     state: Arc<ServerState>,
     max_connections: usize,
 }
@@ -420,7 +406,7 @@ pub struct Server {
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("listen", &self.listen)
+            .field("listen", &self.state.listen)
             .field("threads", &self.scheduler.threads())
             .field("shards", &self.scheduler.shards())
             .field("max_connections", &self.max_connections)
@@ -498,12 +484,12 @@ impl Server {
             engine,
             scheduler,
             listener,
-            listen,
             state: Arc::new(ServerState {
                 shutdown: AtomicBool::new(false),
-                active: AtomicUsize::new(0),
                 next_client: AtomicU64::new(1),
                 counters: Counters::default(),
+                listen,
+                open: Mutex::new(HashMap::new()),
             }),
             max_connections: options.max_connections.max(1),
         })
@@ -512,7 +498,7 @@ impl Server {
     /// Where the server actually listens (TCP port 0 resolved).
     #[must_use]
     pub fn listen_addr(&self) -> &Listen {
-        &self.listen
+        &self.state.listen
     }
 
     /// The shared engine (for tests and embedding).
@@ -536,121 +522,109 @@ impl Server {
     }
 
     /// Serves until shutdown is requested (protocol `shutdown` frame or
-    /// [`ServerHandle::shutdown`]), then drains: the listener closes,
+    /// [`ServerHandle::shutdown`]), then drains: the accept loop stops,
     /// every connection — including batches still executing on the
     /// worker groups — runs to completion, and the workers are joined
     /// before this returns.
     ///
     /// # Errors
     ///
-    /// Fails if the listener cannot be polled.
+    /// Fails if the listener cannot accept.
     pub fn run(self) -> std::io::Result<ServeReport> {
         let Server {
             engine,
             scheduler,
             listener,
-            listen,
             state,
             max_connections,
         } = self;
-        match &listener {
-            Listener::Unix(l) => l.set_nonblocking(true)?,
-            Listener::Tcp(l) => l.set_nonblocking(true)?,
-        }
-        let reactors: Vec<ReactorHandle> = (0..REACTOR_THREADS)
-            .map(|_| ReactorHandle {
-                inbox: Mutex::new(Vec::new()),
-                waker: Arc::new(Waker::default()),
-                load: AtomicUsize::new(0),
-            })
-            .collect();
+        let ctx = Ctx {
+            engine: &engine,
+            scheduler: &scheduler,
+            state: &state,
+        };
         std::thread::scope(|scope| -> std::io::Result<()> {
-            for reactor in &reactors {
-                let ctx = Ctx {
-                    engine: &engine,
-                    scheduler: &scheduler,
-                    state: &state,
-                };
-                scope.spawn(move || run_reactor(&ctx, reactor));
-            }
             loop {
-                if state.shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
                 let accepted = match &listener {
                     Listener::Unix(l) => {
                         l.accept().map(|(s, _)| SocketStream(StreamInner::Unix(s)))
                     }
                     Listener::Tcp(l) => l.accept().map(|(s, _)| SocketStream(StreamInner::Tcp(s))),
                 };
-                let stream = match accepted {
+                let mut stream = match accepted {
                     Ok(stream) => stream,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                        continue;
-                    }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                     Err(e) => {
-                        // Wake the reactors out of their parks so the
-                        // drain below cannot deadlock on an I/O error.
-                        state.shutdown.store(true, Ordering::Relaxed);
-                        for reactor in &reactors {
-                            reactor.waker.wake();
-                        }
+                        // Drain the open connections; the scope joins
+                        // them before the error is returned.
+                        state.begin_drain();
                         return Err(e);
                     }
                 };
-                if state.active.load(Ordering::Relaxed) >= max_connections {
-                    // Over capacity: answer, don't stall. The frame is
-                    // best-effort — a client that never reads forfeits
-                    // it, bounded by the write timeout.
-                    state
-                        .counters
-                        .rejected_connections
-                        .fetch_add(1, Ordering::Relaxed);
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                    let mut stream = stream;
-                    let frame = Frame::Busy {
-                        scope: "connections".to_string(),
-                        queued: state.active.load(Ordering::Relaxed),
-                        capacity: max_connections,
-                        p95_ms: None,
-                    };
-                    let _ = stream
-                        .write_all((frame.to_json_line() + "\n").as_bytes())
-                        .and_then(|()| stream.flush());
-                    continue;
+                if state.shutdown.load(Ordering::Relaxed) {
+                    // The drain's wake-up (or a client racing it): neither
+                    // served nor counted.
+                    return Ok(());
                 }
-                if stream.set_nonblocking(true).is_err() {
+                let Ok(handle) = stream.try_clone() else {
                     continue;
-                }
+                };
+                let slot = {
+                    let mut open = state.open.lock().expect("connection registry");
+                    if open.len() < max_connections {
+                        let client = state.next_client.fetch_add(1, Ordering::Relaxed);
+                        open.insert(client, (handle, false));
+                        Ok(Slot {
+                            state: &state,
+                            client,
+                        })
+                    } else {
+                        Err(open.len())
+                    }
+                };
+                let slot = match slot {
+                    Ok(slot) => slot,
+                    Err(occupied) => {
+                        // Over capacity: answer, don't stall. The frame
+                        // is best-effort — a client that never reads
+                        // forfeits it, bounded by the write timeout.
+                        state
+                            .counters
+                            .rejected_connections
+                            .fetch_add(1, Ordering::Relaxed);
+                        let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+                        let frame = Frame::Busy {
+                            scope: "connections".to_string(),
+                            queued: occupied,
+                            capacity: max_connections,
+                            p95_ms: None,
+                        };
+                        let _ = stream.write_all((frame.to_json_line() + "\n").as_bytes());
+                        continue;
+                    }
+                };
                 if let StreamInner::Tcp(s) = &stream.0 {
                     let _ = s.set_nodelay(true);
                 }
-                state.active.fetch_add(1, Ordering::Relaxed);
-                state.counters.connections.fetch_add(1, Ordering::Relaxed);
-                let conn = Conn::new(stream, state.next_client.fetch_add(1, Ordering::Relaxed));
-                // Least-loaded reactor takes the new connection.
-                let reactor = reactors
-                    .iter()
-                    .min_by_key(|r| r.load.load(Ordering::Relaxed))
-                    .expect("at least one reactor");
-                reactor.load.fetch_add(1, Ordering::Relaxed);
-                reactor.inbox.lock().expect("inbox lock").push(conn);
-                reactor.waker.wake();
+                // A thread that cannot start drops the closure, and with
+                // it the connection and its slot.
+                match std::thread::Builder::new()
+                    .spawn_scoped(scope, move || serve_connection(ctx, stream, slot))
+                {
+                    Ok(_) => {
+                        state.counters.connections.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(e) => eprintln!("serve: connection dropped, no thread for it: {e}"),
+                }
             }
-            for reactor in &reactors {
-                reactor.waker.wake();
-            }
-            Ok(())
         })?;
-        // Reactors have exited: every connection is closed and every
-        // admitted batch has streamed its summary. Join the workers
-        // (drains any purge-raced stragglers) before reporting.
+        // Every connection thread has exited: every connection is closed
+        // and every admitted batch has streamed its summary. Join the
+        // workers (drains any purge-raced stragglers) before reporting.
         let shed_batches = scheduler.shed_batches();
         let timed_out_jobs: u64 = scheduler.stats().iter().map(|s| s.timed_out).sum();
         drop(scheduler);
-        if let Listen::Unix(path) = &listen {
+        if let Listen::Unix(path) = &state.listen {
             let _ = std::fs::remove_file(path);
         }
         drop(engine);
@@ -668,211 +642,137 @@ impl Server {
     }
 }
 
-/// Everything a reactor needs to drive its connections.
+/// Everything a connection thread needs.
 #[derive(Clone, Copy)]
 struct Ctx<'a> {
     engine: &'a Arc<Engine>,
-    scheduler: &'a Arc<Scheduler>,
+    scheduler: &'a Scheduler,
     state: &'a Arc<ServerState>,
 }
 
-struct ReactorHandle {
-    inbox: Mutex<Vec<Conn>>,
-    waker: Arc<Waker>,
-    load: AtomicUsize,
+/// An occupied connection slot; dropping it frees the slot and the
+/// drain's handle to the connection.
+struct Slot<'a> {
+    state: &'a ServerState,
+    client: ClientId,
 }
 
-/// One reactor: adopt assigned connections, tick them all, park briefly
-/// when nothing progressed. Exits when shutdown is requested and its
-/// last connection is gone.
-fn run_reactor(ctx: &Ctx<'_>, reactor: &ReactorHandle) {
-    let mut conns: Vec<Conn> = Vec::new();
-    loop {
-        {
-            let mut inbox = reactor.inbox.lock().expect("inbox lock");
-            conns.append(&mut inbox);
-        }
-        let mut progressed = false;
-        let mut index = 0;
-        while index < conns.len() {
-            let tick = conns[index].tick(ctx, &reactor.waker);
-            progressed |= tick.progressed;
-            if tick.close {
-                let mut conn = conns.swap_remove(index);
-                conn.abandon_stream(ctx);
-                ctx.state.active.fetch_sub(1, Ordering::Relaxed);
-                reactor.load.fetch_sub(1, Ordering::Relaxed);
-            } else {
-                index += 1;
-            }
-        }
-        if conns.is_empty()
-            && ctx.state.shutdown.load(Ordering::Relaxed)
-            && reactor.inbox.lock().expect("inbox lock").is_empty()
-        {
-            return;
-        }
-        if !progressed {
-            reactor.waker.park(REACTOR_PARK);
-        }
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.state
+            .open
+            .lock()
+            .expect("connection registry")
+            .remove(&self.client);
+    }
+}
+
+/// Serves one admitted connection on its own thread until its client
+/// leaves, a `shutdown` frame or the drain ends it, or its handler
+/// panics — which costs this client a best-effort `error` frame and its
+/// connection, and nobody else anything.
+fn serve_connection(ctx: Ctx<'_>, stream: SocketStream, slot: Slot<'_>) {
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let _ = stream.set_write_timeout(Some(WRITE_STALL));
+    let mut conn = Conn {
+        reader: BufReader::new(read_half),
+        writer: stream,
+        client: slot.client,
+        consumed: 0,
+    };
+    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| conn.serve(&ctx)));
+    if let Err(panic) = served {
+        let _ = conn.send(&Frame::Error {
+            message: format!("request failed: {}", panic_message(panic.as_ref())),
+            offset: None,
+            line: None,
+        });
     }
 }
 
 /// Per-batch reorder buffer: shard workers finish jobs in any order,
-/// the owning reactor consumes them strictly in job order. Delivery
-/// wakes the reactor so results stream without waiting out a park.
+/// the connection's thread takes them strictly in job order, woken by
+/// each delivery.
 struct Collector {
     slots: Mutex<Vec<Option<JobResult>>>,
-    waker: Arc<Waker>,
+    ready: Condvar,
 }
 
 impl Collector {
     fn deliver(&self, index: usize, result: JobResult) {
-        {
-            let mut slots = self.slots.lock().expect("collector lock");
-            slots[index] = Some(result);
-        }
-        self.waker.wake();
+        self.slots.lock().expect("collector lock")[index] = Some(result);
+        self.ready.notify_one();
     }
 
-    fn try_take(&self, index: usize) -> Option<JobResult> {
-        self.slots.lock().expect("collector lock")[index].take()
+    /// Takes result `index`, waiting for it at most `timeout`.
+    fn take(&self, index: usize, timeout: Duration) -> Option<JobResult> {
+        let slots = self.slots.lock().expect("collector lock");
+        let (mut slots, _) = self
+            .ready
+            .wait_timeout_while(slots, timeout, |slots| slots[index].is_none())
+            .expect("collector lock");
+        slots[index].take()
     }
 }
 
-/// An admitted batch mid-stream on one connection.
-struct Streaming {
-    collector: Arc<Collector>,
-    cancel: Arc<AtomicBool>,
-    next: usize,
-    total: usize,
-    results: Vec<JobResult>,
-    t0: Instant,
-    cache_before: CacheStats,
-    /// Append per-stage telemetry to every streamed record (the
-    /// request's `emit_stage_times` member). Default records stay the
-    /// exact `mmflow batch` bytes.
-    emit_stage_times: bool,
-    /// Fault injection (`conn_drop`): abruptly close the connection once
-    /// this many records have streamed — simulates a client killed
-    /// mid-batch.
-    drop_at: Option<usize>,
-}
-
-struct TickResult {
-    progressed: bool,
-    close: bool,
-}
-
-/// One multiplexed connection's state machine.
-struct Conn {
-    stream: SocketStream,
+/// An admitted batch until its last record is out. Dropped before that
+/// — the client vanished, a write failed, `conn_drop` fired, the
+/// handler panicked — it cancels the batch: queued jobs are purged,
+/// jobs not yet started see the cancel flag, fairness lanes are freed.
+struct Admission<'a> {
+    ctx: Ctx<'a>,
     client: ClientId,
-    inbuf: Vec<u8>,
-    /// Consumed prefix of `inbuf` (compacted between ticks).
-    inpos: usize,
-    /// Total request-stream bytes consumed so far — the byte offset of
-    /// the next unread line, echoed in malformed-request error frames.
-    consumed: u64,
-    out: Vec<u8>,
-    /// Flushed prefix of `out` (compacted when fully flushed).
-    outpos: usize,
-    last_write_progress: Instant,
-    eof: bool,
-    close_after_flush: bool,
-    streaming: Option<Streaming>,
+    cancel: Arc<AtomicBool>,
+    streamed: bool,
 }
 
-impl Conn {
-    fn new(stream: SocketStream, client: ClientId) -> Self {
-        Self {
-            stream,
-            client,
-            inbuf: Vec::new(),
-            inpos: 0,
-            consumed: 0,
-            out: Vec::new(),
-            outpos: 0,
-            last_write_progress: Instant::now(),
-            eof: false,
-            close_after_flush: false,
-            streaming: None,
-        }
-    }
-
-    fn queue_frame(&mut self, frame: &Frame) {
-        self.out.extend_from_slice(frame.to_json_line().as_bytes());
-        self.out.push(b'\n');
-    }
-
-    fn out_pending(&self) -> usize {
-        self.out.len() - self.outpos
-    }
-
-    /// Cancels and purges a batch this connection will never stream
-    /// (client vanished): queued jobs are dropped, in-flight jobs see
-    /// the cancel flag, fairness lanes are freed.
-    fn abandon_stream(&mut self, ctx: &Ctx<'_>) {
-        if let Some(streaming) = self.streaming.take() {
-            streaming.cancel.store(true, Ordering::Relaxed);
-            let purged = ctx.scheduler.cancel_client(self.client) as u64;
-            ctx.state
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        if !self.streamed {
+            self.cancel.store(true, Ordering::Relaxed);
+            let purged = self.ctx.scheduler.cancel_client(self.client) as u64;
+            self.ctx
+                .state
                 .counters
                 .purged_jobs
                 .fetch_add(purged, Ordering::Relaxed);
         }
     }
+}
 
-    /// One multiplexing step: read what's there, process requests,
-    /// pump stream results, flush what fits.
-    fn tick(&mut self, ctx: &Ctx<'_>, waker: &Arc<Waker>) -> TickResult {
-        let mut progressed = false;
+/// One admitted connection.
+struct Conn {
+    reader: BufReader<SocketStream>,
+    writer: SocketStream,
+    client: ClientId,
+    /// Request-stream bytes consumed so far — the byte offset of the
+    /// next line, echoed in malformed-request error frames.
+    consumed: u64,
+}
 
-        // Read phase — runs even mid-stream so a vanished client is
-        // noticed by its EOF, not only by a write failure.
-        if !self.eof && !self.close_after_flush {
-            let mut buf = [0u8; 4096];
-            while self.inbuf.len() - self.inpos <= MAX_REQUEST_LINE {
-                match self.stream.read(&mut buf) {
-                    Ok(0) => {
-                        self.eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        self.inbuf.extend_from_slice(&buf[..n]);
-                        progressed = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        self.eof = true;
-                        break;
-                    }
+impl Conn {
+    /// The request loop: one request at a time, so lines a client
+    /// pipelines behind a batch wait, unread, until its summary is out.
+    fn serve(&mut self, ctx: &Ctx<'_>) {
+        loop {
+            ctx.state.set_waiting(self.client, true);
+            let line = self.next_line();
+            ctx.state.set_waiting(self.client, false);
+            let (offset, line) = match line {
+                Some(Ok(line)) => line,
+                None => return,
+                Some(Err(offset)) => {
+                    let _ = self.send(&Frame::Error {
+                        message: format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+                        offset: Some(offset),
+                        line: None,
+                    });
+                    return;
                 }
-            }
-            // A single line may not exceed the cap; a pipelining client
-            // is merely left unread (backpressure), never disconnected.
-            if self.streaming.is_none()
-                && self.inbuf.len() - self.inpos > MAX_REQUEST_LINE
-                && !self.inbuf[self.inpos..].contains(&b'\n')
-            {
-                self.queue_frame(&Frame::Error {
-                    message: format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
-                    offset: Some(self.consumed),
-                    line: None,
-                });
-                self.close_after_flush = true;
-            }
-        }
-
-        // Process phase — one request at a time; a batch in flight
-        // parks pipelined lines in the buffer until its summary is out.
-        while self.streaming.is_none() && !self.close_after_flush {
-            let Some((offset, line)) = self.take_line() else {
-                break;
             };
-            progressed = true;
-            let line = line.trim().to_string();
+            let line = line.trim();
             if line.is_empty() {
                 continue;
             }
@@ -881,7 +781,7 @@ impl Conn {
                 // polite: shutdown/ping still get their ack (so a
                 // concurrent `submit --shutdown` sees success),
                 // anything else gets an error frame.
-                let frame = match Request::parse(&line) {
+                let frame = match Request::parse(line) {
                     Ok(Request::Shutdown) => Frame::ShuttingDown,
                     Ok(Request::Ping) => Frame::Pong,
                     _ => Frame::Error {
@@ -890,139 +790,102 @@ impl Conn {
                         line: None,
                     },
                 };
-                self.queue_frame(&frame);
-                self.close_after_flush = true;
-                break;
+                let _ = self.send(&frame);
+                return;
             }
-            match Request::parse(&line) {
+            let sent = match Request::parse(line) {
                 Err(message) => {
                     // A malformed request names the crime scene: where
                     // in the byte stream it sits and (truncated) what it
                     // said, so a client batching thousands of lines can
                     // find the bad one.
                     let echo: String = line.chars().take(120).collect();
-                    self.queue_frame(&Frame::Error {
+                    self.send(&Frame::Error {
                         message,
                         offset: Some(offset),
                         line: Some(echo),
-                    });
+                    })
                 }
-                Ok(Request::Ping) => self.queue_frame(&Frame::Pong),
+                Ok(Request::Ping) => self.send(&Frame::Pong),
                 Ok(Request::Shutdown) => {
-                    self.queue_frame(&Frame::ShuttingDown);
-                    ctx.state.shutdown.store(true, Ordering::Relaxed);
-                    self.close_after_flush = true;
+                    ctx.state.begin_drain();
+                    let _ = self.send(&Frame::ShuttingDown);
+                    return;
                 }
-                Ok(Request::Batch(batch)) => {
-                    self.admit_batch(ctx, waker, &batch);
-                    progressed = true;
-                }
+                Ok(Request::Batch(batch)) => self.run_batch(ctx, &batch),
+            };
+            if sent.is_err() {
+                return;
             }
         }
-
-        // Stream phase — move ready in-order results into the outbound
-        // buffer, then the summary trailer.
-        if let Some(streaming) = &mut self.streaming {
-            if streaming.drop_at.is_some_and(|at| streaming.next >= at) {
-                // Fault injection: the connection dies mid-batch. The
-                // close path purges queued jobs and frees lanes exactly
-                // like a real vanished client.
-                return TickResult {
-                    progressed: true,
-                    close: true,
-                };
-            }
-            while streaming.next < streaming.total && self.out.len() - self.outpos < OUT_HIGH_WATER
-            {
-                let Some(result) = streaming.collector.try_take(streaming.next) else {
-                    break;
-                };
-                let mut record = if streaming.emit_stage_times {
-                    result.to_json_line_with_stages()
-                } else {
-                    result.to_json_line()
-                };
-                record.push('\n');
-                self.out.extend_from_slice(record.as_bytes());
-                streaming.results.push(result);
-                streaming.next += 1;
-                progressed = true;
-            }
-            if streaming.next == streaming.total {
-                let streaming = self.streaming.take().expect("streaming state");
-                self.finish_batch(ctx, streaming);
-                progressed = true;
-            }
-        }
-
-        // Flush phase.
-        while self.outpos < self.out.len() {
-            match self.stream.write(&self.out[self.outpos..]) {
-                Ok(0) => {
-                    self.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.outpos += n;
-                    self.last_write_progress = Instant::now();
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.eof = true;
-                    break;
-                }
-            }
-        }
-        if self.outpos == self.out.len() && self.outpos > 0 {
-            self.out.clear();
-            self.outpos = 0;
-        }
-
-        // Close decisions.
-        let flushed = self.out_pending() == 0;
-        let close = (self.eof && (self.streaming.is_some() || flushed || !self.has_line()))
-            || (self.close_after_flush && flushed && self.streaming.is_none())
-            || (!flushed && self.last_write_progress.elapsed() > WRITE_STALL)
-            || (ctx.state.shutdown.load(Ordering::Relaxed)
-                && self.streaming.is_none()
-                && flushed
-                && !self.has_line());
-        TickResult { progressed, close }
     }
 
-    /// Extracts the next complete request line from the inbound buffer,
-    /// with the byte offset of its start in this connection's request
-    /// stream (for error-frame diagnostics).
-    fn take_line(&mut self) -> Option<(u64, String)> {
-        let rest = &self.inbuf[self.inpos..];
-        let nl = rest.iter().position(|b| *b == b'\n')?;
+    /// The next request line (newline stripped, lossily decoded) with
+    /// its byte offset; `Err(offset)` for a line over
+    /// [`MAX_REQUEST_LINE`]; `None` once the client is gone — end of
+    /// stream, a read error, or a last line without its newline.
+    fn next_line(&mut self) -> Option<Result<(u64, String), u64>> {
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        let mut bytes = Vec::new();
+        match self
+            .reader
+            .by_ref()
+            .take(limit)
+            .read_until(b'\n', &mut bytes)
+        {
+            Ok(_) if bytes.last() == Some(&b'\n') => {}
+            Ok(n) if n as u64 == limit => return Some(Err(self.consumed)),
+            _ => return None,
+        }
         let offset = self.consumed;
-        let line = String::from_utf8_lossy(&rest[..nl]).into_owned();
-        self.inpos += nl + 1;
-        self.consumed += nl as u64 + 1;
-        if self.inpos == self.inbuf.len() {
-            self.inbuf.clear();
-            self.inpos = 0;
+        self.consumed += bytes.len() as u64;
+        bytes.pop();
+        Some(Ok((offset, String::from_utf8_lossy(&bytes).into_owned())))
+    }
+
+    fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
+        self.write_line(frame.to_json_line())
+    }
+
+    fn write_line(&mut self, mut line: String) -> std::io::Result<()> {
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())
+    }
+
+    /// Whether the client has hung up, checked without blocking. Bytes
+    /// it pipelined meanwhile stay buffered for the next request; with
+    /// some already buffered, a vanished client shows at the next write
+    /// instead.
+    fn client_gone(&mut self) -> bool {
+        if !self.reader.buffer().is_empty() {
+            return false;
         }
-        Some((offset, line))
+        if self.reader.get_ref().set_nonblocking(true).is_err() {
+            return false;
+        }
+        let gone = match self.reader.fill_buf() {
+            Ok(bytes) => bytes.is_empty(),
+            Err(e) => !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+            ),
+        };
+        let _ = self.reader.get_ref().set_nonblocking(false);
+        gone
     }
 
-    fn has_line(&self) -> bool {
-        self.inbuf[self.inpos..].contains(&b'\n')
-    }
-
-    /// Resolves a batch request and submits its jobs to the scheduler;
-    /// on admission the connection enters streaming state, on rejection
-    /// it receives a `busy` frame and stays usable.
-    fn admit_batch(&mut self, ctx: &Ctx<'_>, waker: &Arc<Waker>, request: &BatchRequest) {
+    /// Resolves a batch request, admits it to the scheduler and streams
+    /// its frames, records (in job order) and summary. A spec that does
+    /// not resolve gets an `error` frame and a full queue a `busy` frame;
+    /// the connection stays usable either way. `Err` means the
+    /// connection is done for.
+    fn run_batch(&mut self, ctx: &Ctx<'_>, request: &BatchRequest) -> std::io::Result<()> {
         let options = request.flow_options(&FlowOptions::default());
         let mut batch =
             match load_spec_with_modes(&request.spec, &options, request.k, request.modes) {
                 Ok(batch) => batch,
                 Err(message) => {
-                    return self.queue_frame(&Frame::Error {
+                    return self.send(&Frame::Error {
                         message,
                         offset: None,
                         line: None,
@@ -1032,122 +895,25 @@ impl Conn {
         if let Some(n) = request.max_jobs {
             batch.jobs.truncate(n);
         }
-        let mut jobs = batch.jobs;
-        // The worker groups are shared by every connection — one worker
-        // per job, no intra-job fan-out on top (results are
-        // byte-identical either way).
-        for job in &mut jobs {
-            if job.options.intra_parallelism == 0 {
-                job.options.intra_parallelism = 1;
-            }
-        }
-        let n = jobs.len();
+        let n = batch.jobs.len();
         let t0 = Instant::now();
         let cache_before = ctx.engine.cache().map(|c| c.stats()).unwrap_or_default();
         let collector = Arc::new(Collector {
             slots: Mutex::new((0..n).map(|_| None).collect()),
-            waker: Arc::clone(waker),
+            ready: Condvar::new(),
         });
         let cancel = Arc::new(AtomicBool::new(false));
-        let deadline = ctx.scheduler.deadline();
-        let tasks: Vec<JobTask> = jobs
+        let tasks: Vec<JobTask> = batch
+            .jobs
             .into_iter()
             .enumerate()
-            .map(|(index, job)| {
-                let fingerprint = job.fingerprint();
-                let name = job.name.clone();
-                let flow = job.flow;
-                let engine = Arc::clone(ctx.engine);
-                let collector = Arc::clone(&collector);
-                let timeout_collector = Arc::clone(&collector);
-                let cancel = Arc::clone(&cancel);
-                let state = Arc::clone(ctx.state);
-                // Exactly one of {completion, watchdog timeout} delivers
-                // the collector slot: both race for this flag, the loser
-                // drops its record.
-                let delivered = Arc::new(AtomicBool::new(false));
-                let timeout_delivered = Arc::clone(&delivered);
-                let run: Task = Box::new(move || {
-                    let result = if cancel.load(Ordering::Relaxed) {
-                        JobResult {
-                            name: job.name.clone(),
-                            flow: job.flow,
-                            outcome: Err(JobError::engine("cancelled: client disconnected")),
-                            cache: JobCacheInfo::default(),
-                            duration: Duration::ZERO,
-                            stages: Vec::new(),
-                        }
-                    } else {
-                        // Counted here — not at admission — so the
-                        // operator's exit report only claims jobs that
-                        // actually ran.
-                        state.counters.jobs.fetch_add(1, Ordering::Relaxed);
-                        execute_with_retries(&engine, &job, &state.counters)
-                    };
-                    if delivered
-                        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        collector.deliver(index, result);
-                    }
-                });
-                let on_timeout: Task = Box::new(move || {
-                    if timeout_delivered
-                        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        let deadline = deadline.unwrap_or_default();
-                        timeout_collector.deliver(
-                            index,
-                            JobResult {
-                                name,
-                                flow,
-                                outcome: Err(JobError::timeout(format!(
-                                    "job exceeded the {} ms deadline and was declared stuck",
-                                    deadline.as_millis()
-                                ))),
-                                cache: JobCacheInfo::default(),
-                                duration: deadline,
-                                stages: Vec::new(),
-                            },
-                        );
-                    }
-                });
-                JobTask {
-                    fingerprint,
-                    run,
-                    on_timeout: Some(on_timeout),
-                }
-            })
+            .map(|(index, job)| job_task(ctx, index, job, &collector, &cancel))
             .collect();
-        match ctx
+        let admitted = match ctx
             .scheduler
             .submit_jobs(self.client, request.priority, tasks)
         {
-            Ok(admitted) => {
-                ctx.state.counters.batches.fetch_add(1, Ordering::Relaxed);
-                self.queue_frame(&Frame::Accepted { jobs: n });
-                if admitted.ahead > 0 {
-                    self.queue_frame(&Frame::Queued {
-                        ahead: admitted.ahead,
-                    });
-                }
-                // Fault injection: decide *now* whether this connection
-                // will be killed mid-batch (once at least half the
-                // records have streamed).
-                let drop_at = faultpoint::fire(faultpoint::CONN_DROP).then_some(n / 2);
-                self.streaming = Some(Streaming {
-                    collector,
-                    cancel,
-                    next: 0,
-                    total: n,
-                    results: Vec::with_capacity(n),
-                    t0,
-                    cache_before,
-                    emit_stage_times: request.emit_stage_times,
-                    drop_at,
-                });
-            }
+            Ok(admitted) => admitted,
             Err(rejected) => {
                 ctx.state
                     .counters
@@ -1158,40 +924,159 @@ impl Conn {
                 } else {
                     "jobs"
                 };
-                self.queue_frame(&Frame::Busy {
+                return self.send(&Frame::Busy {
                     scope: scope.to_string(),
                     queued: rejected.queued,
                     capacity: rejected.capacity,
                     p95_ms: rejected.p95_ms,
                 });
             }
+        };
+        ctx.state.counters.batches.fetch_add(1, Ordering::Relaxed);
+        let mut admission = Admission {
+            ctx: *ctx,
+            client: self.client,
+            cancel,
+            streamed: false,
+        };
+        // Fault injection (`conn_drop`): the connection dies abruptly
+        // once half the records have streamed — before any frame when
+        // that is none — like a client killed mid-batch.
+        let drop_at = faultpoint::fire(faultpoint::CONN_DROP).then_some(n / 2);
+        let dropped = || std::io::Error::from(std::io::ErrorKind::ConnectionAborted);
+        if drop_at == Some(0) {
+            return Err(dropped());
         }
-    }
+        self.send(&Frame::Accepted { jobs: n })?;
+        if admitted.ahead > 0 {
+            self.send(&Frame::Queued {
+                ahead: admitted.ahead,
+            })?;
+        }
+        let mut results = Vec::with_capacity(n);
+        for index in 0..n {
+            if drop_at == Some(index) {
+                return Err(dropped());
+            }
+            let result = loop {
+                if let Some(result) = collector.take(index, HANGUP_POLL) {
+                    break result;
+                }
+                if self.client_gone() {
+                    return Err(std::io::ErrorKind::UnexpectedEof.into());
+                }
+            };
+            self.write_line(if request.emit_stage_times {
+                result.to_json_line_with_stages()
+            } else {
+                result.to_json_line()
+            })?;
+            results.push(result);
+        }
+        admission.streamed = true;
 
-    /// Builds and queues the summary trailer of a fully streamed batch.
-    fn finish_batch(&mut self, ctx: &Ctx<'_>, streaming: Streaming) {
-        let mut stats = EngineStats::from_results(&streaming.results);
+        let mut stats = EngineStats::from_results(&results);
         // Cache activity attributed to this batch; with concurrent
-        // connections the attribution is approximate (the counters
-        // are engine-wide), never the records.
+        // connections the attribution is approximate (the counters are
+        // engine-wide), never the records.
         let cache = ctx
             .engine
             .cache()
-            .map(|c| c.stats().since(streaming.cache_before))
+            .map(|c| c.stats().since(cache_before))
             .unwrap_or_default();
         stats.quarantined = cache.corrupt as usize;
         let report = BatchReport {
-            results: streaming.results,
+            results,
             stats,
             cache,
-            wall: streaming.t0.elapsed(),
+            wall: t0.elapsed(),
             threads: ctx.engine.threads(),
         };
         let mut summary = report.summary_value();
         if let Value::Obj(members) = &mut summary {
             members.push(("shards".to_string(), shard_stats_value(ctx.scheduler)));
         }
-        self.queue_frame(&Frame::Summary { summary });
+        self.send(&Frame::Summary { summary })
+    }
+}
+
+/// Wraps job `index` of a batch for the scheduler: it runs unless the
+/// batch was cancelled first, and exactly one of {completion, watchdog
+/// timeout} delivers its collector slot.
+fn job_task(
+    ctx: &Ctx<'_>,
+    index: usize,
+    mut job: Job,
+    collector: &Arc<Collector>,
+    cancel: &Arc<AtomicBool>,
+) -> JobTask {
+    // The worker groups are shared by every connection — one worker per
+    // job, no intra-job fan-out on top (results are byte-identical
+    // either way).
+    if job.options.intra_parallelism == 0 {
+        job.options.intra_parallelism = 1;
+    }
+    let fingerprint = job.fingerprint();
+    let name = job.name.clone();
+    let flow = job.flow;
+    let engine = Arc::clone(ctx.engine);
+    let deadline = ctx.scheduler.deadline();
+    let collector = Arc::clone(collector);
+    let timeout_collector = Arc::clone(&collector);
+    let cancel = Arc::clone(cancel);
+    let state = Arc::clone(ctx.state);
+    // Both deliveries race for this flag; the loser drops its record.
+    let delivered = Arc::new(AtomicBool::new(false));
+    let timeout_delivered = Arc::clone(&delivered);
+    let run: Task = Box::new(move || {
+        let result = if cancel.load(Ordering::Relaxed) {
+            JobResult {
+                name: job.name.clone(),
+                flow: job.flow,
+                outcome: Err(JobError::engine("cancelled: client disconnected")),
+                cache: JobCacheInfo::default(),
+                duration: Duration::ZERO,
+                stages: Vec::new(),
+            }
+        } else {
+            // Counted here — not at admission — so the operator's exit
+            // report only claims jobs that actually ran.
+            state.counters.jobs.fetch_add(1, Ordering::Relaxed);
+            execute_with_retries(&engine, &job, &state.counters)
+        };
+        if delivered
+            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            collector.deliver(index, result);
+        }
+    });
+    let on_timeout: Task = Box::new(move || {
+        if timeout_delivered
+            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            let deadline = deadline.unwrap_or_default();
+            timeout_collector.deliver(
+                index,
+                JobResult {
+                    name,
+                    flow,
+                    outcome: Err(JobError::timeout(format!(
+                        "job exceeded the {} ms deadline and was declared stuck",
+                        deadline.as_millis()
+                    ))),
+                    cache: JobCacheInfo::default(),
+                    duration: deadline,
+                    stages: Vec::new(),
+                },
+            );
+        }
+    });
+    JobTask {
+        fingerprint,
+        run,
+        on_timeout: Some(on_timeout),
     }
 }
 

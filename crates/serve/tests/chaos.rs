@@ -284,6 +284,58 @@ fn dropped_connections_are_purged_and_a_retrying_client_completes() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+#[test]
+fn a_drain_lets_the_batch_in_flight_finish_and_answers_what_follows() {
+    let _fault = FaultGuard::take();
+    let root = tmp_dir("drain");
+    let spec = write_spec_dir(&root, 2);
+    let spec = spec.to_string_lossy().into_owned();
+    let reference = reference_records(&spec);
+
+    // Every job stalls, so the batch is still streaming when the drain
+    // begins.
+    let server = RunningServer::start(
+        &root,
+        ServeOptions {
+            threads: 1,
+            cache_dir: None,
+            fault_spec: Some("seed=7,job_stall=1,stall_ms=300".into()),
+            ..ServeOptions::default()
+        },
+    );
+    let mut stream = UnixStream::connect(&server.socket).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = Request::Batch(test_request(&spec)).to_json_line();
+    line.push('\n');
+    stream.write_all(line.as_bytes()).unwrap();
+    let mut accepted = String::new();
+    reader.read_line(&mut accepted).unwrap();
+    assert!(accepted.contains("\"accepted\""), "{accepted}");
+
+    let mut other = UnixStream::connect(&server.socket).unwrap();
+    other.write_all(b"{\"cmd\":\"shutdown\"}\n").unwrap();
+    let (_, frames) = read_exchange(&mut BufReader::new(other));
+    assert_eq!(frames, vec![Frame::ShuttingDown]);
+
+    // The batch streams on to its summary, and a line sent during the
+    // drain still gets its answer before the connection closes.
+    stream.write_all(b"{\"cmd\":\"ping\"}\n").unwrap();
+    let (records, frames) = read_exchange(&mut reader);
+    assert_eq!(records, reference);
+    assert!(
+        matches!(frames.as_slice(), [Frame::Summary { .. }]),
+        "{frames:?}"
+    );
+    assert_eq!(read_exchange(&mut reader).1, vec![Frame::Pong]);
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "{rest}");
+
+    let report = server.thread.join().unwrap().unwrap();
+    assert_eq!(report.jobs, reference.len() as u64);
+    assert_eq!(report.purged_jobs, 0);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Reads server lines until (and including) a terminal frame.
 fn read_exchange(reader: &mut BufReader<UnixStream>) -> (Vec<String>, Vec<Frame>) {
     let mut records = Vec::new();

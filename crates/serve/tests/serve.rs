@@ -189,11 +189,11 @@ fn deeply_nested_request_is_an_error_frame_not_an_abort() {
 }
 
 #[test]
-fn out_of_range_k_is_an_error_frame_on_every_reactor() {
+fn out_of_range_k_is_an_error_frame_on_every_connection() {
     let root = tmp_dir("bad_k");
     let server = RunningServer::start(&root, ServeOptions::default());
-    // Timed reads: a daemon that lost its reactors fails the test
-    // instead of hanging it.
+    // Timed reads: a daemon that lost its connection handlers fails the
+    // test instead of hanging it.
     let open = || {
         let stream = server.connect();
         stream
@@ -202,7 +202,7 @@ fn out_of_range_k_is_an_error_frame_on_every_reactor() {
         let reader = BufReader::new(stream.try_clone().unwrap());
         (stream, reader)
     };
-    // Two open connections, so the line reaches both reactors.
+    // The line on two connections held open side by side.
     let mut held = Vec::new();
     for _ in 0..2 {
         let (mut stream, mut reader) = open();
@@ -227,6 +227,43 @@ fn out_of_range_k_is_an_error_frame_on_every_reactor() {
     assert_eq!(read_exchange(&mut reader).1, vec![Frame::ShuttingDown]);
     drop((stream, reader, held));
     server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn drain_closes_a_connection_its_client_holds_idle() {
+    let root = tmp_dir("idle_drain");
+    let server = RunningServer::start(&root, ServeOptions::default());
+    let timeout = std::time::Duration::from_secs(10);
+
+    // Client A pings, then holds its connection open without a word.
+    let mut a = server.connect();
+    a.set_read_timeout(Some(timeout)).unwrap();
+    let mut a_reader = BufReader::new(a.try_clone().unwrap());
+    send(&mut a, &Request::Ping);
+    assert_eq!(read_exchange(&mut a_reader).1, vec![Frame::Pong]);
+
+    // Client B asks for the drain.
+    let mut b = server.connect();
+    let mut b_reader = BufReader::new(b.try_clone().unwrap());
+    send(&mut b, &Request::Shutdown);
+    assert_eq!(read_exchange(&mut b_reader).1, vec![Frame::ShuttingDown]);
+
+    // The drain closes A: its timed read ends in EOF, not a timeout.
+    let mut line = String::new();
+    let n = a_reader
+        .read_line(&mut line)
+        .expect("EOF within the read timeout");
+    assert_eq!(n, 0, "{line}");
+
+    // `run` returns without a handle shutdown.
+    let start = std::time::Instant::now();
+    while !server.thread.is_finished() {
+        assert!(start.elapsed() < timeout, "Server::run did not return");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let report = server.thread.join().unwrap().unwrap();
+    assert_eq!(report.connections, 2);
     let _ = std::fs::remove_dir_all(&root);
 }
 
