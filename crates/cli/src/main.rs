@@ -202,9 +202,7 @@ fn parse_common(args: &[String]) -> Result<CommonOptions, Box<dyn Error>> {
                 let v = next_value(&mut it, "--cost")?;
                 options.cost = parse_cost(v)?;
             }
-            "--width" => {
-                options.flow.width = WidthChoice::Fixed(next_value(&mut it, "--width")?.parse()?);
-            }
+            "--width" => options.flow.width = WidthChoice::Fixed(width_value(&mut it, "--width")?),
             "--seed" => options.flow.placer.seed = next_value(&mut it, "--seed")?.parse()?,
             "--effort" => {
                 options.flow.placer.inner_num = next_value(&mut it, "--effort")?.parse()?;
@@ -225,6 +223,15 @@ fn next_value<'a>(
 ) -> Result<&'a String, Box<dyn Error>> {
     it.next()
         .ok_or_else(|| format!("{flag} needs a value").into())
+}
+
+/// Parses a channel-width flag's value, refusing 0 through the engine's
+/// check, as spec files and serve requests do.
+fn width_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, Box<dyn Error>> {
+    Ok(mm_engine::channel_width(
+        flag,
+        next_value(it, flag)?.parse()?,
+    )?)
 }
 
 /// Parses `--cost` values through the engine's validated parser, so the
@@ -359,9 +366,7 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--no-cache" => cache_dir = None,
             "--jobs" => max_jobs = next_value(&mut it, "--jobs")?.parse()?,
             "--out" => out_path = Some(next_value(&mut it, "--out")?.clone()),
-            "--width" => {
-                flow.width = WidthChoice::Fixed(next_value(&mut it, "--width")?.parse()?);
-            }
+            "--width" => flow.width = WidthChoice::Fixed(width_value(&mut it, "--width")?),
             "--seed" => flow.placer.seed = next_value(&mut it, "--seed")?.parse()?,
             "--effort" => flow.placer.inner_num = next_value(&mut it, "--effort")?.parse()?,
             "--steiner-fanout" => {
@@ -462,9 +467,7 @@ fn cmd_pareto(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--no-cache" => cache_dir = None,
             "--jobs" => max_jobs = next_value(&mut it, "--jobs")?.parse()?,
             "--out" => out_path = Some(next_value(&mut it, "--out")?.clone()),
-            "--width" => {
-                flow.width = WidthChoice::Fixed(next_value(&mut it, "--width")?.parse()?);
-            }
+            "--width" => flow.width = WidthChoice::Fixed(width_value(&mut it, "--width")?),
             "--seed" => flow.placer.seed = next_value(&mut it, "--seed")?.parse()?,
             "--effort" => flow.placer.inner_num = next_value(&mut it, "--effort")?.parse()?,
             "--steiner-fanout" => {
@@ -686,12 +689,12 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--priority" => priority = Some(next_value(&mut it, "--priority")?.parse()?),
             "--emit-stage-times" => emit_stage_times = true,
             "--seed" => seed = Some(next_value(&mut it, "--seed")?.parse()?),
-            "--width" => width = Some(next_value(&mut it, "--width")?.parse()?),
+            "--width" => width = Some(width_value(&mut it, "--width")?),
             "--effort" => effort = Some(next_value(&mut it, "--effort")?.parse()?),
             "--max-iterations" => {
                 max_iterations = Some(next_value(&mut it, "--max-iterations")?.parse()?);
             }
-            "--max-width" => max_width = Some(next_value(&mut it, "--max-width")?.parse()?),
+            "--max-width" => max_width = Some(width_value(&mut it, "--max-width")?),
             "--steiner-fanout" => {
                 steiner_fanout = Some(next_value(&mut it, "--steiner-fanout")?.parse()?);
             }

@@ -345,6 +345,62 @@ fn merge_rejects_bad_inputs_without_panicking() {
 }
 
 #[test]
+fn zero_channel_widths_exit_1_without_panicking() {
+    let dir = tmpdir("width_zero");
+    let a = write_blif(&dir, "a.blif", MODE_A);
+    let b = write_blif(&dir, "b.blif", MODE_B);
+    let group = dir.join("jobs").join("g0");
+    std::fs::create_dir_all(&group).unwrap();
+    std::fs::copy(&a, group.join("m0.blif")).unwrap();
+    std::fs::copy(&b, group.join("m1.blif")).unwrap();
+    let spec = dir.join("spec.json");
+    std::fs::write(
+        &spec,
+        r#"{"defaults": {"max_width": 0}, "jobs": [{"modes": ["a.blif", "b.blif"]}]}"#,
+    )
+    .unwrap();
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    let jobs = dir.join("jobs");
+    let jobs = jobs.to_str().unwrap();
+    let socket = dir.join("absent.sock");
+    let connect = format!("unix:{}", socket.display());
+    for (args, expected) in [
+        (vec!["merge", a, b, "--width", "0"], "--width must be"),
+        (vec!["mdr", a, b, "--width", "0"], "--width must be"),
+        (
+            vec!["batch", jobs, "--no-cache", "--width", "0"],
+            "--width must be",
+        ),
+        (
+            vec!["batch", spec.to_str().unwrap(), "--no-cache"],
+            "\"max_width\" must be",
+        ),
+        (
+            vec!["pareto", jobs, "--no-cache", "--width", "0"],
+            "--width must be",
+        ),
+        (
+            vec!["submit", jobs, "--connect", &connect, "--width", "0"],
+            "--width must be",
+        ),
+        (
+            vec!["submit", jobs, "--connect", &connect, "--max-width", "0"],
+            "--max-width must be",
+        ),
+    ] {
+        let out = mmflow().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{expected} a positive channel width, got 0")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cache_gc_evicts_and_reports() {
     let dir = tmpdir("gc");
     let a = write_blif(&dir, "a.blif", MODE_A);

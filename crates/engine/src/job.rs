@@ -915,6 +915,21 @@ pub(crate) fn parse_seed(v: &Value) -> Result<u64, String> {
     Err("\"seed\" must be an integer below 2^53 or a decimal/0x string".to_string())
 }
 
+/// Checks a channel width read from input — a spec or request field, or
+/// a command-line flag, which `field` names. A fabric needs at least one
+/// track, so 0 is an error naming the field here, at the input
+/// boundary, instead of a panic inside the flow.
+///
+/// # Errors
+///
+/// Fails on 0.
+pub fn channel_width(field: &str, width: usize) -> Result<usize, String> {
+    if width == 0 {
+        return Err(format!("{field} must be a positive channel width, got 0"));
+    }
+    Ok(width)
+}
+
 fn parse_job(
     jv: &Value,
     index: usize,
@@ -957,7 +972,8 @@ fn parse_job(
         options.placer.seed = parse_seed(seed)?;
     }
     if let Some(width) = lookup(jv, defaults, "width") {
-        options.width = WidthChoice::Fixed(width.as_usize().ok_or("\"width\" must be an integer")?);
+        let width = width.as_usize().ok_or("\"width\" must be an integer")?;
+        options.width = WidthChoice::Fixed(channel_width("\"width\"", width)?);
     }
     if let Some(effort) = lookup(jv, defaults, "effort") {
         options.placer.inner_num = effort.as_f64().ok_or("\"effort\" must be a number")?;
@@ -968,9 +984,10 @@ fn parse_job(
             .ok_or("\"max_iterations\" must be an integer")?;
     }
     if let Some(max_width) = lookup(jv, defaults, "max_width") {
-        options.max_width = max_width
+        let max_width = max_width
             .as_usize()
             .ok_or("\"max_width\" must be an integer")?;
+        options.max_width = channel_width("\"max_width\"", max_width)?;
     }
     if let Some(fanout) = lookup(jv, defaults, "steiner_fanout") {
         options.router.steiner_fanout = fanout
@@ -1328,6 +1345,46 @@ mod tests {
         assert!(err.contains(&cap), "{err}");
         let err = load_spec(huge.to_str().unwrap(), &FlowOptions::default(), 4).unwrap_err();
         assert!(err.contains(&cap), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_channel_widths_are_refused_naming_the_field() {
+        let dir = std::env::temp_dir().join(format!("mm_engine_w0_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("a.blif"), blif::to_blif(&tiny("a"))).unwrap();
+        for (file, spec, field) in [
+            (
+                "w.json",
+                r#"{"jobs": [{"modes": ["a.blif"], "width": 0}]}"#,
+                "\"width\"",
+            ),
+            (
+                "mw.json",
+                r#"{"jobs": [{"modes": ["a.blif"], "max_width": 0}]}"#,
+                "\"max_width\"",
+            ),
+            (
+                "dw.json",
+                r#"{"defaults": {"width": 0}, "jobs": [{"modes": ["a.blif"]}]}"#,
+                "\"width\"",
+            ),
+            (
+                "dmw.json",
+                r#"{"defaults": {"max_width": 0}, "jobs": [{"modes": ["a.blif"]}]}"#,
+                "\"max_width\"",
+            ),
+        ] {
+            let path = dir.join(file);
+            std::fs::write(&path, spec).unwrap();
+            let err = load_spec(path.to_str().unwrap(), &FlowOptions::default(), 4).unwrap_err();
+            assert!(
+                err.contains(&format!("{field} must be a positive channel width")),
+                "{file}: {err}"
+            );
+        }
+        assert_eq!(channel_width("--width", 1), Ok(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

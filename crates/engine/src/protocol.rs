@@ -244,9 +244,14 @@ impl Request {
                 request.k = usize_field("k")?.unwrap_or(4);
                 request.modes = usize_field("modes")?;
                 request.max_jobs = usize_field("max_jobs")?;
-                request.width = usize_field("width")?;
+                let width_field = |key: &str| -> Result<Option<usize>, String> {
+                    usize_field(key)?
+                        .map(|w| crate::channel_width(&format!("\"{key}\""), w))
+                        .transpose()
+                };
+                request.width = width_field("width")?;
                 request.max_iterations = usize_field("max_iterations")?;
-                request.max_width = usize_field("max_width")?;
+                request.max_width = width_field("max_width")?;
                 request.steiner_fanout = usize_field("steiner_fanout")?;
                 request.seed = v.get("seed").map(parse_seed).transpose()?;
                 request.effort = v
@@ -550,6 +555,20 @@ mod tests {
             Request::parse(r#"{"cmd":"batch","spec":"s","priority":10}"#).is_err(),
             "priorities are capped at MAX_PRIORITY"
         );
+    }
+
+    #[test]
+    fn zero_channel_widths_are_refused_naming_the_field() {
+        for field in ["width", "max_width"] {
+            let line = format!(r#"{{"cmd":"batch","spec":"suite:regexp","{field}":0}}"#);
+            let err = Request::parse(&line).unwrap_err();
+            assert!(
+                err.contains(&format!("\"{field}\" must be a positive channel width")),
+                "{err}"
+            );
+            let line = format!(r#"{{"cmd":"batch","spec":"suite:regexp","{field}":1}}"#);
+            assert!(Request::parse(&line).is_ok());
+        }
     }
 
     #[test]

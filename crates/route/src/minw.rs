@@ -9,7 +9,7 @@ use crate::{RouteNet, Router, RouterOptions, Routing};
 use mm_arch::{Architecture, RoutingGraph};
 
 /// One routing attempt of the width search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WidthProbe {
     /// The channel width probed.
     pub width: usize,
@@ -18,6 +18,9 @@ pub struct WidthProbe {
     pub iterations: usize,
     /// Whether the width routed.
     pub success: bool,
+    /// The probe's overused-node count per iteration
+    /// ([`Routing::overuse`]).
+    pub overuse: Vec<usize>,
 }
 
 /// Result of the minimum-channel-width search.
@@ -40,12 +43,16 @@ pub struct MinWidthResult {
 /// `nets` receives each candidate graph.
 ///
 /// Each probe is one [`Router::route`] call, so a probe that cannot route
-/// usually ends early on the router's routability predictor (see
-/// [`Routing::iterations`]); only a failing probe whose overuse sinks
+/// usually ends early on one of the router's stop rules (see
+/// [`Routing::iterations`]): a probe whose warm-up made no headway ends at
+/// iteration [`crate::REROUTE_ALL_ITERS`], one that stalls later on the
+/// routability predictor, and only a failing probe whose overuse sinks
 /// under the predictor's gate runs all [`RouterOptions::max_iterations`].
-/// The minimum found moves only if the predictor gives up a probe that
-/// would have routed within the cap; on the regexp/fir/mcnc suites none
-/// does.
+/// The minimum found moves only if a rule gives up a probe that would
+/// have routed within the cap. That makes the search exact on the paper's
+/// corpus, not in general: over the width probes and final routes of the
+/// regexp/fir/mcnc pairings no rule gives up a converging route, but on
+/// small random problems a few converging routes are given up.
 ///
 /// Returns `None` if even `max_width` fails, or as soon as a doubling
 /// probe leaves a sink with no path at all ([`Routing::unrouted_sinks`]):
@@ -67,6 +74,7 @@ pub fn min_channel_width(
             width: w,
             iterations: routing.iterations,
             success: routing.success,
+            overuse: routing.overuse.clone(),
         });
         (rrg, routing)
     };
@@ -183,7 +191,7 @@ mod tests {
         let widths: Vec<(usize, bool)> =
             result.probes.iter().map(|p| (p.width, p.success)).collect();
         assert_eq!(widths, [(4, true), (2, false), (3, true)]);
-        let failed = result.probes[1];
+        let failed = &result.probes[1];
         assert!(
             failed.iterations < options.max_iterations,
             "the hopeless width-2 probe ran {} of {} iterations",

@@ -2,17 +2,18 @@
 //!
 //! This module implements *exactly* the algorithm of [`crate::Router`]
 //! with the straightforward data structures the optimized router
-//! replaced: a fresh `BinaryHeap` and `HashMap`s per search, a per-net
-//! `HashMap` for tree positions, and a full `node_count()` scan for the
-//! overuse/history update. It exists for two reasons:
+//! replaced: a fresh `BinaryHeap` of f64-ordered entries and `HashMap`s
+//! per search that prices every edge it scans, a per-net `HashMap` for
+//! tree positions, and a full `node_count()` scan for the overuse/history
+//! update. It exists for two reasons:
 //!
 //! * **differential testing** — the property tests in `tests/parity.rs`
 //!   assert the optimized router produces byte-identical [`Routing`]
 //!   results (same trees, same iteration count), so every data-structure
 //!   optimization is provably semantics-preserving; the incremental
 //!   rip-up, HPWL-seeded bounding boxes, the high-fanout Steiner
-//!   decomposition and the routability predictor's early stop are
-//!   mirrored here so parity covers them too;
+//!   decomposition and both early stops (the warm-up verdict and the
+//!   routability predictor) are mirrored here so parity covers them too;
 //! * **benchmarking** — `mmflow bench` measures the optimized hot path
 //!   against this baseline (`BENCH_router.json`; run it with
 //!   [`RouterOptions::without_bbox`] and
@@ -23,13 +24,44 @@
 
 use crate::router::{
     congestion_stalled, fabric_extent, grow_margin, initial_margin, nearest_tree_point, net_bbox,
-    steiner_bbox, steiner_segments, BBox, HeapEntry, Occupancy, ASTAR_FAC, BBOX_CONGESTION_GRACE,
-    HISTORY_COST, PRES_FAC_FIRST, PRES_FAC_MULT, REROUTE_ALL_ITERS,
+    steiner_bbox, steiner_segments, warmup_stalled, BBox, Occupancy, ASTAR_FAC,
+    BBOX_CONGESTION_GRACE, HISTORY_COST, PRES_FAC_FIRST, PRES_FAC_MULT, REROUTE_ALL_ITERS,
 };
 use crate::{NetRoute, RouteNet, RouteTreeNode, RouterOptions, Routing};
 use mm_arch::{RoutingGraph, RrKind, RrNodeId, SwitchId};
 use mm_boolexpr::{ModeSet, ModeSpace};
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+
+/// Min-heap entry for the A* search, ordered by its f64 cost (ties pop
+/// the larger node first).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct HeapEntry {
+    /// Estimated total cost (g + h).
+    f: f64,
+    /// Cost to come.
+    g: f64,
+    node: u32,
+}
+
+impl Eq for HeapEntry {}
+
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reverse order: BinaryHeap is a max-heap, we need the smallest f.
+        other
+            .f
+            .partial_cmp(&self.f)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| self.node.cmp(&other.node))
+    }
+}
+
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 /// Routes `nets` with the naive reference implementation, with initial
 /// bounding-box margins HPWL-seeded exactly as [`crate::Router::route`]
@@ -151,7 +183,7 @@ impl<'a> ReferenceRouter<'a> {
         // extent), and widen only under congestion — the exact mirror of
         // the optimized router's `steiner_margin`.
         let mut steiner_margin = vec![self.options.bbox_margin.min(self.extent()); nets.len()];
-        let mut best_overuse: Vec<usize> = Vec::new();
+        let mut overuse: Vec<usize> = Vec::new();
         let mut routes: Vec<NetRoute> = vec![NetRoute::default(); nets.len()];
         let mut iterations = 0;
         let mut success = false;
@@ -218,6 +250,7 @@ impl<'a> ReferenceRouter<'a> {
                     self.history[node] += (HISTORY_COST * f64::from(max - cap)) as f32;
                 }
             }
+            overuse.push(overused_nodes);
             if overused_nodes == 0 {
                 success = true;
                 break;
@@ -225,11 +258,7 @@ impl<'a> ReferenceRouter<'a> {
             if !rerouted_any {
                 break;
             }
-            let best = best_overuse
-                .last()
-                .map_or(overused_nodes, |&b| b.min(overused_nodes));
-            best_overuse.push(best);
-            if congestion_stalled(&best_overuse) {
+            if congestion_stalled(&overuse) || warmup_stalled(&overuse, nets.len()) {
                 break;
             }
             self.pres_fac *= PRES_FAC_MULT;
@@ -238,6 +267,7 @@ impl<'a> ReferenceRouter<'a> {
         Routing {
             nets: routes,
             iterations,
+            overuse,
             success: success && unrouted == 0,
             overused_nodes,
             unrouted_sinks: unrouted,

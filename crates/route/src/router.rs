@@ -4,8 +4,9 @@
 //! an A*-guided Dijkstra over the routing-resource graph, allow resource
 //! overuse, then iterate with growing present-congestion penalties and
 //! accumulated history costs until the solution is feasible — or until a
-//! routability predictor in the style of the VTR 8 router finds the
-//! overuse stuck high and gives the route up early.
+//! stop rule gives a hopeless route up early: a warm-up verdict after the
+//! reroute-all iterations, or a routability predictor in the style of the
+//! VTR 8 router that finds the overuse stuck high.
 //!
 //! The multi-mode twist (TRoute, Vansteenkiste et al. [5]) is that every
 //! connection carries an *activation function* — the set of modes in which
@@ -23,6 +24,13 @@
 //!
 //! * the A* heap, path buffer and sink-order buffer are reused across
 //!   nets and across [`Router::route`] calls;
+//! * each node's search state is one stamped record (distance, stamp,
+//!   predecessor, switch), and heap entries order by the bits of their
+//!   cost, which is exact because every edge costs ≥ 0;
+//! * a neighbour already reached at no more than the popped entry's cost
+//!   is skipped before it is priced, the history factor of every node's
+//!   cost is cached, and the sharing and criticality branches are decided
+//!   once per search;
 //! * `tree_pos` (RRG node → route-tree index) is a stamped `Vec<u32>`
 //!   instead of a per-net hash map;
 //! * overuse/history accounting walks only the nodes *touched* since the
@@ -157,7 +165,7 @@ impl RouterOptions {
     #[must_use]
     pub fn fingerprint(&self) -> String {
         format!(
-            "router-v6;it={};m={};sd={:016x};pp={:016x};bb={};inc={};sf={}",
+            "router-v7;it={};m={};sd={:016x};pp={:016x};bb={};inc={};sf={}",
             self.max_iterations,
             self.mode_count,
             self.share_discount.to_bits(),
@@ -274,11 +282,29 @@ pub struct Routing {
     pub nets: Vec<NetRoute>,
     /// Iterations executed. A failed routing may report fewer than
     /// [`RouterOptions::max_iterations`]: the router stops early on a
-    /// sink with no path at all, when no net needed rerouting, and when
-    /// its routability predictor finds congestion stuck high — over the
-    /// last 8 iterations the smallest overused-node count so far fell by
-    /// less than 5 % while still at least 15 % of the first iteration's.
+    /// sink with no path at all, when no net needed rerouting, and on
+    /// either of two stop rules over [`Routing::overuse`]:
+    ///
+    /// * the warm-up verdict: after the [`REROUTE_ALL_ITERS`] reroute-all
+    ///   iterations, the last one's overused-node count is at least the
+    ///   first one's and at least 2 per net;
+    /// * the routability predictor: over the last 8 iterations the
+    ///   smallest overused-node count so far fell by less than 5 % while
+    ///   still at least 15 % of the first iteration's.
+    ///
+    /// Both rules are heuristics, exact on the paper's corpus but not in
+    /// general. Over every width probe and final route of the 30 paper
+    /// pairings run as pair jobs, neither stops a route that would have
+    /// converged (the route crate's corpus replay test checks this). On
+    /// small random problems they can: of the 13,885 routes of the route
+    /// parity suites' generators that converge with no stop rule (seeds
+    /// 0–5999, widths 2–4 and 1–4, plain and criticality-weighted), the
+    /// predictor stops 21 and the two rules together 25.
     pub iterations: usize,
+    /// Overused-node count after each iteration (`overuse[i]` belongs to
+    /// iteration `i + 1`), ending in 0 on success. An iteration that left
+    /// a sink with no path ends the route before it is counted.
+    pub overuse: Vec<usize>,
     /// Whether the final solution is overuse-free and complete.
     pub success: bool,
     /// Number of overused nodes at the end (0 on success).
@@ -368,14 +394,23 @@ impl Occupancy {
     }
 }
 
-/// Min-heap entry for the A* search.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct HeapEntry {
-    /// Estimated total cost (g + h).
-    pub(crate) f: f64,
+/// Min-heap entry of the A* search, ordered by the bit pattern of its
+/// estimated total cost: every cost is finite and ≥ 0, where an f64's
+/// bits order like its value. Equal costs pop the larger node first,
+/// as the reference's f64-ordered entry does.
+#[derive(Debug, Clone, Copy)]
+struct HeapEntry {
+    /// Bits of the estimated total cost (g + h).
+    f: u64,
     /// Cost to come.
-    pub(crate) g: f64,
-    pub(crate) node: u32,
+    g: f64,
+    node: u32,
+}
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
 }
 
 impl Eq for HeapEntry {}
@@ -385,8 +420,7 @@ impl Ord for HeapEntry {
         // Reverse order: BinaryHeap is a max-heap, we need the smallest f.
         other
             .f
-            .partial_cmp(&self.f)
-            .unwrap_or(Ordering::Equal)
+            .cmp(&self.f)
             .then_with(|| self.node.cmp(&other.node))
     }
 }
@@ -395,6 +429,19 @@ impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// A node's A* record of one search, valid while `gen` matches the
+/// router's search generation.
+#[derive(Debug, Clone, Copy)]
+struct Visit {
+    /// Best cost-to-come found so far.
+    dist: f64,
+    gen: u32,
+    /// Predecessor on that path (the node itself for a seed).
+    prev: u32,
+    /// The switch on the edge from `prev`.
+    switch: Option<SwitchId>,
 }
 
 /// A net's expansion bounding box (inclusive, grid coordinates).
@@ -522,26 +569,50 @@ const STALL_GATE_PCT: usize = 15;
 /// The routability predictor: whether negotiation is stuck, so the route
 /// can stop before `max_iterations` (which the rule does not look at).
 ///
-/// `best[i]` is the smallest overused-node count over iterations
-/// `1..=i + 1` (so `best[0]` is the first iteration's count) and
-/// `best.len()` is the iteration just finished. The route is given up
-/// once, over the last [`STALL_WINDOW`] iterations, its best overuse fell
-/// by less than [`STALL_MIN_GAIN_PCT`] percent while still at least
-/// [`STALL_GATE_PCT`] percent of the first iteration's.
+/// `overuse[i]` is the overused-node count of iteration `i + 1` and
+/// `overuse.len()` the iteration just finished. The route is given up
+/// once, over the last [`STALL_WINDOW`] iterations, its best (smallest so
+/// far) overuse fell by less than [`STALL_MIN_GAIN_PCT`] percent while
+/// still at least [`STALL_GATE_PCT`] percent of the first iteration's.
 ///
 /// Converging routes plateau too, but on the regexp/fir/mcnc suites only
 /// in a low-overuse tail (at most 2.15 % of their first overuse), which
 /// the gate keeps running: some converge as late as iteration 40. The
 /// price of that margin is a failing route whose best overuse sinks
 /// under the gate before it stalls: it runs to the cap as before.
-pub(crate) fn congestion_stalled(best: &[usize]) -> bool {
-    let n = best.len();
+pub(crate) fn congestion_stalled(overuse: &[usize]) -> bool {
+    let n = overuse.len();
     if n <= STALL_WINDOW {
         return false;
     }
-    let now = best[n - 1];
-    now * 100 > best[n - 1 - STALL_WINDOW] * (100 - STALL_MIN_GAIN_PCT)
-        && now * 100 >= best[0] * STALL_GATE_PCT
+    let best = |span: &[usize]| span.iter().copied().min().unwrap_or(usize::MAX);
+    let then = best(&overuse[..n - STALL_WINDOW]);
+    let now = then.min(best(&overuse[n - STALL_WINDOW..]));
+    now * 100 > then * (100 - STALL_MIN_GAIN_PCT) && now * 100 >= overuse[0] * STALL_GATE_PCT
+}
+
+/// Overused nodes per net at or above which the warm-up verdict gives a
+/// route up ([`warmup_stalled`]).
+const WARMUP_FLOOR_PER_NET: usize = 2;
+
+/// The warm-up verdict: whether a route is hopeless once its
+/// [`REROUTE_ALL_ITERS`] reroute-all iterations are done, so it can stop
+/// before the predictor's window fills.
+///
+/// `overuse` is as in [`congestion_stalled`] and `nets` the number of
+/// nets routed. The rule fires only at iteration [`REROUTE_ALL_ITERS`],
+/// when that iteration's overuse is at least the first iteration's (the
+/// warm-up made no progress) and at least [`WARMUP_FLOOR_PER_NET`] per
+/// net. Hopeless probes of the paper's pairings end their warm-up at 3.8
+/// to 4.9 overused nodes per net. The floor keeps small congested
+/// problems running: without it, a random route of the parity suite's
+/// criticality proptest whose overuse went 2, 2, 2 over 5 nets, then 0 at
+/// iteration 4, is given up.
+pub(crate) fn warmup_stalled(overuse: &[usize], nets: usize) -> bool {
+    let [first, .., last] = overuse else {
+        return false;
+    };
+    overuse.len() == REROUTE_ALL_ITERS && last >= first && *last >= WARMUP_FLOOR_PER_NET * nets
 }
 
 /// One connection of a rectilinear Steiner decomposition: the sink to
@@ -674,6 +745,9 @@ pub struct Router<'a> {
     /// instead of a scan over the mode counts.
     switch_act: Vec<ModeSet>,
     history: Vec<f32>,
+    /// Per-node `base_cost · (1 + history)`, the history-dependent factor
+    /// of [`Router::node_cost`], rewritten wherever `history` changes.
+    base_hist: Vec<f64>,
     pres_fac: f64,
     /// Fabric extent for bounding-box clamping.
     max_x: u16,
@@ -683,11 +757,9 @@ pub struct Router<'a> {
     /// is one array read instead of an edge-list lookup.
     ipin_sink: Vec<u32>,
     // ---- scratch arena (generation-stamped, reused across nets) ----
-    /// Per-search best cost-to-come, valid when `gen` matches.
-    dist: Vec<f64>,
-    /// Per-search predecessor (node, switch), valid when `gen` matches.
-    prev: Vec<(u32, Option<SwitchId>)>,
-    gen: Vec<u32>,
+    /// Per-node A* records: cost-to-come, stamp and predecessor side by
+    /// side, so a relaxation reads and writes one record.
+    visit: Vec<Visit>,
     generation: u32,
     /// Reused A* heap storage.
     heap: BinaryHeap<HeapEntry>,
@@ -707,10 +779,6 @@ pub struct Router<'a> {
     touched: Vec<u32>,
     touch_gen: Vec<u32>,
     touch_generation: u32,
-    /// Prefix minima of the overused-node count, one per finished
-    /// iteration of the current `route()` call — the routability
-    /// predictor's input ([`congestion_stalled`]).
-    best_overuse: Vec<usize>,
     /// Per-net bounding-box margins of the current `route()` call.
     net_margin: Vec<usize>,
     /// Per-net Steiner topology of the current `route()` call, computed
@@ -758,10 +826,16 @@ impl<'a> Router<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `options.mode_count` is 0.
+    /// Panics if `options.mode_count` is 0, or if the sharing options
+    /// could price an edge below 0 (`share_discount` above 1 or
+    /// `param_penalty` below -1): the search relies on costs ≥ 0.
     #[must_use]
     pub fn new(rrg: &'a RoutingGraph, options: RouterOptions) -> Self {
         assert!(options.mode_count >= 1, "mode_count must be positive");
+        assert!(
+            options.share_discount <= 1.0 && options.param_penalty >= -1.0,
+            "share_discount must be at most 1 and param_penalty at least -1"
+        );
         let n = rrg.node_count();
         let (mut max_x, mut max_y) = (0u16, 0u16);
         let mut ipin_sink = vec![u32::MAX; n];
@@ -783,13 +857,20 @@ impl<'a> Router<'a> {
             switch_use: Occupancy::new(rrg.switch_count(), options.mode_count),
             switch_act: vec![ModeSet::EMPTY; rrg.switch_count()],
             history: vec![0.0; n],
+            base_hist: vec![0.0; n],
             pres_fac: PRES_FAC_FIRST,
             max_x,
             max_y,
             ipin_sink,
-            dist: vec![0.0; n],
-            prev: vec![(0, None); n],
-            gen: vec![0; n],
+            visit: vec![
+                Visit {
+                    dist: 0.0,
+                    gen: 0,
+                    prev: 0,
+                    switch: None,
+                };
+                n
+            ],
             generation: 0,
             heap: BinaryHeap::new(),
             path: Vec::new(),
@@ -800,7 +881,6 @@ impl<'a> Router<'a> {
             touched: Vec::new(),
             touch_gen: vec![0; n],
             touch_generation: 1,
-            best_overuse: Vec::new(),
             net_margin: Vec::new(),
             steiner_cache: Vec::new(),
             steiner_margin: Vec::new(),
@@ -828,7 +908,6 @@ impl<'a> Router<'a> {
             + self.path.capacity()
             + self.order.capacity()
             + self.touched.capacity()
-            + self.best_overuse.capacity()
             + self.net_margin.capacity()
             + self.blocked.capacity()
             + self.keep.capacity()
@@ -839,7 +918,7 @@ impl<'a> Router<'a> {
             + self.tree_buf.capacity()
     }
 
-    fn base_cost(&self, kind: RrKind) -> f64 {
+    fn base_cost(kind: RrKind) -> f64 {
         match kind {
             RrKind::ChanX | RrKind::ChanY => 1.0,
             RrKind::Ipin => 0.95,
@@ -868,12 +947,20 @@ impl<'a> Router<'a> {
         self.crit_dat[self.crit_idx[net_index] as usize + sink_index]
     }
 
-    /// Node cost given the node's (already fetched) RRG record.
+    /// Node cost given the node's (already fetched) RRG record:
+    /// `base_cost · (1 + history) · pres`, the first product read from
+    /// `base_hist`.
     fn node_cost(&self, node: u32, rr: &mm_arch::RrNode, act: ModeSet) -> f64 {
         let occ_eff = f64::from(self.occ.max_in(node as usize, act));
         let over = (occ_eff + 1.0 - f64::from(rr.capacity)).max(0.0);
         let pres = 1.0 + self.pres_fac * over;
-        self.base_cost(rr.kind) * (1.0 + f64::from(self.history[node as usize])) * pres
+        self.base_hist[node as usize] * pres
+    }
+
+    /// Rewrites `base_hist[node]` from the node's current history.
+    fn refresh_base_hist(&mut self, node: usize) {
+        let kind = self.rrg.node(RrNodeId::from_index(node as u32)).kind;
+        self.base_hist[node] = Self::base_cost(kind) * (1.0 + f64::from(self.history[node]));
     }
 
     /// The modes in which `switch` currently carries signal — O(1) from
@@ -908,15 +995,18 @@ impl<'a> Router<'a> {
         self.switch_act[switch.index()] = cur;
     }
 
-    /// Reconfiguration-aware edge factor: cheaper when the traversal makes
-    /// the switch bit *less* parameterized (sharing across disjoint
-    /// modes), dearer when it freshly parameterizes it.
+    /// Whether edges are priced by [`Router::share_factor`]: with one mode
+    /// or neither a discount nor a penalty, the factor is 1.0 everywhere.
+    fn shares(&self) -> bool {
+        self.options.mode_count > 1
+            && (self.options.share_discount != 0.0 || self.options.param_penalty != 0.0)
+    }
+
+    /// Reconfiguration-aware edge factor, when [`Router::shares`]: cheaper
+    /// when the traversal makes the switch bit *less* parameterized
+    /// (sharing across disjoint modes), dearer when it freshly
+    /// parameterizes it.
     fn share_factor(&self, switch: Option<SwitchId>, act: ModeSet) -> f64 {
-        if self.options.mode_count == 1
-            || (self.options.share_discount == 0.0 && self.options.param_penalty == 0.0)
-        {
-            return 1.0;
-        }
         let Some(s) = switch else { return 1.0 };
         let current = self.switch_activation(s);
         let after = current | act;
@@ -1016,6 +1106,9 @@ impl<'a> Router<'a> {
         self.switch_use.counts.fill(0);
         self.switch_act.fill(ModeSet::EMPTY);
         self.history.fill(0.0);
+        for node in 0..self.base_hist.len() {
+            self.refresh_base_hist(node);
+        }
         self.pres_fac = PRES_FAC_FIRST;
         self.net_margin.clear();
         let extent = self.extent();
@@ -1028,7 +1121,7 @@ impl<'a> Router<'a> {
         self.steiner_margin.clear();
         self.steiner_margin
             .resize(nets.len(), self.options.bbox_margin.min(self.extent()));
-        self.best_overuse.clear();
+        let mut overuse = Vec::new();
         let mut routes: Vec<NetRoute> = vec![NetRoute::default(); nets.len()];
         let mut iterations = 0;
         let mut success = false;
@@ -1097,11 +1190,13 @@ impl<'a> Router<'a> {
                 if max > cap {
                     overused_nodes += 1;
                     self.history[node] += (HISTORY_COST * f64::from(max - cap)) as f32;
+                    self.refresh_base_hist(node);
                 }
             }
             self.touched = touched;
             self.touched.clear();
             self.touch_generation = self.touch_generation.wrapping_add(1);
+            overuse.push(overused_nodes);
             if overused_nodes == 0 {
                 success = true;
                 break;
@@ -1110,12 +1205,7 @@ impl<'a> Router<'a> {
                 // Nothing changed but overuse persists — cannot improve.
                 break;
             }
-            let best = self
-                .best_overuse
-                .last()
-                .map_or(overused_nodes, |&b| b.min(overused_nodes));
-            self.best_overuse.push(best);
-            if congestion_stalled(&self.best_overuse) {
+            if congestion_stalled(&overuse) || warmup_stalled(&overuse, nets.len()) {
                 break; // stuck high: predicted to fail
             }
             self.pres_fac *= PRES_FAC_MULT;
@@ -1124,6 +1214,7 @@ impl<'a> Router<'a> {
         Routing {
             nets: routes,
             iterations,
+            overuse,
             success: success && unrouted == 0,
             overused_nodes,
             unrouted_sinks: unrouted,
@@ -1463,6 +1554,10 @@ impl<'a> Router<'a> {
     /// A*-guided Dijkstra from the current tree to `target`, confined to
     /// `bbox`. On success, fills `self.path` with the path as
     /// (node, switch-from-previous) starting at a tree node.
+    ///
+    /// The sharing and criticality branches of the edge cost are decided
+    /// once here, not per edge: each combination runs its own copy of
+    /// [`Router::expand`].
     fn search(
         &mut self,
         tree: &[RouteTreeNode],
@@ -1472,7 +1567,6 @@ impl<'a> Router<'a> {
     ) -> bool {
         self.generation = self.generation.wrapping_add(1);
         let generation = self.generation;
-        let target_idx = target.index() as u32;
         let rrg = self.rrg;
         let target_rr = rrg.node(target);
         let (tx, ty) = (i32::from(target_rr.x), i32::from(target_rr.y));
@@ -1484,22 +1578,68 @@ impl<'a> Router<'a> {
             if !bbox.contains(rr.x, rr.y) {
                 continue; // a congestion detour left the box; not a seed
             }
-            self.dist[node as usize] = 0.0;
-            self.prev[node as usize] = (node, None);
-            self.gen[node as usize] = generation;
+            self.visit[node as usize] = Visit {
+                dist: 0.0,
+                gen: generation,
+                prev: node,
+                switch: None,
+            };
             let f = self.heuristic_to(rr, tx, ty);
-            self.heap.push(HeapEntry { f, g: 0.0, node });
+            self.heap.push(HeapEntry {
+                f: f.to_bits(),
+                g: 0.0,
+                node,
+            });
         }
 
-        let mut found = false;
+        let target_idx = target.index() as u32;
+        let found = match (self.shares(), self.sink_crit > 0.0) {
+            (false, false) => self.expand::<false, false>(target_idx, act, bbox),
+            (true, false) => self.expand::<true, false>(target_idx, act, bbox),
+            (false, true) => self.expand::<false, true>(target_idx, act, bbox),
+            (true, true) => self.expand::<true, true>(target_idx, act, bbox),
+        };
+        if !found {
+            return false;
+        }
+
+        // Walk back to a tree node (dist 0 and part of the seed set).
+        self.path.clear();
+        let mut cur = target_idx;
+        loop {
+            let Visit { prev, switch, .. } = self.visit[cur as usize];
+            self.path.push((cur, switch));
+            if prev == cur {
+                break; // reached a seed (tree) node
+            }
+            cur = prev;
+        }
+        self.path.reverse();
+        true
+    }
+
+    /// The A* loop of [`Router::search`] over the seeded heap: whether
+    /// `target` was reached. `SHARE` prices edges with
+    /// [`Router::share_factor`] (otherwise the factor is 1.0); `TIMED`
+    /// blends in the sink's criticality.
+    fn expand<const SHARE: bool, const TIMED: bool>(
+        &mut self,
+        target_idx: u32,
+        act: ModeSet,
+        bbox: BBox,
+    ) -> bool {
+        let generation = self.generation;
+        let rrg = self.rrg;
+        let target_rr = rrg.node(RrNodeId::from_index(target_idx));
+        let (tx, ty) = (i32::from(target_rr.x), i32::from(target_rr.y));
+        let c = self.sink_crit;
         while let Some(entry) = self.heap.pop() {
             let u = entry.node;
-            if entry.g > self.dist[u as usize] + 1e-12 {
+            if entry.g > self.visit[u as usize].dist + 1e-12 {
                 continue; // stale
             }
             if u == target_idx {
-                found = true;
-                break;
+                return true;
             }
             for e in rrg.edges(RrNodeId::from_index(u)) {
                 let v = e.to.index() as u32;
@@ -1517,44 +1657,45 @@ impl<'a> Router<'a> {
                 if !bbox.contains(to.x, to.y) {
                     continue;
                 }
+                // Steps cost ≥ 0, so a node already reached at no more
+                // than this entry's cost cannot improve: skip it unpriced.
+                let seen = self.visit[v as usize];
+                if seen.gen == generation && seen.dist <= entry.g + 1e-12 {
+                    continue;
+                }
+                let share = if SHARE {
+                    self.share_factor(e.switch, act)
+                } else {
+                    1.0
+                };
                 // Timing-driven blend: a critical sink trades congestion
-                // cost for wire delay. The `c == 0.0` branch keeps the
-                // default path bit-identical to the congestion-only
-                // router (the parity tests rely on that).
-                let c = self.sink_crit;
-                let g = if c > 0.0 {
+                // cost for wire delay. A sink at criticality 0.0 takes the
+                // congestion-only expression, bit for bit (the parity
+                // tests rely on that).
+                let g = if TIMED {
                     entry.g
-                        + (1.0 - c) * self.node_cost(v, to, act) * self.share_factor(e.switch, act)
+                        + (1.0 - c) * self.node_cost(v, to, act) * share
                         + c * Self::wire_delay(to.kind)
                 } else {
-                    entry.g + self.node_cost(v, to, act) * self.share_factor(e.switch, act)
+                    entry.g + self.node_cost(v, to, act) * share
                 };
-                if self.gen[v as usize] != generation || g + 1e-12 < self.dist[v as usize] {
-                    self.gen[v as usize] = generation;
-                    self.dist[v as usize] = g;
-                    self.prev[v as usize] = (u, e.switch);
+                if seen.gen != generation || g + 1e-12 < seen.dist {
+                    self.visit[v as usize] = Visit {
+                        dist: g,
+                        gen: generation,
+                        prev: u,
+                        switch: e.switch,
+                    };
                     let f = g + self.heuristic_to(to, tx, ty);
-                    self.heap.push(HeapEntry { f, g, node: v });
+                    self.heap.push(HeapEntry {
+                        f: f.to_bits(),
+                        g,
+                        node: v,
+                    });
                 }
             }
         }
-        if !found {
-            return false;
-        }
-
-        // Walk back to a tree node (dist 0 and part of the seed set).
-        self.path.clear();
-        let mut cur = target_idx;
-        loop {
-            let (p, sw) = self.prev[cur as usize];
-            self.path.push((cur, sw));
-            if p == cur {
-                break; // reached a seed (tree) node
-            }
-            cur = p;
-        }
-        self.path.reverse();
-        true
+        false
     }
 }
 
@@ -2035,14 +2176,7 @@ mod tests {
     /// The iteration at which the routability predictor stops a route
     /// whose iterations leave these overused-node counts, if it does.
     fn stall_iteration(series: &[usize]) -> Option<usize> {
-        let mut best: Vec<usize> = Vec::new();
-        for &overused in series {
-            best.push(best.last().map_or(overused, |&b| b.min(overused)));
-            if congestion_stalled(&best) {
-                return Some(best.len());
-            }
-        }
-        None
+        (1..=series.len()).find(|&n| congestion_stalled(&series[..n]))
     }
 
     #[test]
@@ -2100,6 +2234,106 @@ mod tests {
         assert!(congestion_stalled(&[100; STALL_WINDOW + 1]));
     }
 
+    /// The iteration at which the warm-up verdict stops a route of `nets`
+    /// nets whose iterations leave these overused-node counts, if it does.
+    fn verdict_iteration(series: &[usize], nets: usize) -> Option<usize> {
+        (1..=series.len()).find(|&n| warmup_stalled(&series[..n], nets))
+    }
+
+    #[test]
+    fn verdict_stops_hopeless_warmups_at_iteration_3() {
+        // The w=4 probes of the five DCS wire-length jobs of the
+        // benchmark's paper_relaxed workload, with their net counts:
+        // 3.8 to 4.9 overused nodes per net, and no progress.
+        let probes: [(&[usize], usize); 5] = [
+            (&[1005, 1060, 1043], 268), // regexp0+regexp1
+            (&[1065, 1128, 1146], 233), // regexp0+regexp4
+            (&[1059, 1162, 1179], 270), // regexp1+regexp2
+            (&[1101, 1244, 1183], 315), // fir_lp8+fir_hp8
+            (&[1550, 1696, 1640], 398), // alu24+intc32
+        ];
+        for (series, nets) in probes {
+            assert_eq!(
+                verdict_iteration(series, nets),
+                Some(REROUTE_ALL_ITERS),
+                "{series:?} over {nets} nets"
+            );
+        }
+    }
+
+    #[test]
+    fn verdict_keeps_converging_and_late_failing_routes_running() {
+        // The predictor's pinned series: three that converge, two that
+        // fail at width 8 after the warm-up made headway.
+        let pinned: [(&[usize], usize); 5] = [
+            (&[313, 229, 102, 39], 353),  // fir5_mdr_w5
+            (&[251, 181, 84, 34], 277),   // fir4_mdr_w4
+            (&[697, 717, 592, 330], 246), // regexp34_dcs_w9
+            (&[691, 703, 555, 308], 268), // regexp01_dcs_w8
+            (&[737, 729, 573, 375], 270), // regexp12_dcs_w8
+        ];
+        for (series, nets) in pinned {
+            assert_eq!(verdict_iteration(series, nets), None, "{series:?}");
+        }
+        // A route of the criticality proptest (seed 715016): no headway
+        // over the warm-up, then routed at iteration 4. Only the floor of
+        // 2 overused nodes per net keeps it running.
+        let small = [2, 2, 2, 0];
+        assert_eq!(verdict_iteration(&small, 5), None);
+        assert_eq!(verdict_iteration(&small, 1), Some(REROUTE_ALL_ITERS));
+    }
+
+    #[test]
+    fn verdict_fires_only_at_the_end_of_the_warmup() {
+        assert!(!warmup_stalled(&[], 1));
+        assert!(!warmup_stalled(&[100, 100], 1));
+        assert!(warmup_stalled(&[100, 100, 100], 1));
+        assert!(!warmup_stalled(&[100, 100, 99], 1), "progress");
+        assert!(
+            !warmup_stalled(&[100, 100, 100, 100], 1),
+            "past the warm-up"
+        );
+    }
+
+    /// The committed overuse corpus: one route a line, `<job> <leg>
+    /// <probe|final> <width> <nets> <overuse…>`, generated by
+    /// `crates/core/tests/overuse_corpus.rs`.
+    const CORPUS: &str = include_str!("../tests/data/overuse_corpus.txt");
+
+    #[test]
+    fn stop_rules_never_stop_a_converging_route_of_the_corpus() {
+        let max_iterations = RouterOptions::default().max_iterations;
+        let (mut routes, mut finals, mut converged, mut verdicts) = (0, 0, 0, 0);
+        for line in CORPUS.lines().filter(|l| !l.starts_with('#')) {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let nets: usize = fields[4].parse().unwrap();
+            let series: Vec<usize> = fields[5..].iter().map(|f| f.parse().unwrap()).collect();
+            let stop =
+                |n: usize| congestion_stalled(&series[..n]) || warmup_stalled(&series[..n], nets);
+            routes += 1;
+            finals += usize::from(fields[2] == "final");
+            if series.last() == Some(&0) {
+                // The router checks the rules after every iteration that
+                // left overuse; none may fire before the route converges.
+                converged += 1;
+                let early = (1..series.len()).find(|&n| stop(n));
+                assert_eq!(early, None, "a rule stops a converging route: {line}");
+            } else {
+                // A failed route ended where a rule fired, or at the cap.
+                assert!(
+                    stop(series.len()) || series.len() == max_iterations,
+                    "{line}"
+                );
+                verdicts += usize::from(verdict_iteration(&series, nets).is_some());
+            }
+        }
+        assert_eq!((routes, finals), (740, 120), "30 jobs, 4 final routes each");
+        assert!(
+            converged > 0 && verdicts > 0,
+            "{converged} converged, {verdicts} verdicts"
+        );
+    }
+
     #[test]
     fn fingerprint_tracks_bbox_margin() {
         let a = RouterOptions::default();
@@ -2108,11 +2342,22 @@ mod tests {
             ..RouterOptions::default()
         };
         assert_ne!(a.fingerprint(), b.fingerprint());
-        assert!(a.fingerprint().starts_with("router-v6"));
+        assert!(a.fingerprint().starts_with("router-v7"));
         assert_eq!(
             RouterOptions::default().without_bbox().bbox_margin,
             usize::MAX
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "share_discount must be at most 1")]
+    fn sharing_options_that_price_edges_below_zero_are_refused() {
+        let rrg = arch_rrg(3, 2);
+        let options = RouterOptions {
+            share_discount: 1.5,
+            ..RouterOptions::for_modes(2)
+        };
+        let _ = Router::new(&rrg, options);
     }
 
     #[test]
