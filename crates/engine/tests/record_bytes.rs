@@ -79,6 +79,41 @@ const GOLDEN: [&str; 5] = [
     r#"{"name":"golden-timing","flow":"dcs-timing","status":"ok","metrics":{"kind":"dcs","grid":4,"channel_width":12,"modes":2,"param_bits":90,"static_on_bits":77,"dcs_cost":{"lut_bits":272,"routing_bits":90},"mdr_cost":{"lut_bits":272,"routing_bits":1896},"speedup":5.988950276243094,"wires":[80,88],"critical_paths":[28,31],"tunable":{"modes":2,"tunable_luts":13,"io_sites":9,"connections":58,"merged_connections":18}}}"#,
 ];
 
+/// The pair of `perfbench/tests/probes.rs` at `WidthChoice::Relaxed`:
+/// every leg runs the minimum-channel-width search, so these records
+/// pin its minima. The doubling ladder probed WL 4✗ 8✓ 6✗ 7✓, edge 4✗
+/// 8✓ 6✗ 7✗, mdr0 4✓ 2✗ 3✗ and mdr1 4✗ 8✓ 6✓ 5✓ on them.
+fn relaxed_jobs() -> Vec<Job> {
+    let a = mm_gen::seeded_test_circuit("a", 6, 40, 11);
+    let b = mm_gen::seeded_test_circuit("b", 6, 40, 12);
+    let mut options = FlowOptions::default();
+    options.placer.inner_num = 1.0;
+    [
+        ("relaxed-dcs", FlowKind::Dcs(CostKind::WireLength)),
+        ("relaxed-dcs-edge", FlowKind::Dcs(CostKind::EdgeMatching)),
+        ("relaxed-mdr", FlowKind::Mdr),
+        ("relaxed-pair", FlowKind::Pair),
+    ]
+    .into_iter()
+    .map(|(name, flow)| Job {
+        name: name.into(),
+        circuits: vec![a.clone(), b.clone()],
+        flow,
+        options,
+    })
+    .collect()
+}
+
+/// Relaxed-width record bytes captured from the doubling-ladder width
+/// search (commit 0f72be1). A width search that finds the same minima
+/// must keep emitting them byte-for-byte.
+const RELAXED_GOLDEN: [&str; 4] = [
+    r#"{"name":"relaxed-dcs","flow":"dcs","status":"ok","metrics":{"kind":"dcs","grid":7,"channel_width":9,"modes":2,"param_bits":399,"static_on_bits":378,"dcs_cost":{"lut_bits":833,"routing_bits":399},"mdr_cost":{"lut_bits":833,"routing_bits":4140},"speedup":4.036525974025974,"wires":[448,458],"tunable":{"modes":2,"tunable_luts":41,"io_sites":9,"connections":210,"merged_connections":39}}}"#,
+    r#"{"name":"relaxed-dcs-edge","flow":"dcs-edge","status":"ok","metrics":{"kind":"dcs","grid":7,"channel_width":10,"modes":2,"param_bits":431,"static_on_bits":464,"dcs_cost":{"lut_bits":833,"routing_bits":431},"mdr_cost":{"lut_bits":833,"routing_bits":4684},"speedup":4.364715189873418,"wires":[537,573],"tunable":{"modes":2,"tunable_luts":43,"io_sites":10,"connections":196,"merged_connections":53}}}"#,
+    r#"{"name":"relaxed-mdr","flow":"mdr","status":"ok","metrics":{"kind":"mdr","grid":7,"channel_width":6,"modes":2,"mdr_cost":{"lut_bits":833,"routing_bits":2760},"avg_diff_cost":{"lut_bits":833,"routing_bits":669},"wires":[284,316]}}"#,
+    r#"{"name":"relaxed-pair","flow":"pair","status":"ok","metrics":{"kind":"pair","grid":7,"width_mdr":6,"width_edge":10,"width_wirelength":9,"mdr":{"lut_bits":833,"routing_bits":2760},"diff":{"lut_bits":833,"routing_bits":669},"dcs_edge":{"lut_bits":833,"routing_bits":431},"dcs_wirelength":{"lut_bits":833,"routing_bits":399},"speedup_edge":2.8425632911392404,"speedup_wirelength":2.916396103896104,"wires_mdr":300,"wires_edge":555,"wires_wirelength":453,"tunable":{"modes":2,"tunable_luts":41,"io_sites":9,"connections":210,"merged_connections":39},"mode_luts":[40,40]}}"#,
+];
+
 fn run_records(threads: usize) -> Vec<String> {
     let engine = Engine::new(EngineOptions {
         threads,
@@ -109,6 +144,26 @@ fn parallel_execution_matches_goldens() {
             "{} record drifted under threads=4",
             job.name
         );
+    }
+}
+
+#[test]
+fn relaxed_width_records_are_byte_identical_to_goldens() {
+    let engine = Engine::new(EngineOptions {
+        threads: 2,
+        cache_dir: None,
+        ..Default::default()
+    })
+    .unwrap();
+    let records: Vec<String> = engine
+        .run(relaxed_jobs())
+        .results
+        .iter()
+        .map(mm_engine::JobResult::to_json_line)
+        .collect();
+    assert_eq!(records.len(), RELAXED_GOLDEN.len());
+    for ((record, expected), job) in records.iter().zip(RELAXED_GOLDEN).zip(relaxed_jobs()) {
+        assert_eq!(record, expected, "{} record drifted", job.name);
     }
 }
 
