@@ -11,9 +11,11 @@
 //!   bounding boxes, reused across repetitions the way the flows reuse
 //!   it. The report carries both wall-clocks, routes/second and the
 //!   speedup, plus a parity check (optimized == reference under
-//!   identical options). Its `width_search` section runs one
-//!   relaxed-width channel-width search ([`WidthSearchRun`]) and
-//!   reports how many PathFinder iterations the failed probes cost.
+//!   identical options). Its `width_search` section runs the
+//!   relaxed-width channel-width search of a pair's DCS wire-length and
+//!   edge-matching legs ([`WidthSearchRun`]) and reports how many
+//!   probes each made and how many PathFinder iterations the failed ones
+//!   cost.
 //! * [`placer_perf`] — the simulated-annealing inner loop. *Baseline* is
 //!   the annealer on the naive hash-map cost model
 //!   (`mm_place::reference`); *optimized* is the flat, allocation-free
@@ -284,8 +286,9 @@ pub struct RouterPerf {
     /// The high-fanout sweep: Steiner decomposition off vs on per
     /// fanout, each parity-gated against the reference.
     pub high_fanout: Vec<HighFanoutRun>,
-    /// One relaxed-width channel-width search, probe by probe.
-    pub width_search: WidthSearchRun,
+    /// The relaxed-width channel-width searches of one pair's DCS legs
+    /// (wire-length, then edge-matching), probe by probe.
+    pub width_search: Vec<WidthSearchRun>,
 }
 
 impl RouterPerf {
@@ -318,7 +321,13 @@ impl RouterPerf {
                     .map(HighFanoutRun::to_value)
                     .collect::<Vec<_>>(),
             )
-            .field("width_search", self.width_search.to_value())
+            .field(
+                "width_search",
+                self.width_search
+                    .iter()
+                    .map(WidthSearchRun::to_value)
+                    .collect::<Vec<_>>(),
+            )
             .build()
             .to_json()
     }
@@ -350,44 +359,55 @@ impl RouterPerf {
                 format!("{at}.speedup: {speedup}, steiner mode must not be slower"),
             );
         }
-        let ws = &self.width_search;
-        g.require(
-            ws.failed_probes >= 1,
-            "width_search.failed_probes: the search has no failed probe",
-        );
-        g.require(
-            ws.failed_probe_iterations < ws.max_iterations * ws.failed_probes,
-            format!(
-                "width_search.failed_probe_iterations: {} reaches the cap of {} x {} failed probes",
-                ws.failed_probe_iterations, ws.max_iterations, ws.failed_probes
-            ),
-        );
-        g.require(
-            !config.smoke || ws.min_width == SMOKE_MIN_WIDTH,
-            format!(
-                "width_search.min_width: {}, the smoke pair's is {SMOKE_MIN_WIDTH}",
-                ws.min_width
-            ),
-        );
+        for ws in &self.width_search {
+            let at = format!("width_search[{}]", ws.leg);
+            g.require(
+                ws.failed_probes >= 1,
+                format!("{at}.failed_probes: the search has no failed probe"),
+            );
+            g.require(
+                ws.failed_probe_iterations < ws.max_iterations * ws.failed_probes,
+                format!(
+                    "{at}.failed_probe_iterations: {} reaches the cap of {} x {} failed probes",
+                    ws.failed_probe_iterations, ws.max_iterations, ws.failed_probes
+                ),
+            );
+            let pinned = smoke_min_width(ws.leg);
+            g.require(
+                !config.smoke || ws.min_width == pinned,
+                format!(
+                    "{at}.min_width: {}, the smoke pair's is {pinned}",
+                    ws.min_width
+                ),
+            );
+        }
         g.finish(&self.to_json())
     }
 }
 
-/// The smoke width-search pair's minimum channel width before the
-/// routability predictor existed: stopping hopeless probes early must
-/// not move it.
-const SMOKE_MIN_WIDTH: usize = 7;
+/// The smoke width-search pair's minimum channel width on the DCS `leg`,
+/// as the doubling ladder the search replaced found it (the wire-length
+/// leg's also before the routability predictor existed): neither the
+/// stop rules nor the search's probe order may move it.
+fn smoke_min_width(leg: &str) -> usize {
+    match leg {
+        "edge" => 8,
+        _ => 7,
+    }
+}
 
-/// One relaxed-width search (`mm_route::min_channel_width`) on the DCS
-/// wire-length leg of a pair, read off [`MinWidthResult::probes`]: how
-/// many probes failed and how many PathFinder iterations they cost
-/// before the router's routability predictor stopped them.
+/// One relaxed-width search (`mm_route::min_channel_width`) on a DCS leg
+/// of a pair, read off [`MinWidthResult::probes`]: how many probes it
+/// made, how many failed and how many PathFinder iterations those cost
+/// before the router's stop rules ended them.
 ///
 /// [`MinWidthResult::probes`]: mm_route::MinWidthResult::probes
 #[derive(Debug, Clone)]
 pub struct WidthSearchRun {
     /// The pair searched, named like `suite:<name>` jobs name it.
     pub pair: String,
+    /// The DCS leg: `wirelength` or `edge` (its placement cost).
+    pub leg: &'static str,
     /// The router's iteration cap: what every failed probe would run
     /// without the predictor.
     pub max_iterations: usize,
@@ -413,6 +433,7 @@ impl WidthSearchRun {
     fn to_value(&self) -> mm_engine::json::Value {
         ObjBuilder::new()
             .field("pair", self.pair.as_str())
+            .field("leg", self.leg)
             .field("max_iterations", self.max_iterations)
             .field("min_width", self.min_width)
             .field("probes", self.probes)
@@ -450,15 +471,17 @@ fn width_search_input(smoke: bool) -> (String, mm_flow::MultiModeInput, FlowOpti
     (pair, input, options)
 }
 
-/// Runs the width-search measurement: place the pair once, then time
-/// `reps` identical searches over its tunable circuit.
+/// Runs the width-search measurement of the DCS leg placed with `cost`:
+/// place the pair once, then time `reps` identical searches over its
+/// tunable circuit.
 ///
 /// # Panics
 ///
 /// Panics if the workload fails to place or route at any width.
-fn width_search_run(smoke: bool, reps: usize) -> WidthSearchRun {
+fn width_search_run(smoke: bool, reps: usize, cost: CostKind) -> WidthSearchRun {
     let (pair, input, options) = width_search_input(smoke);
     let placement = mm_flow::DcsFlow::new(options)
+        .with_cost(cost)
         .place(&input)
         .expect("workload places");
     let base = options.base_arch(&input);
@@ -485,6 +508,11 @@ fn width_search_run(smoke: bool, reps: usize) -> WidthSearchRun {
     let failed: Vec<_> = found.probes.iter().filter(|p| !p.success).collect();
     WidthSearchRun {
         pair,
+        leg: if cost == CostKind::EdgeMatching {
+            "edge"
+        } else {
+            "wirelength"
+        },
         max_iterations: router.max_iterations,
         min_width: found.min_width,
         probes: found.probes.len(),
@@ -608,7 +636,10 @@ pub fn router_perf(config: &PerfConfig) -> RouterPerf {
         .collect();
     // A search costs seconds at full size, so it gets fewer repetitions
     // than the millisecond routes above.
-    let width_search = width_search_run(config.smoke, reps.min(3));
+    let width_search = [CostKind::WireLength, CostKind::EdgeMatching]
+        .into_iter()
+        .map(|cost| width_search_run(config.smoke, reps.min(3), cost))
+        .collect();
     RouterPerf {
         grid,
         width,
@@ -2312,13 +2343,23 @@ mod tests {
         assert!(perf.routed, "workload must route");
         assert!(perf.parity_ok, "optimized must match the reference");
         assert!(perf.baseline_ms > 0.0 && perf.optimized_ms > 0.0);
-        let ws = &perf.width_search;
-        assert_eq!(ws.min_width, 7, "the smoke pair's minimum width");
-        assert!(ws.failed_probes >= 1, "the smoke search has a failed probe");
-        assert!(
-            ws.failed_probe_iterations < ws.max_iterations * ws.failed_probes,
-            "no failed probe stopped before the cap: {ws:?}"
+        let legs: Vec<(&str, usize)> = perf
+            .width_search
+            .iter()
+            .map(|ws| (ws.leg, ws.min_width))
+            .collect();
+        assert_eq!(
+            legs,
+            [("wirelength", 7), ("edge", 8)],
+            "the smoke pair's minimum widths"
         );
+        for ws in &perf.width_search {
+            assert!(ws.failed_probes >= 1, "the smoke search has a failed probe");
+            assert!(
+                ws.failed_probe_iterations < ws.max_iterations * ws.failed_probes,
+                "no failed probe stopped before the cap: {ws:?}"
+            );
+        }
         let json = perf.to_json();
         assert!(json.contains("\"speedup\""), "{json}");
         assert!(json.contains("\"failed_probe_iterations\""), "{json}");
@@ -2327,19 +2368,28 @@ mod tests {
             "report must be valid JSON"
         );
         let check = |r: &RouterPerf| r.check(&SMOKE);
-        assert_gate_bites(&perf, check, "width_search.min_width", |r| {
-            r.width_search.min_width = 8;
+        assert_gate_bites(&perf, check, "width_search[wirelength].min_width", |r| {
+            r.width_search[0].min_width = 8;
         });
-        assert_gate_bites(&perf, check, "width_search.failed_probe_iterations", |r| {
-            r.width_search.failed_probe_iterations =
-                r.width_search.max_iterations * r.width_search.failed_probes;
+        assert_gate_bites(&perf, check, "width_search[edge].min_width", |r| {
+            r.width_search[1].min_width += 1;
         });
+        assert_gate_bites(
+            &perf,
+            check,
+            "width_search[edge].failed_probe_iterations",
+            |r| {
+                let ws = &mut r.width_search[1];
+                ws.failed_probe_iterations = ws.max_iterations * ws.failed_probes;
+            },
+        );
         assert_gate_bites(&perf, check, "high_fanout[fanout 64].parity_ok", |r| {
             r.high_fanout[1].parity_ok = false;
         });
         // The minimum width is pinned for the smoke pair only.
         let mut full_width = perf.clone();
-        full_width.width_search.min_width = 9;
+        full_width.width_search[0].min_width = 9;
+        full_width.width_search[1].min_width = 14;
         let full = PerfConfig {
             smoke: false,
             ..SMOKE
@@ -2347,7 +2397,7 @@ mod tests {
         assert!(!full_width
             .check(&full)
             .iter()
-            .any(|f| f.starts_with("width_search.min_width:")));
+            .any(|f| f.contains("].min_width:")));
     }
 
     #[test]

@@ -204,9 +204,7 @@ fn parse_common(args: &[String]) -> Result<CommonOptions, Box<dyn Error>> {
             }
             "--width" => options.flow.width = WidthChoice::Fixed(width_value(&mut it, "--width")?),
             "--seed" => options.flow.placer.seed = next_value(&mut it, "--seed")?.parse()?,
-            "--effort" => {
-                options.flow.placer.inner_num = next_value(&mut it, "--effort")?.parse()?;
-            }
+            "--effort" => options.flow.placer.inner_num = effort_value(&mut it, "--effort")?,
             "--bits" => options.show_bits = next_value(&mut it, "--bits")?.parse()?,
             other if other.starts_with('-') => {
                 return Err(format!("unknown option '{other}'").into());
@@ -229,6 +227,16 @@ fn next_value<'a>(
 /// check, as spec files and serve requests do.
 fn width_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, Box<dyn Error>> {
     Ok(mm_engine::channel_width(
+        flag,
+        next_value(it, flag)?.parse()?,
+    )?)
+}
+
+/// Parses an `--effort` value, refusing efforts the annealer cannot
+/// finish through the engine's check, as spec files and serve requests
+/// do.
+fn effort_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<f64, Box<dyn Error>> {
+    Ok(mm_engine::annealing_effort(
         flag,
         next_value(it, flag)?.parse()?,
     )?)
@@ -368,7 +376,7 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--out" => out_path = Some(next_value(&mut it, "--out")?.clone()),
             "--width" => flow.width = WidthChoice::Fixed(width_value(&mut it, "--width")?),
             "--seed" => flow.placer.seed = next_value(&mut it, "--seed")?.parse()?,
-            "--effort" => flow.placer.inner_num = next_value(&mut it, "--effort")?.parse()?,
+            "--effort" => flow.placer.inner_num = effort_value(&mut it, "--effort")?,
             "--steiner-fanout" => {
                 flow.router.steiner_fanout = next_value(&mut it, "--steiner-fanout")?.parse()?;
             }
@@ -469,7 +477,7 @@ fn cmd_pareto(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--out" => out_path = Some(next_value(&mut it, "--out")?.clone()),
             "--width" => flow.width = WidthChoice::Fixed(width_value(&mut it, "--width")?),
             "--seed" => flow.placer.seed = next_value(&mut it, "--seed")?.parse()?,
-            "--effort" => flow.placer.inner_num = next_value(&mut it, "--effort")?.parse()?,
+            "--effort" => flow.placer.inner_num = effort_value(&mut it, "--effort")?,
             "--steiner-fanout" => {
                 flow.router.steiner_fanout = next_value(&mut it, "--steiner-fanout")?.parse()?;
             }
@@ -690,7 +698,7 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--emit-stage-times" => emit_stage_times = true,
             "--seed" => seed = Some(next_value(&mut it, "--seed")?.parse()?),
             "--width" => width = Some(width_value(&mut it, "--width")?),
-            "--effort" => effort = Some(next_value(&mut it, "--effort")?.parse()?),
+            "--effort" => effort = Some(effort_value(&mut it, "--effort")?),
             "--max-iterations" => {
                 max_iterations = Some(next_value(&mut it, "--max-iterations")?.parse()?);
             }
@@ -856,18 +864,20 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
                 if hf.parity_ok { "ok" } else { "FAILED" },
             );
         }
-        let ws = &router.width_search;
-        eprintln!(
-            "  router[width search {}]: min width {}, {} probes, {} failed in {} iterations \
-             (cap {} each), {:.0} ms",
-            ws.pair,
-            ws.min_width,
-            ws.probes,
-            ws.failed_probes,
-            ws.failed_probe_iterations,
-            ws.max_iterations,
-            ws.wall_ms,
-        );
+        for ws in &router.width_search {
+            eprintln!(
+                "  router[width search {} {}]: min width {}, {} probes, {} failed in {} \
+                 iterations (cap {} each), {:.0} ms",
+                ws.pair,
+                ws.leg,
+                ws.min_width,
+                ws.probes,
+                ws.failed_probes,
+                ws.failed_probe_iterations,
+                ws.max_iterations,
+                ws.wall_ms,
+            );
+        }
         emit("BENCH_router.json", router.check(&config), router.to_json())?;
     }
     if runs("place") {

@@ -401,6 +401,69 @@ fn zero_channel_widths_exit_1_without_panicking() {
 }
 
 #[test]
+fn out_of_range_efforts_exit_1_without_panicking() {
+    let dir = tmpdir("effort_bound");
+    let a = write_blif(&dir, "a.blif", MODE_A);
+    let b = write_blif(&dir, "b.blif", MODE_B);
+    let group = dir.join("jobs").join("g0");
+    std::fs::create_dir_all(&group).unwrap();
+    std::fs::copy(&a, group.join("m0.blif")).unwrap();
+    std::fs::copy(&b, group.join("m1.blif")).unwrap();
+    let spec = dir.join("spec.json");
+    std::fs::write(
+        &spec,
+        r#"{"defaults": {"effort": 1e308}, "jobs": [{"modes": ["a.blif", "b.blif"]}]}"#,
+    )
+    .unwrap();
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    let jobs = dir.join("jobs");
+    let jobs = jobs.to_str().unwrap();
+    let socket = dir.join("absent.sock");
+    let connect = format!("unix:{}", socket.display());
+    let mut cases = vec![(
+        vec!["batch", spec.to_str().unwrap(), "--no-cache"],
+        "\"effort\" must be",
+    )];
+    for effort in ["inf", "nan", "0", "-5", "1e308"] {
+        cases.extend([
+            (vec!["merge", a, b, "--effort", effort], "--effort must be"),
+            (vec!["mdr", a, b, "--effort", effort], "--effort must be"),
+            (
+                vec!["batch", jobs, "--no-cache", "--effort", effort],
+                "--effort must be",
+            ),
+            (
+                vec!["pareto", jobs, "--no-cache", "--effort", effort],
+                "--effort must be",
+            ),
+            (
+                vec!["submit", jobs, "--connect", &connect, "--effort", effort],
+                "--effort must be",
+            ),
+        ]);
+    }
+    for (args, expected) in cases {
+        let start = std::time::Instant::now();
+        let out = mmflow().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "{expected} an annealing effort above 0 and at most 100"
+            )),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(10),
+            "{args:?} took {:?}",
+            start.elapsed()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cache_gc_evicts_and_reports() {
     let dir = tmpdir("gc");
     let a = write_blif(&dir, "a.blif", MODE_A);

@@ -110,7 +110,8 @@ impl MultiModeInput {
 /// How the channel width is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WidthChoice {
-    /// Binary-search the minimum width, then add 20% (paper §IV-B).
+    /// Search the minimum width ([`min_channel_width`]), then add 20%
+    /// (paper §IV-B).
     Relaxed,
     /// Use a fixed width (fast runs, experiments with pinned fabrics).
     Fixed(usize),
@@ -161,11 +162,13 @@ pub(crate) fn intra_threads(options: &FlowOptions, tasks: usize) -> usize {
 
 impl WidthChoice {
     /// A stable fingerprint of the width policy, used by the batch
-    /// engine's stage cache keys.
+    /// engine's stage cache keys. The relaxed policy's carries the width
+    /// search's version: a search that probes other widths can return
+    /// another minimum where routability is not monotone in width.
     #[must_use]
     pub fn fingerprint(&self) -> String {
         match self {
-            WidthChoice::Relaxed => "relaxed".to_string(),
+            WidthChoice::Relaxed => "relaxed-v2".to_string(),
             WidthChoice::Fixed(w) => format!("fixed({w})"),
         }
     }

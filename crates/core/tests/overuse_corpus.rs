@@ -1,10 +1,16 @@
 //! Generator of the route crate's overuse corpus
 //! (`crates/route/tests/data/overuse_corpus.txt`), which its stop-rule
-//! replay test reads: the overused-node count per PathFinder iteration of
-//! every route a `pair` job makes on the paper's 30 pairings (10 regexp,
-//! 10 fir `lp i + hp i`, 10 mcnc) at the default options — every width
-//! probe and final route of its MDR, DCS edge-matching and DCS
-//! wire-length legs.
+//! replay and width-monotonicity tests read: the overused-node count per
+//! PathFinder iteration of every route a `pair` job makes on the paper's
+//! 30 pairings (10 regexp, 10 fir `lp i + hp i`, 10 mcnc) at the default
+//! options — every width probe and final route of its MDR, DCS
+//! edge-matching and DCS wire-length legs.
+//!
+//! Each width search is audited as well: the widths the doubling ladder
+//! the search replaced would have probed (4, 8, 16, … then bisection,
+//! derived from the minimum), and every width from w*−3 to w*+3, are
+//! routed too. A width either ladder probes is tagged `probe`, any other
+//! `audit`.
 //!
 //! The legs are re-run through the public calls the flows make, so each
 //! width probe's series is visible. Regenerate after a router change with
@@ -13,7 +19,7 @@
 //! cargo test --release -p mm-flow --test overuse_corpus -- --ignored
 //! ```
 //!
-//! (about ten minutes on two CPUs).
+//! (about eleven minutes on two CPUs).
 
 use mm_arch::{Architecture, RoutingGraph};
 use mm_boolexpr::ModeSet;
@@ -21,10 +27,12 @@ use mm_flow::{DcsFlow, FlowOptions, MdrFlow, MultiModeInput, TunableCircuit};
 use mm_netlist::LutCircuit;
 use mm_place::CostKind;
 use mm_route::{min_channel_width, nets_for_circuit, relaxed_width, RouteNet, Router};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// One corpus line: `<job> <leg> <probe|final> <width> <nets> <overuse…>`.
+/// One corpus line: `<job> <leg> <probe|audit|final> <width> <nets>
+/// <overuse…>`.
 fn line(
     out: &mut String,
     job: &str,
@@ -43,8 +51,37 @@ fn line(
     .unwrap();
 }
 
-/// The width search of one leg, as `min_channel_width` runs it: logs
-/// every probe and returns the minimum width.
+/// The widths the doubling ladder (4, 8, 16, … up to the first width
+/// that routes, then bisection) probes when exactly the widths from
+/// `min` up route.
+fn doubling_probes(min: usize, max_width: usize) -> Vec<usize> {
+    let mut widths = Vec::new();
+    let (mut failed, mut w) = (1, 4.min(max_width));
+    while w < min {
+        widths.push(w);
+        failed = w;
+        w = (w * 2).min(max_width);
+    }
+    widths.push(w);
+    let mut routed = w;
+    while routed - failed > 1 {
+        let mid = (failed + routed) / 2;
+        widths.push(mid);
+        if mid >= min {
+            routed = mid;
+        } else {
+            failed = mid;
+        }
+    }
+    widths
+}
+
+/// The width search of one leg, as `min_channel_width` runs it, and its
+/// audit: logs every probe, then routes and logs the doubling ladder's
+/// widths and w*−3..=w*+3 that the search did not probe, one line a
+/// width in ascending order. Prints the search's probes
+/// (`<width><ok|x>/<iterations>`) to stderr and returns the minimum
+/// width.
 fn search(
     out: &mut String,
     job: &str,
@@ -61,10 +98,37 @@ fn search(
         list
     })
     .expect("every paper pairing routes");
-    for probe in &found.probes {
-        line(out, job, leg, "probe", probe.width, count, &probe.overuse);
+    let min = found.min_width;
+    let ladder: Vec<String> = found
+        .probes
+        .iter()
+        .map(|p| {
+            let verdict = if p.success { "ok" } else { "x" };
+            format!("{}{verdict}/{}", p.width, p.iterations)
+        })
+        .collect();
+    eprintln!("{job} {leg}: w* {min}, probes {}", ladder.join(" "));
+    let mut routes: BTreeMap<usize, (&str, Vec<usize>)> = found
+        .probes
+        .into_iter()
+        .map(|p| (p.width, ("probe", p.overuse)))
+        .collect();
+    let old = doubling_probes(min, options.max_width);
+    let near = min.saturating_sub(3).max(1)..=(min + 3).min(options.max_width);
+    let extra = old
+        .into_iter()
+        .map(|w| (w, "probe"))
+        .chain(near.map(|w| (w, "audit")));
+    for (w, kind) in extra {
+        routes.entry(w).or_insert_with(|| {
+            let rrg = RoutingGraph::build(&base.with_channel_width(w));
+            (kind, Router::new(&rrg, *router).route(&nets(&rrg)).overuse)
+        });
     }
-    found.min_width
+    for (w, (kind, series)) in &routes {
+        line(out, job, leg, kind, *w, count, series);
+    }
+    min
 }
 
 /// The MDR leg: per-mode placements and width searches, then every mode
@@ -228,9 +292,11 @@ fn generate_overuse_corpus() {
     done.sort_by_key(|(i, _)| *i);
     let mut text = String::from(
         "# Overused-node count per PathFinder iteration of every route of the\n\
-         # paper's 30 pairings run as pair jobs at the default options.\n\
+         # paper's 30 pairings run as pair jobs at the default options. Each\n\
+         # width search also routes the old doubling ladder's widths and\n\
+         # w*-3..w*+3; a width neither ladder probed is tagged audit.\n\
          # Generated by crates/core/tests/overuse_corpus.rs; one route a line:\n\
-         # <job> <leg> <probe|final> <width> <nets> <overuse per iteration...>\n",
+         # <job> <leg> <probe|audit|final> <width> <nets> <overuse per iteration...>\n",
     );
     for (_, out) in done {
         text.push_str(&out);

@@ -930,6 +930,28 @@ pub fn channel_width(field: &str, width: usize) -> Result<usize, String> {
     Ok(width)
 }
 
+/// The largest annealing effort read from input: ten times VPR's default
+/// `inner_num` of 10. The annealer makes effort · blocks^(4/3) moves per
+/// temperature, so an unbounded effort never finishes.
+const MAX_EFFORT: f64 = 100.0;
+
+/// Checks an annealing effort (the placer's `inner_num`) read from input
+/// — a spec or request field, or a command-line flag, which `field`
+/// names — at the input boundary, as [`channel_width`] checks widths.
+///
+/// # Errors
+///
+/// Fails unless the effort is finite, above 0 and at most 100.
+pub fn annealing_effort(field: &str, effort: f64) -> Result<f64, String> {
+    if effort.is_finite() && effort > 0.0 && effort <= MAX_EFFORT {
+        Ok(effort)
+    } else {
+        Err(format!(
+            "{field} must be an annealing effort above 0 and at most {MAX_EFFORT}, got {effort}"
+        ))
+    }
+}
+
 fn parse_job(
     jv: &Value,
     index: usize,
@@ -976,7 +998,8 @@ fn parse_job(
         options.width = WidthChoice::Fixed(channel_width("\"width\"", width)?);
     }
     if let Some(effort) = lookup(jv, defaults, "effort") {
-        options.placer.inner_num = effort.as_f64().ok_or("\"effort\" must be a number")?;
+        let effort = effort.as_f64().ok_or("\"effort\" must be a number")?;
+        options.placer.inner_num = annealing_effort("\"effort\"", effort)?;
     }
     if let Some(iters) = lookup(jv, defaults, "max_iterations") {
         options.router.max_iterations = iters
@@ -1385,6 +1408,64 @@ mod tests {
             );
         }
         assert_eq!(channel_width("--width", 1), Ok(1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn out_of_range_efforts_are_refused_naming_the_field() {
+        let dir = std::env::temp_dir().join(format!("mm-effort-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("a.blif"),
+            ".model a\n.inputs x\n.outputs y\n.names x y\n1 1\n.end\n",
+        )
+        .unwrap();
+        for (file, spec) in [
+            (
+                "zero.json",
+                r#"{"jobs": [{"modes": ["a.blif"], "effort": 0}]}"#,
+            ),
+            (
+                "neg.json",
+                r#"{"jobs": [{"modes": ["a.blif"], "effort": -5}]}"#,
+            ),
+            (
+                "huge.json",
+                r#"{"jobs": [{"modes": ["a.blif"], "effort": 1e308}]}"#,
+            ),
+            (
+                "dhuge.json",
+                r#"{"defaults": {"effort": 100.5}, "jobs": [{"modes": ["a.blif"]}]}"#,
+            ),
+        ] {
+            let path = dir.join(file);
+            std::fs::write(&path, spec).unwrap();
+            let err = load_spec(path.to_str().unwrap(), &FlowOptions::default(), 4).unwrap_err();
+            assert!(
+                err.contains("\"effort\" must be an annealing effort above 0 and at most 100"),
+                "{file}: {err}"
+            );
+        }
+        let path = dir.join("max.json");
+        std::fs::write(
+            &path,
+            r#"{"defaults": {"effort": 100}, "jobs": [{"modes": ["a.blif"]}]}"#,
+        )
+        .unwrap();
+        let batch = load_spec(path.to_str().unwrap(), &FlowOptions::default(), 4).unwrap();
+        assert_eq!(batch.jobs[0].options.placer.inner_num, 100.0);
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -1.0,
+            100.01,
+        ] {
+            assert!(annealing_effort("--effort", bad).is_err(), "{bad}");
+        }
+        assert_eq!(annealing_effort("--effort", 0.05), Ok(0.05));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

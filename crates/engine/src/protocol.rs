@@ -256,7 +256,10 @@ impl Request {
                 request.seed = v.get("seed").map(parse_seed).transpose()?;
                 request.effort = v
                     .get("effort")
-                    .map(|f| f.as_f64().ok_or("\"effort\" must be a number"))
+                    .map(|f| {
+                        let effort = f.as_f64().ok_or("\"effort\" must be a number")?;
+                        crate::annealing_effort("\"effort\"", effort)
+                    })
                     .transpose()?;
                 if let Some(p) = usize_field("priority")? {
                     if p > MAX_PRIORITY as usize {
@@ -568,6 +571,22 @@ mod tests {
             );
             let line = format!(r#"{{"cmd":"batch","spec":"suite:regexp","{field}":1}}"#);
             assert!(Request::parse(&line).is_ok());
+        }
+    }
+
+    #[test]
+    fn out_of_range_efforts_are_refused_naming_the_field() {
+        for effort in ["0", "-2", "1e308", "100.5"] {
+            let line = format!(r#"{{"cmd":"batch","spec":"suite:regexp","effort":{effort}}}"#);
+            let err = Request::parse(&line).unwrap_err();
+            assert!(
+                err.contains("\"effort\" must be an annealing effort above 0 and at most 100"),
+                "{effort}: {err}"
+            );
+        }
+        for effort in ["0.05", "1", "100"] {
+            let line = format!(r#"{{"cmd":"batch","spec":"suite:regexp","effort":{effort}}}"#);
+            assert!(Request::parse(&line).is_ok(), "{effort}");
         }
     }
 

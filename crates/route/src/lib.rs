@@ -15,10 +15,12 @@
 //!   segment inside small local boxes, so broadcast-shaped nets stop
 //!   paying a whole-fabric search per sink.
 //!
-//! [`min_channel_width`] implements VPR's binary search for the smallest
-//! routable channel width, which the paper relaxes by 20% for its
-//! experiments; [`nets_for_circuit`] and [`verify_routing`] connect placed
-//! circuits to the router and check the result.
+//! [`min_channel_width`] finds the smallest routable channel width, which
+//! the paper relaxes by 20% for its experiments, VPR-style by routing at
+//! trial widths: width 4 first, then the width its wire demand predicts,
+//! walked to the routable/unroutable boundary. [`nets_for_circuit`] and
+//! [`verify_routing`] connect placed circuits to the router and check the
+//! result.
 //!
 //! # Example
 //!

@@ -2296,7 +2296,7 @@ mod tests {
     }
 
     /// The committed overuse corpus: one route a line, `<job> <leg>
-    /// <probe|final> <width> <nets> <overuse…>`, generated by
+    /// <probe|audit|final> <width> <nets> <overuse…>`, generated by
     /// `crates/core/tests/overuse_corpus.rs`.
     const CORPUS: &str = include_str!("../tests/data/overuse_corpus.txt");
 
@@ -2327,7 +2327,11 @@ mod tests {
                 verdicts += usize::from(verdict_iteration(&series, nets).is_some());
             }
         }
-        assert_eq!((routes, finals), (740, 120), "30 jobs, 4 final routes each");
+        assert_eq!(
+            (routes, finals),
+            (1125, 120),
+            "30 jobs, 4 final routes each"
+        );
         assert!(
             converged > 0 && verdicts > 0,
             "{converged} converged, {verdicts} verdicts"
