@@ -16,7 +16,7 @@
 //! width probe's series is visible. Regenerate after a router change with
 //!
 //! ```text
-//! cargo test --release -p mm-flow --test overuse_corpus -- --ignored
+//! cargo test --release -p mm-flow --test overuse_corpus -- --ignored --nocapture
 //! ```
 //!
 //! (about eleven minutes on two CPUs).
