@@ -171,12 +171,31 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            if e.is::<Usage>() {
+                eprintln!();
+                eprintln!("{USAGE}");
+            } else {
+                eprintln!("run 'mmflow help' for usage");
+            }
             ExitCode::FAILURE
         }
     }
 }
+
+/// A command line of the wrong shape: a missing or unknown command, an
+/// unknown option or an option without its value. `main` prints the
+/// usage text after it; any other error gets a one-line pointer to
+/// `mmflow help`, so its message stays on screen.
+#[derive(Debug)]
+struct Usage(String);
+
+impl std::fmt::Display for Usage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl Error for Usage {}
 
 struct CommonOptions {
     k: usize,
@@ -207,7 +226,7 @@ fn parse_common(args: &[String]) -> Result<CommonOptions, Box<dyn Error>> {
             "--effort" => options.flow.placer.inner_num = effort_value(&mut it, "--effort")?,
             "--bits" => options.show_bits = next_value(&mut it, "--bits")?.parse()?,
             other if other.starts_with('-') => {
-                return Err(format!("unknown option '{other}'").into());
+                return Err(Usage(format!("unknown option '{other}'")).into());
             }
             file => options.files.push(file.to_string()),
         }
@@ -220,7 +239,7 @@ fn next_value<'a>(
     flag: &str,
 ) -> Result<&'a String, Box<dyn Error>> {
     it.next()
-        .ok_or_else(|| format!("{flag} needs a value").into())
+        .ok_or_else(|| Usage(format!("{flag} needs a value")).into())
 }
 
 /// Parses a channel-width flag's value, refusing 0 through the engine's
@@ -264,7 +283,7 @@ fn load_circuits(files: &[String], k: usize) -> Result<Vec<LutCircuit>, Box<dyn 
 
 fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     let Some(command) = args.first() else {
-        return Err("missing command".into());
+        return Err(Usage("missing command".into()).into());
     };
     match command.as_str() {
         "merge" => cmd_merge(&args[1..]),
@@ -281,7 +300,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'").into()),
+        other => Err(Usage(format!("unknown command '{other}'")).into()),
     }
 }
 
@@ -381,7 +400,7 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn Error>> {
                 flow.router.steiner_fanout = next_value(&mut it, "--steiner-fanout")?.parse()?;
             }
             other if other.starts_with('-') => {
-                return Err(format!("unknown batch option '{other}'").into());
+                return Err(Usage(format!("unknown batch option '{other}'")).into());
             }
             positional if spec.is_none() => spec = Some(positional.to_string()),
             extra => return Err(format!("unexpected argument '{extra}'").into()),
@@ -482,7 +501,7 @@ fn cmd_pareto(args: &[String]) -> Result<(), Box<dyn Error>> {
                 flow.router.steiner_fanout = next_value(&mut it, "--steiner-fanout")?.parse()?;
             }
             other if other.starts_with('-') => {
-                return Err(format!("unknown pareto option '{other}'").into());
+                return Err(Usage(format!("unknown pareto option '{other}'")).into());
             }
             positional if spec.is_none() => spec = Some(positional.to_string()),
             extra => return Err(format!("unexpected argument '{extra}'").into()),
@@ -612,7 +631,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--fault-spec" => {
                 options.fault_spec = Some(next_value(&mut it, "--fault-spec")?.clone());
             }
-            other => return Err(format!("unknown serve option '{other}'").into()),
+            other => return Err(Usage(format!("unknown serve option '{other}'")).into()),
         }
     }
     let listen = listen.ok_or("serve needs --listen unix:<path> or tcp:<host:port>")?;
@@ -707,7 +726,7 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn Error>> {
                 steiner_fanout = Some(next_value(&mut it, "--steiner-fanout")?.parse()?);
             }
             other if other.starts_with('-') => {
-                return Err(format!("unknown submit option '{other}'").into());
+                return Err(Usage(format!("unknown submit option '{other}'")).into());
             }
             positional if spec.is_none() => spec = Some(positional.to_string()),
             extra => return Err(format!("unexpected argument '{extra}'").into()),
@@ -799,7 +818,7 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--reps" => reps = Some(next_value(&mut it, "--reps")?.parse()?),
             "--threads" => threads = next_value(&mut it, "--threads")?.parse()?,
             "--out-dir" => out_dir = Some(next_value(&mut it, "--out-dir")?.into()),
-            other => return Err(format!("unknown bench option '{other}'").into()),
+            other => return Err(Usage(format!("unknown bench option '{other}'")).into()),
         }
     }
     if smoke && json && out_dir.is_none() {
@@ -1023,10 +1042,10 @@ fn parse_bytes(s: &str) -> Result<u64, Box<dyn Error>> {
 
 fn cmd_cache(args: &[String]) -> Result<(), Box<dyn Error>> {
     let Some(sub) = args.first() else {
-        return Err("cache needs a subcommand: gc".into());
+        return Err(Usage("cache needs a subcommand: gc".into()).into());
     };
     if sub != "gc" {
-        return Err(format!("unknown cache subcommand '{sub}' (gc)").into());
+        return Err(Usage(format!("unknown cache subcommand '{sub}' (gc)")).into());
     }
     let mut cache_dir = std::path::PathBuf::from(".mmcache");
     let mut max_bytes: Option<u64> = None;
@@ -1040,7 +1059,7 @@ fn cmd_cache(args: &[String]) -> Result<(), Box<dyn Error>> {
                 let days: f64 = next_value(&mut it, "--max-age-days")?.parse()?;
                 max_age = Some(std::time::Duration::from_secs_f64(days * 86_400.0));
             }
-            other => return Err(format!("unknown cache gc option '{other}'").into()),
+            other => return Err(Usage(format!("unknown cache gc option '{other}'")).into()),
         }
     }
     if !cache_dir.exists() {

@@ -260,6 +260,43 @@ fn bad_usage_fails_with_help() {
 }
 
 #[test]
+fn input_errors_print_their_message_without_the_usage() {
+    let dir = tmpdir("no_usage");
+    let a = write_blif(&dir, "a.blif", MODE_A);
+    let b = write_blif(&dir, "b.blif", MODE_B);
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    for (args, expected) in [
+        (
+            vec!["merge", a, b, "--effort", "inf"],
+            "--effort must be an annealing effort",
+        ),
+        (
+            vec!["merge", a, "/nonexistent/zz.blif"],
+            "/nonexistent/zz.blif",
+        ),
+    ] {
+        let out = mmflow().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+        assert!(stderr.contains("run 'mmflow help' for usage"), "{stderr}");
+        assert!(!stderr.contains("USAGE"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    // A command line of the wrong shape still gets the usage text.
+    for args in [
+        vec!["merge", a, b, "--frob"],
+        vec!["merge", a, b, "--effort"],
+    ] {
+        let out = mmflow().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("USAGE"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn merge_rejects_missing_file() {
     let out = mmflow()
         .args(["merge", "/nonexistent/zz.blif"])
