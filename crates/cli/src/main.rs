@@ -99,23 +99,21 @@ PARETO OPTIONS:
 
 SERVE OPTIONS:
   --listen <ADDR>       unix:<path> or tcp:<host:port> (required)
-  --threads <N>         worker threads across all shards (default: one
-                        per CPU)
-  --workers <N>         worker groups (shards) jobs are routed to by
-                        content fingerprint (default: threads/2, max 8)
-  --queue-depth <N>     queued jobs each shard admits before batches
-                        bounce with a busy frame (default 256)
+  --threads <N>         worker threads, all taking jobs from one queue
+                        (default: one per CPU)
+  --queue-depth <N>     queued jobs the queue admits before batches
+                        bounce with a busy frame (default 256, at least 1)
   --cache <DIR>         stage-cache directory (default .mmcache)
   --no-cache            disable the stage cache
   --max-connections <N> concurrent connections; excess clients get a
                         busy frame and are closed (default 8)
-  --slo-ms <MS>         p95 batch-latency SLO; once a shard's observed
+  --slo-ms <MS>         p95 batch-latency SLO, above 0; once the observed
                         p95 exceeds it, low-priority batches are shed
                         with a busy frame carrying the p95 (priority 9
                         is never shed; default: off)
   --deadline-ms <MS>    per-job execution deadline; a stuck job is
                         answered with a structured timeout record while
-                        the shard keeps serving (default 30000, 0 = off)
+                        other workers keep serving (default 30000, 0 = off)
   --fault-spec <SPEC>   arm deterministic fault injection, e.g.
                         seed=7,worker_panic=0.1,conn_drop=0.05; points:
                         cache_read_io cache_write_partial worker_panic
@@ -615,7 +613,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
         match arg.as_str() {
             "--listen" => listen = Some(next_value(&mut it, "--listen")?.clone()),
             "--threads" => options.threads = next_value(&mut it, "--threads")?.parse()?,
-            "--workers" => options.workers = next_value(&mut it, "--workers")?.parse()?,
             "--queue-depth" => {
                 options.queue_depth = next_value(&mut it, "--queue-depth")?.parse()?;
             }
@@ -639,11 +636,9 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
 
     let server = Server::bind(&listen, &options)?;
     eprintln!(
-        "serve: listening on {} ({} workers in {} shards, queue depth {}, cache {}, \
-         {} connection slots)",
+        "serve: listening on {} ({} workers, queue depth {}, cache {}, {} connection slots)",
         server.listen_addr(),
         server.scheduler().threads(),
-        server.scheduler().shards(),
         options.queue_depth,
         options
             .cache_dir

@@ -265,6 +265,8 @@ fn input_errors_print_their_message_without_the_usage() {
     let a = write_blif(&dir, "a.blif", MODE_A);
     let b = write_blif(&dir, "b.blif", MODE_B);
     let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    let listen = format!("unix:{}", dir.join("mm.sock").display());
+    let serve = |option, value| vec!["serve", "--listen", &listen, "--no-cache", option, value];
     for (args, expected) in [
         (
             vec!["merge", a, b, "--effort", "inf"],
@@ -273,6 +275,15 @@ fn input_errors_print_their_message_without_the_usage() {
         (
             vec!["merge", a, "/nonexistent/zz.blif"],
             "/nonexistent/zz.blif",
+        ),
+        // Serve options that would start a daemon that misbehaves.
+        (
+            serve("--slo-ms", "nan"),
+            "slo_ms must be a finite latency above 0 ms",
+        ),
+        (
+            serve("--queue-depth", "0"),
+            "queue_depth must be at least 1",
         ),
     ] {
         let out = mmflow().args(&args).output().unwrap();
@@ -283,10 +294,12 @@ fn input_errors_print_their_message_without_the_usage() {
         assert!(!stderr.contains("USAGE"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
-    // A command line of the wrong shape still gets the usage text.
+    // A command line of the wrong shape still gets the usage text; the
+    // serve scheduler has no worker groups to choose any more.
     for args in [
         vec!["merge", a, b, "--frob"],
         vec!["merge", a, b, "--effort"],
+        serve("--workers", "2"),
     ] {
         let out = mmflow().args(&args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);

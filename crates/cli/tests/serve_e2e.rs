@@ -331,7 +331,7 @@ fn concurrent_submits_stay_byte_identical_and_fair() {
 
     // Four submit processes race on the same server; every stdout must
     // be the reference bytes, in order, whatever the interleaving on
-    // the shared worker shards.
+    // the shared workers.
     let children: Vec<Child> = (0..4)
         .map(|i| {
             mmflow()

@@ -132,7 +132,8 @@ pub struct FlowOptions {
     /// Worker threads for parallel sections *inside* one flow run: the
     /// per-mode MDR placements, and each wave of ready stage-plan nodes
     /// (a combined plan's three placement legs, then its three summary
-    /// legs): `0` = one per independent task, `1` = strictly serial.
+    /// legs). It is [`crate::pool::run_ordered`]'s thread count: `0` =
+    /// one thread per independent task, `1` = strictly serial.
     /// Results are byte-identical at any setting (every task is
     /// independently seeded), so this deliberately does **not**
     /// participate in [`FlowOptions::fingerprint`] — serial and parallel
@@ -149,14 +150,6 @@ impl Default for FlowOptions {
             max_width: 96,
             intra_parallelism: 0,
         }
-    }
-}
-
-/// Resolves the intra-job worker count for `tasks` independent tasks.
-pub(crate) fn intra_threads(options: &FlowOptions, tasks: usize) -> usize {
-    match options.intra_parallelism {
-        0 => tasks.max(1),
-        n => n,
     }
 }
 
@@ -436,9 +429,9 @@ impl MdrFlow {
 
     /// Stage 1 of MDR: conventional single-circuit annealing of every
     /// mode on the shared region. The modes are independent (each gets a
-    /// derived seed), so they anneal concurrently on the work-stealing
-    /// pool — serially with [`FlowOptions::intra_parallelism`] `== 1`,
-    /// with byte-identical results either way.
+    /// derived seed), so they anneal concurrently on the thread pool —
+    /// serially with [`FlowOptions::intra_parallelism`] `== 1`, with
+    /// byte-identical results either way.
     ///
     /// This is the expensive, seed-determined stage; the batch engine
     /// caches its output by content address.
@@ -452,11 +445,9 @@ impl MdrFlow {
             cost: CostKind::WireLength,
             ..self.options.placer
         };
-        let modes: Vec<usize> = (0..input.mode_count()).collect();
-        let threads = crate::flow::intra_threads(&self.options, modes.len());
         crate::pool::run_ordered(
-            modes,
-            threads,
+            (0..input.mode_count()).collect::<Vec<usize>>(),
+            self.options.intra_parallelism,
             |_, m| {
                 let opts = PlacerOptions {
                     seed: placer.seed ^ (m as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),

@@ -1,21 +1,20 @@
-//! A small work-stealing thread pool for coarse-grained jobs.
+//! A small thread pool for coarse-grained jobs.
 //!
-//! Each worker owns a deque seeded round-robin; it pops locally from the
-//! front and, when empty, steals from the *back* of a sibling — the
-//! classic split that keeps contention off the hot path. Results are
-//! delivered two ways: positionally (the returned `Vec` is in input
+//! Every worker takes its next item from one shared cursor, so a free
+//! worker always starts the lowest-index item nobody has taken. Results
+//! are delivered two ways: positionally (the returned `Vec` is in input
 //! order) and through an in-order streaming callback, which is what lets
 //! `mmflow batch` emit JSONL records deterministically while jobs finish
 //! out of order.
 //!
 //! With `threads == 1` everything runs inline on the caller's thread in
 //! input order — the reference schedule the determinism guarantee is
-//! stated against.
+//! stated against. `threads == 0` means one thread per item.
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// Runs `f` over `items` on `threads` workers.
+/// Runs `f` over `items` on `threads` workers (`0` = one per item, never
+/// more than one per item).
 ///
 /// Returns the results in input order. `on_done(index, &result)` is
 /// invoked for every item **in input order** (a reorder buffer holds
@@ -32,89 +31,50 @@ where
     C: FnMut(usize, &R) + Send,
 {
     let n = items.len();
-    let threads = threads.max(1).min(n.max(1));
+    let threads = match threads {
+        0 => n,
+        t => t.min(n),
+    }
+    .max(1);
+    let cursor = Mutex::new(items.into_iter().enumerate());
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let emitter = Mutex::new(Emitter { next: 0, on_done });
-
+    let work = || loop {
+        let task = cursor.lock().expect("cursor lock").next();
+        let Some((index, item)) = task else { break };
+        let result = f(index, item);
+        *slots[index].lock().expect("slot lock") = Some(result);
+        emitter.lock().expect("emitter lock").drain(&slots);
+    };
     if threads == 1 {
         // The reference schedule: strictly sequential, in input order.
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let r = f(i, item);
-                emitter.lock().expect("emitter lock").emit(i, &r);
-                r
-            })
-            .collect();
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(work);
+            }
+        });
     }
-
-    let queues: Vec<Mutex<VecDeque<(usize, T)>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        queues[i % threads]
-            .lock()
-            .expect("queue lock")
-            .push_back((i, item));
-    }
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        let queues = &queues;
-        let slots = &slots;
-        let emitter = &emitter;
-        let f = &f;
-        for me in 0..threads {
-            scope.spawn(move || loop {
-                let task = pop_or_steal(queues, me);
-                let Some((index, item)) = task else { break };
-                let result = f(index, item);
-                *slots[index].lock().expect("slot lock") = Some(result);
-                let mut em = emitter.lock().expect("emitter lock");
-                em.drain(slots);
-            });
-        }
-    });
-
-    let results: Vec<R> = slots
+    slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .expect("slot lock")
                 .expect("all jobs completed")
         })
-        .collect();
-    results
+        .collect()
 }
 
-fn pop_or_steal<T>(queues: &[Mutex<VecDeque<(usize, T)>>], me: usize) -> Option<(usize, T)> {
-    if let Some(task) = queues[me].lock().expect("queue lock").pop_front() {
-        return Some(task);
-    }
-    let n = queues.len();
-    for off in 1..n {
-        let victim = (me + off) % n;
-        if let Some(task) = queues[victim].lock().expect("queue lock").pop_back() {
-            return Some(task);
-        }
-    }
-    None
-}
-
+/// The in-order callback and the index it emits next.
 struct Emitter<C> {
     next: usize,
     on_done: C,
 }
 
 impl<C> Emitter<C> {
-    fn emit<R>(&mut self, index: usize, result: &R)
-    where
-        C: FnMut(usize, &R),
-    {
-        debug_assert_eq!(index, self.next, "sequential emit out of order");
-        (self.on_done)(index, result);
-        self.next += 1;
-    }
-
+    /// Emits every finished result from `next` on, stopping at the first
+    /// item still running.
     fn drain<R>(&mut self, slots: &[Mutex<Option<R>>])
     where
         C: FnMut(usize, &R),
@@ -178,27 +138,32 @@ mod tests {
 
     #[test]
     fn work_is_actually_distributed() {
-        // With blocking jobs and as many threads as jobs, every job must
-        // run concurrently — otherwise this deadlocks the barrier.
+        // With blocking jobs and one thread per job, every job must run
+        // concurrently — otherwise this deadlocks the barrier. `0` asks
+        // for one thread per item.
         let n = 4;
-        let barrier = std::sync::Barrier::new(n);
-        let count = AtomicUsize::new(0);
-        run_ordered(
-            (0..n).collect(),
-            n,
-            |_, _| {
-                barrier.wait();
-                count.fetch_add(1, Ordering::SeqCst);
-            },
-            |_, _| {},
-        );
-        assert_eq!(count.load(Ordering::SeqCst), n);
+        for threads in [n, 0] {
+            let barrier = std::sync::Barrier::new(n);
+            let count = AtomicUsize::new(0);
+            run_ordered(
+                (0..n).collect(),
+                threads,
+                |_, _| {
+                    barrier.wait();
+                    count.fetch_add(1, Ordering::SeqCst);
+                },
+                |_, _| {},
+            );
+            assert_eq!(count.load(Ordering::SeqCst), n, "threads = {threads}");
+        }
     }
 
     #[test]
     fn empty_and_single_item() {
-        let out: Vec<usize> = run_ordered(Vec::<usize>::new(), 4, |_, x| x, |_, _| {});
-        assert!(out.is_empty());
+        for threads in [0, 4] {
+            let out: Vec<usize> = run_ordered(Vec::<usize>::new(), threads, |_, x| x, |_, _| {});
+            assert!(out.is_empty());
+        }
         let out = run_ordered(vec![9], 4, |_, x| x, |_, _| {});
         assert_eq!(out, vec![9]);
     }

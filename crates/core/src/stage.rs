@@ -39,11 +39,11 @@
 //!
 //! [`StagePlan::execute`] resolves the DAG demand-driven from the root:
 //! a cache hit on a node means its dependencies are never even looked
-//! up. The remaining nodes run bottom-up in ready waves on the
-//! work-stealing [`pool`]; every stage is independently seeded, so the
-//! artifact is byte-identical at any parallelism. Each resolved node
-//! records wall-clock time and its cache outcome in a [`StageTiming`],
-//! returned alongside the artifact in [`PlanRun`].
+//! up. The remaining nodes run bottom-up in ready waves on the thread
+//! [`pool`]; every stage is independently seeded, so the artifact is
+//! byte-identical at any parallelism. Each resolved node records
+//! wall-clock time and its cache outcome in a [`StageTiming`], returned
+//! alongside the artifact in [`PlanRun`].
 
 use crate::flow::{DcsFlow, FlowOptions, MdrFlow, MultiModeInput};
 use crate::pool;
@@ -475,13 +475,14 @@ impl StagePlan {
     }
 
     /// Executes the plan: demand-driven cache resolution from the root,
-    /// then bottom-up waves of ready nodes on the work-stealing pool.
+    /// then bottom-up waves of ready nodes on the thread pool.
     ///
-    /// `intra_parallelism` bounds the workers per wave (`0` = one per
-    /// ready node, `1` = strictly serial); stages are independently
-    /// seeded, so the artifact is identical at any setting. On failure,
-    /// the reported error is the first failing node in node-id order of
-    /// the earliest failing wave — matching a serial bottom-up run.
+    /// `intra_parallelism` is each wave's thread count for
+    /// [`pool::run_ordered`] (`0` = one thread per ready node, `1` =
+    /// strictly serial); stages are independently seeded, so the
+    /// artifact is identical at any setting. On failure, the reported
+    /// error is the first failing node in node-id order of the earliest
+    /// failing wave — matching a serial bottom-up run.
     #[must_use]
     pub fn execute(&self, hooks: &dyn PlanHooks, intra_parallelism: usize) -> PlanRun {
         let n = self.nodes.len();
@@ -528,14 +529,10 @@ impl StagePlan {
             if wave.is_empty() {
                 break None;
             }
-            let threads = match intra_parallelism {
-                0 => wave.len().max(1),
-                t => t,
-            };
             let artifacts_ref = &artifacts;
             let results = pool::run_ordered(
                 wave.clone(),
-                threads,
+                intra_parallelism,
                 |_, i| {
                     let t0 = Instant::now();
                     let deps: Vec<Artifact> = self.nodes[i]

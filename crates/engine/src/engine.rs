@@ -4,7 +4,7 @@
 //! # Execution model
 //!
 //! [`Engine::run_streamed`] fans the jobs of a batch out across the
-//! work-stealing pool ([`mm_flow::pool`]) and emits every [`JobResult`] —
+//! thread pool ([`mm_flow::pool`]) and emits every [`JobResult`] —
 //! in job order, through a reorder buffer — as soon as it and all its
 //! predecessors are done. Each job is independent and seeded, so:
 //!

@@ -155,17 +155,15 @@ impl Job {
         })
     }
 
-    /// A content-addressed scheduling fingerprint: SHA-256 over the
-    /// compiled plan's root fingerprint — the same structural identity
-    /// the engine's stage cache keys derive from — folded to 64 bits.
-    /// The job *name* is deliberately excluded, so identical legs
-    /// submitted under different names (or by different clients) hash
-    /// identically and a fingerprint-sharded scheduler lands them on the
-    /// same worker group, where they hit the same cache entries.
+    /// A content-addressed fingerprint: SHA-256 over the compiled plan's
+    /// root fingerprint — the same structural identity the engine's
+    /// stage cache keys derive from — folded to 64 bits. The job *name*
+    /// is deliberately excluded, so identical legs submitted under
+    /// different names (or by different clients) hash identically.
     ///
     /// Jobs whose circuits fail input validation (and therefore cannot
     /// compile to a plan) fall back to hashing the raw ingredients —
-    /// flow kind, option fingerprint, canonical BLIFs — so scheduling
+    /// flow kind, option fingerprint, canonical BLIFs — so fingerprinting
     /// never panics on a job that will merely error at execution.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
@@ -1050,7 +1048,7 @@ mod tests {
             options: FlowOptions::default(),
         };
         let base = job("a", "m0", FlowKind::Mdr);
-        // Same content under a different name ⇒ the same shard.
+        // Same content under a different name ⇒ the same fingerprint.
         assert_eq!(
             base.fingerprint(),
             job("b", "m0", FlowKind::Mdr).fingerprint()

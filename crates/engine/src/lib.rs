@@ -8,7 +8,7 @@
 //! * **[`Job`]** — one multi-mode problem + flow kind + options; batches
 //!   come from JSON spec files, directories of BLIF mode groups, or the
 //!   generated suites ([`load_spec`]).
-//! * **[`Engine`]** — fans jobs out across a work-stealing thread pool;
+//! * **[`Engine`]** — fans jobs out across a thread pool;
 //!   results stream in job order and are byte-identical to a sequential
 //!   run under the same seeds.
 //! * **Stage cache** — a content-addressed on-disk store ([`StageCache`])

@@ -312,8 +312,7 @@ pub enum Frame {
         /// Which bound rejected: `"connections"`, `"jobs"` or `"slo"`
         /// (latency-driven load shedding).
         scope: String,
-        /// Current occupancy of that bound (for `"slo"`: jobs queued on
-        /// the most-loaded target shard).
+        /// Current occupancy of that bound (for `"slo"`: jobs queued).
         queued: usize,
         /// The bound itself (for `"slo"`: the configured SLO in ms).
         capacity: usize,
@@ -322,10 +321,10 @@ pub enum Frame {
         p95_ms: Option<f64>,
     },
     /// The batch was admitted behind other work: this many jobs sit in
-    /// the scheduler queues ahead of its first job. Purely informative —
+    /// the scheduler queue ahead of its first job. Purely informative —
     /// records still follow in order.
     Queued {
-        /// Jobs queued ahead across the scheduler.
+        /// Jobs queued ahead in the scheduler.
         ahead: usize,
     },
     /// Answer to [`Request::Ping`].

@@ -7,12 +7,10 @@
 //! * **One shared [`mm_engine::Engine`]** — a single stage cache and
 //!   in-memory result memo serve every connection, so clients warm each
 //!   other's caches.
-//! * **Sharded, fair scheduling** — jobs from all connections meet in a
-//!   central [`Scheduler`]: worker threads are split into shards, jobs
-//!   are routed by content fingerprint (identical legs land on the same
-//!   shard and hit the same warm state), strict priorities order the
-//!   queues and round-robin interleaves clients fairly within each
-//!   priority.
+//! * **One fair queue** — jobs from all connections meet in a central
+//!   [`Scheduler`] whose workers all take from one bounded queue:
+//!   strict priorities order it and round-robin interleaves clients
+//!   fairly within each priority.
 //! * **One thread per connection** — each admitted connection (at most
 //!   `max_connections`) reads, resolves and streams on its own thread,
 //!   so a slow or panicking request costs only its own client;
@@ -55,5 +53,5 @@ mod scheduler;
 mod server;
 
 pub use client::{BatchOutcome, Client, Rejection, DEFAULT_CONNECT_TIMEOUT};
-pub use scheduler::{Admitted, ClientId, Rejected, Scheduler, ShardStats};
+pub use scheduler::{Admitted, ClientId, QueueStats, Rejected, Scheduler};
 pub use server::{Listen, ServeOptions, ServeReport, Server, ServerHandle, SocketStream};

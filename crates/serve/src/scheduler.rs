@@ -1,16 +1,10 @@
-//! The central job scheduler: sharded worker groups, bounded queues,
+//! The central job scheduler: one bounded queue shared by every worker,
 //! priorities, per-client fairness, a per-job deadline watchdog and a
 //! latency-SLO admission controller.
 //!
 //! Every connection submits its batch jobs here instead of owning
-//! threads. The scheduler splits its workers into **shards** (worker
-//! groups); a job is routed by its content fingerprint
-//! ([`mm_engine::Job::fingerprint`]), so identical legs — no matter
-//! which client submits them or what the jobs are named — land on the
-//! same shard and keep hitting the same warm cache entries while
-//! genuinely different work spreads across groups.
-//!
-//! Each shard queues admitted jobs in a [`FairQueue`]:
+//! threads, and every worker takes its next job from the one queue, a
+//! [`FairQueue`]:
 //!
 //! * **priorities** — levels `0..=9` are strict: a queued job at a
 //!   higher level always runs before any lower-level job (the usual
@@ -22,30 +16,30 @@
 //!   takes its turn after everyone already waiting.
 //!
 //! Admission control is batch-atomic: [`Scheduler::submit_jobs`] either
-//! enqueues *all* jobs of a batch or — when any target shard would
-//! exceed its `queue_depth` — enqueues none and reports the occupancy,
-//! which the server turns into a structured `busy` frame instead of a
-//! silent stall. On top of the depth bound sits the **SLO controller**:
-//! each shard tracks a p95 EWMA of job sojourn latency
-//! (enqueue → completion, over the last 16 completions); when a target
-//! shard's p95 exceeds the configured SLO, low-priority batches are
-//! shed first — the further over the SLO, the higher the shed cutoff —
-//! and the rejection carries the observed p95 so clients can back off
-//! intelligently. Priority 9 is never shed.
+//! enqueues *all* jobs of a batch or — when the queue would exceed
+//! `queue_depth` — enqueues none and reports the occupancy, which the
+//! server turns into a structured `busy` frame instead of a silent
+//! stall. On top of the depth bound sits the **SLO controller**: the
+//! queue tracks a p95 EWMA of job sojourn latency (enqueue →
+//! completion, over the last 16 completions); when that p95 exceeds the
+//! configured SLO, low-priority batches are shed first — the further
+//! over the SLO, the higher the shed cutoff — and the rejection carries
+//! the observed p95 so clients can back off intelligently. Priority 9 is
+//! never shed.
 //!
 //! The **watchdog** guards executing jobs: a job that overruns the
 //! configured deadline gets its `on_timeout` callback fired (at most
 //! once) so the submitter can synthesize a structured timeout record
-//! while the shard keeps serving. The stuck closure itself cannot be
-//! killed — it still occupies its worker until it returns — but it no
-//! longer wedges the batch waiting on it. Cancellation
+//! while the other workers keep serving. The stuck closure itself
+//! cannot be killed — it still occupies its worker until it returns —
+//! but it no longer wedges the batch waiting on it. Cancellation
 //! ([`Scheduler::cancel_client`]) purges a client's queued jobs and
 //! frees its fairness lanes; jobs already executing finish (their cache
 //! writes are still useful).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Stable identity of one submitting client (the server allocates one
@@ -55,14 +49,12 @@ pub type ClientId = u64;
 /// A unit of scheduled work.
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// Sojourn-latency samples each shard keeps for its p95 window.
+/// Sojourn-latency samples the queue keeps for its p95 window.
 const LATENCY_WINDOW: usize = 16;
 
-/// One job handed to the scheduler: its routing fingerprint, the work
-/// closure, and an optional timeout callback.
+/// One job handed to the scheduler: the work closure and an optional
+/// timeout callback.
 pub struct JobTask {
-    /// Content fingerprint used for shard routing.
-    pub fingerprint: u64,
     /// The work closure.
     pub run: Task,
     /// Fired by the watchdog (at most once) if the job is still
@@ -75,9 +67,8 @@ pub struct JobTask {
 impl JobTask {
     /// A plain task without a timeout callback.
     #[must_use]
-    pub fn new(fingerprint: u64, run: Task) -> Self {
+    pub fn new(run: Task) -> Self {
         Self {
-            fingerprint,
             run,
             on_timeout: None,
         }
@@ -124,7 +115,7 @@ impl<T> Level<T> {
     }
 }
 
-/// The per-shard queue: strict priority levels over fair client lanes.
+/// The job queue: strict priority levels over fair client lanes.
 /// Kept free of locks and threads so the scheduling policy is unit
 /// testable in isolation.
 pub(crate) struct FairQueue<T> {
@@ -190,10 +181,10 @@ impl<T> FairQueue<T> {
     }
 }
 
-/// A point-in-time snapshot of one shard, for the per-shard stats the
-/// serve summary reports.
+/// A point-in-time snapshot of the queue, for the stats the serve
+/// summary reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ShardStats {
+pub struct QueueStats {
     /// Jobs handed to a worker so far.
     pub executed: u64,
     /// Jobs purged from the queue by client cancellation.
@@ -208,7 +199,7 @@ pub struct ShardStats {
     pub p95_ms: f64,
 }
 
-struct ShardState {
+struct QueueState {
     queue: FairQueue<Entry>,
     executed: u64,
     purged: u64,
@@ -221,7 +212,7 @@ struct ShardState {
     shutdown: bool,
 }
 
-impl ShardState {
+impl QueueState {
     /// Folds one completed job's sojourn latency into the window and
     /// re-blends the p95 EWMA (70 % history, 30 % current window), so
     /// one slow straggler raises the signal gradually and a run of fast
@@ -243,8 +234,8 @@ impl ShardState {
     }
 }
 
-struct Shard {
-    state: Mutex<ShardState>,
+struct Queue {
+    state: Mutex<QueueState>,
     work: Condvar,
 }
 
@@ -252,7 +243,6 @@ struct Shard {
 struct WatchdogEntry {
     due: Instant,
     seq: u64,
-    shard: usize,
     on_timeout: Option<Task>,
 }
 
@@ -283,14 +273,13 @@ impl Watchdog {
         }
     }
 
-    fn register(&self, shard: usize, due: Instant, on_timeout: Task) -> u64 {
+    fn register(&self, due: Instant, on_timeout: Task) -> u64 {
         let mut state = self.state.lock().expect("watchdog lock");
         state.seq += 1;
         let seq = state.seq;
         state.entries.push(WatchdogEntry {
             due,
             seq,
-            shard,
             on_timeout: Some(on_timeout),
         });
         self.tick.notify_all();
@@ -309,7 +298,7 @@ impl Watchdog {
 
 /// The watchdog thread body: sleep until the earliest pending deadline,
 /// fire every overrun entry's `on_timeout` (outside the lock), repeat.
-fn watchdog_loop(watchdog: &Watchdog, shards: &[Arc<Shard>]) {
+fn watchdog_loop(watchdog: &Watchdog, queue: &Queue) {
     let mut state = watchdog.state.lock().expect("watchdog lock");
     loop {
         if state.shutdown {
@@ -328,11 +317,7 @@ fn watchdog_loop(watchdog: &Watchdog, shards: &[Arc<Shard>]) {
         if !fired.is_empty() {
             drop(state);
             for mut entry in fired {
-                shards[entry.shard]
-                    .state
-                    .lock()
-                    .expect("shard lock")
-                    .timed_out += 1;
+                queue.state.lock().expect("queue lock").timed_out += 1;
                 if let Some(on_timeout) = entry.on_timeout.take() {
                     // A panicking timeout callback must not kill the
                     // watchdog — every other deadline still needs it.
@@ -366,10 +351,10 @@ fn watchdog_loop(watchdog: &Watchdog, shards: &[Arc<Shard>]) {
     }
 }
 
-/// The sharded worker-group scheduler. Dropping it drains: queued jobs
-/// still run, workers exit once every queue is empty.
+/// The worker pool and its queue. Dropping it drains: queued jobs still
+/// run, workers exit once the queue is empty.
 pub struct Scheduler {
-    shards: Vec<Arc<Shard>>,
+    queue: Arc<Queue>,
     workers: Vec<std::thread::JoinHandle<()>>,
     watchdog: Arc<Watchdog>,
     watchdog_thread: Option<std::thread::JoinHandle<()>>,
@@ -387,7 +372,6 @@ pub struct Scheduler {
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("shards", &self.shards.len())
             .field("threads", &self.threads)
             .field("queue_depth", &self.queue_depth)
             .field("deadline", &self.deadline)
@@ -399,11 +383,10 @@ impl std::fmt::Debug for Scheduler {
 /// Why a batch was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rejected {
-    /// Jobs queued across all shards at rejection time (for SLO sheds:
-    /// jobs queued on the most loaded target shard).
+    /// Jobs queued at rejection time.
     pub queued: usize,
-    /// Total queue capacity (`shards × queue_depth`); for SLO sheds the
-    /// SLO itself in ms.
+    /// The queue capacity (`queue_depth`); for SLO sheds the SLO itself
+    /// in ms.
     pub capacity: usize,
     /// The observed p95 sojourn latency (ms) when the SLO controller
     /// shed the batch; `None` for a plain queue-depth rejection.
@@ -413,20 +396,17 @@ pub struct Rejected {
 /// A successfully admitted batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Admitted {
-    /// Jobs that were queued ahead of this batch across all shards.
+    /// Jobs that were queued ahead of this batch.
     pub ahead: usize,
 }
 
 impl Scheduler {
-    /// Starts `threads` workers (`0` = one per CPU) split across
-    /// `shards` worker groups (`0` = one group per two workers, capped
-    /// at 8). Shards never outnumber workers; every shard owns at least
-    /// one worker. `queue_depth` bounds each shard's queued (not yet
-    /// running) jobs. `deadline` arms the per-job execution watchdog,
-    /// `slo_ms` the p95-latency admission controller.
+    /// Starts `threads` workers (`0` = one per CPU) that share one
+    /// queue. `queue_depth` bounds its queued (not yet running) jobs, so
+    /// `0` admits no job. `deadline` arms the per-job execution
+    /// watchdog, `slo_ms` the p95-latency admission controller.
     #[must_use]
     pub fn new(
-        shards: usize,
         threads: usize,
         queue_depth: usize,
         deadline: Option<Duration>,
@@ -437,48 +417,36 @@ impl Scheduler {
         } else {
             threads
         };
-        let shards = if shards == 0 {
-            (threads / 2).clamp(1, 8)
-        } else {
-            shards.min(threads)
-        };
-        let queue_depth = queue_depth.max(1);
-        let shard_handles: Vec<Arc<Shard>> = (0..shards)
-            .map(|_| {
-                Arc::new(Shard {
-                    state: Mutex::new(ShardState {
-                        queue: FairQueue::new(),
-                        executed: 0,
-                        purged: 0,
-                        timed_out: 0,
-                        peak_queued: 0,
-                        latencies: VecDeque::with_capacity(LATENCY_WINDOW),
-                        p95_ewma: 0.0,
-                        shutdown: false,
-                    }),
-                    work: Condvar::new(),
-                })
-            })
-            .collect();
+        let queue = Arc::new(Queue {
+            state: Mutex::new(QueueState {
+                queue: FairQueue::new(),
+                executed: 0,
+                purged: 0,
+                timed_out: 0,
+                peak_queued: 0,
+                latencies: VecDeque::with_capacity(LATENCY_WINDOW),
+                p95_ewma: 0.0,
+                shutdown: false,
+            }),
+            work: Condvar::new(),
+        });
         let watchdog = Arc::new(Watchdog::new());
         let watchdog_thread = {
             let watchdog = Arc::clone(&watchdog);
-            let shards = shard_handles.clone();
+            let queue = Arc::clone(&queue);
             Some(std::thread::spawn(move || {
-                watchdog_loop(&watchdog, &shards);
+                watchdog_loop(&watchdog, &queue);
             }))
         };
-        // Deal the workers round-robin so every group gets its fair
-        // share (first `threads % shards` groups get one extra).
         let workers = (0..threads)
-            .map(|i| {
-                let shard = Arc::clone(&shard_handles[i % shards]);
+            .map(|_| {
+                let queue = Arc::clone(&queue);
                 let watchdog = Arc::clone(&watchdog);
-                std::thread::spawn(move || worker(&shard, i % shards, &watchdog))
+                std::thread::spawn(move || worker(&queue, &watchdog))
             })
             .collect();
         Self {
-            shards: shard_handles,
+            queue,
             workers,
             watchdog,
             watchdog_thread,
@@ -496,18 +464,6 @@ impl Scheduler {
         self.threads
     }
 
-    /// Worker groups.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard a job fingerprint routes to.
-    #[must_use]
-    pub fn shard_of(&self, fingerprint: u64) -> usize {
-        (fingerprint % self.shards.len() as u64) as usize
-    }
-
     /// Batches the SLO controller refused to admit.
     #[must_use]
     pub fn shed_batches(&self) -> u64 {
@@ -520,24 +476,23 @@ impl Scheduler {
         self.deadline
     }
 
-    /// Admits a whole batch or nothing: every job is routed to its
-    /// shard by fingerprint; if any target shard would exceed
+    /// Admits a whole batch or nothing: if the queue would exceed
     /// `queue_depth`, no job is enqueued and the occupancy comes back
     /// as [`Rejected`] for the server's `busy` frame.
     ///
-    /// When an SLO is configured and a target shard's p95 sojourn
-    /// latency exceeds it, low-priority batches are shed first: the
-    /// cutoff rises with the overshoot
+    /// When an SLO is configured and the p95 sojourn latency exceeds
+    /// it, low-priority batches are shed first: the cutoff rises with
+    /// the overshoot
     /// (`((p95/slo − 1) × 4)` levels, capped at 8), so mild pressure
     /// sheds only priority 0 while a 3× overshoot sheds everything
     /// below 9. Priority 9 is never shed — the operator's escape hatch
-    /// always gets through (subject to queue depth).
+    /// always gets through (subject to queue depth) — and neither is a
+    /// batch without jobs.
     ///
     /// # Errors
     ///
-    /// Returns [`Rejected`] when a target shard's queue is full, or —
-    /// with `p95_ms` populated — when the SLO controller sheds the
-    /// batch.
+    /// Returns [`Rejected`] when the queue is full, or — with `p95_ms`
+    /// populated — when the SLO controller sheds the batch.
     pub fn submit_jobs(
         &self,
         client: ClientId,
@@ -545,133 +500,82 @@ impl Scheduler {
         tasks: Vec<JobTask>,
     ) -> Result<Admitted, Rejected> {
         let enqueued = Instant::now();
-        let mut per_shard: Vec<Vec<Entry>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        let mut state = self.queue.state.lock().expect("queue lock");
+        let queued = state.queue.len();
+        if let Some(slo) = self.slo_ms {
+            let p95 = state.p95_ewma;
+            if priority < 9 && !tasks.is_empty() && p95 > slo {
+                let cutoff = ((p95 / slo - 1.0) * 4.0).clamp(0.0, 8.0) as u8;
+                if priority <= cutoff {
+                    self.shed.fetch_add(1, Ordering::Relaxed);
+                    return Err(Rejected {
+                        queued,
+                        capacity: slo as usize,
+                        p95_ms: Some(p95),
+                    });
+                }
+            }
+        }
+        if queued + tasks.len() > self.queue_depth {
+            return Err(Rejected {
+                queued,
+                capacity: self.queue_depth,
+                p95_ms: None,
+            });
+        }
         for task in tasks {
-            let shard = self.shard_of(task.fingerprint);
-            per_shard[shard].push(Entry {
+            let entry = Entry {
                 run: task.run,
                 on_timeout: task.on_timeout,
                 deadline: self.deadline,
                 enqueued,
-            });
+            };
+            state.queue.push(client, priority, entry);
         }
-        // Lock every shard in index order (no deadlock: this is the only
-        // multi-shard lock site) so admission is atomic across shards.
-        let mut guards: Vec<MutexGuard<'_, ShardState>> = self
-            .shards
-            .iter()
-            .map(|s| s.state.lock().expect("shard lock"))
-            .collect();
-        let queued_now: usize = guards.iter().map(|g| g.queue.len()).sum();
-        if let Some(slo) = self.slo_ms {
-            if priority < 9 {
-                let worst = per_shard
-                    .iter()
-                    .zip(guards.iter())
-                    .filter(|(add, _)| !add.is_empty())
-                    .map(|(_, g)| g.p95_ewma)
-                    .fold(0.0f64, f64::max);
-                if worst > slo {
-                    let cutoff = ((worst / slo - 1.0) * 4.0).clamp(0.0, 8.0) as u8;
-                    if priority <= cutoff {
-                        let loaded = per_shard
-                            .iter()
-                            .zip(guards.iter())
-                            .filter(|(add, _)| !add.is_empty())
-                            .map(|(_, g)| g.queue.len())
-                            .max()
-                            .unwrap_or(0);
-                        self.shed.fetch_add(1, Ordering::Relaxed);
-                        return Err(Rejected {
-                            queued: loaded,
-                            capacity: slo as usize,
-                            p95_ms: Some(worst),
-                        });
-                    }
-                }
-            }
-        }
-        if per_shard
-            .iter()
-            .zip(guards.iter())
-            .any(|(add, g)| g.queue.len() + add.len() > self.queue_depth)
-        {
-            return Err(Rejected {
-                queued: queued_now,
-                capacity: self.shards.len() * self.queue_depth,
-                p95_ms: None,
-            });
-        }
-        for ((add, guard), shard) in per_shard
-            .into_iter()
-            .zip(guards.iter_mut())
-            .zip(self.shards.iter())
-        {
-            if add.is_empty() {
-                continue;
-            }
-            for entry in add {
-                guard.queue.push(client, priority, entry);
-            }
-            guard.peak_queued = guard.peak_queued.max(guard.queue.len());
-            shard.work.notify_all();
-        }
-        Ok(Admitted { ahead: queued_now })
+        state.peak_queued = state.peak_queued.max(state.queue.len());
+        self.queue.work.notify_all();
+        Ok(Admitted { ahead: queued })
     }
 
-    /// Purges every queued job of `client` across all shards (their
-    /// task closures are dropped unexecuted) and frees the client's
-    /// fairness lanes. Jobs already running finish normally.
+    /// Purges every queued job of `client` (their task closures are
+    /// dropped unexecuted) and frees the client's fairness lanes. Jobs
+    /// already running finish normally.
     pub fn cancel_client(&self, client: ClientId) -> usize {
-        let mut purged = 0;
-        for shard in &self.shards {
-            let mut state = shard.state.lock().expect("shard lock");
-            let n = state.queue.cancel_client(client);
-            state.purged += n as u64;
-            purged += n;
-        }
+        let mut state = self.queue.state.lock().expect("queue lock");
+        let purged = state.queue.cancel_client(client);
+        state.purged += purged as u64;
         purged
     }
 
-    /// Point-in-time per-shard counters.
+    /// Point-in-time queue counters.
     #[must_use]
-    pub fn stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let state = shard.state.lock().expect("shard lock");
-                ShardStats {
-                    executed: state.executed,
-                    purged: state.purged,
-                    timed_out: state.timed_out,
-                    queued: state.queue.len(),
-                    peak_queued: state.peak_queued,
-                    p95_ms: state.p95_ewma,
-                }
-            })
-            .collect()
+    pub fn stats(&self) -> QueueStats {
+        let state = self.queue.state.lock().expect("queue lock");
+        QueueStats {
+            executed: state.executed,
+            purged: state.purged,
+            timed_out: state.timed_out,
+            queued: state.queue.len(),
+            peak_queued: state.peak_queued,
+            p95_ms: state.p95_ewma,
+        }
     }
 
-    /// Live fairness lanes across all shards — `0` when nothing is
-    /// queued (leak check for disconnect tests).
+    /// Live fairness lanes — `0` when nothing is queued (leak check for
+    /// disconnect tests).
     #[must_use]
     pub fn client_lanes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().expect("shard lock").queue.lanes())
-            .sum()
+        self.queue.state.lock().expect("queue lock").queue.lanes()
     }
 }
 
 impl Drop for Scheduler {
-    /// Drains: queued jobs still run; workers exit once their shard is
+    /// Drains: queued jobs still run; workers exit once the queue is
     /// empty. The watchdog outlives the workers so deadlines armed
     /// during the drain still fire.
     fn drop(&mut self) {
-        for shard in &self.shards {
-            shard.state.lock().expect("shard lock").shutdown = true;
-            shard.work.notify_all();
-        }
+        self.queue.state.lock().expect("queue lock").shutdown = true;
+        self.queue.work.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -683,10 +587,10 @@ impl Drop for Scheduler {
     }
 }
 
-fn worker(shard: &Shard, shard_index: usize, watchdog: &Watchdog) {
+fn worker(queue: &Queue, watchdog: &Watchdog) {
     loop {
         let entry = {
-            let mut state = shard.state.lock().expect("shard lock");
+            let mut state = queue.state.lock().expect("queue lock");
             loop {
                 if let Some(entry) = state.queue.pop() {
                     state.executed += 1;
@@ -695,18 +599,18 @@ fn worker(shard: &Shard, shard_index: usize, watchdog: &Watchdog) {
                 if state.shutdown {
                     break None;
                 }
-                state = shard.work.wait(state).expect("shard lock");
+                state = queue.work.wait(state).expect("queue lock");
             }
         };
         match entry {
-            // A panicking task must not kill the worker: the shard is
-            // part of the server's lifetime capacity. Submitters that
-            // need the panic surfaced catch it themselves (the server
-            // converts it into a per-job error record).
+            // A panicking task must not kill the worker: it is part of
+            // the server's lifetime capacity. Submitters that need the
+            // panic surfaced catch it themselves (the server converts it
+            // into a per-job error record).
             Some(mut entry) => {
                 let ticket = match (entry.deadline, entry.on_timeout.take()) {
                     (Some(deadline), Some(on_timeout)) => {
-                        Some(watchdog.register(shard_index, Instant::now() + deadline, on_timeout))
+                        Some(watchdog.register(Instant::now() + deadline, on_timeout))
                     }
                     _ => None,
                 };
@@ -715,10 +619,10 @@ fn worker(shard: &Shard, shard_index: usize, watchdog: &Watchdog) {
                     watchdog.cancel(seq);
                 }
                 let sojourn_ms = entry.enqueued.elapsed().as_secs_f64() * 1000.0;
-                shard
+                queue
                     .state
                     .lock()
-                    .expect("shard lock")
+                    .expect("queue lock")
                     .note_latency(sojourn_ms);
                 if let Err(panic) = outcome {
                     eprintln!(
@@ -748,13 +652,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Plain `(fingerprint, task)` pairs as jobs without timeout
-    /// callbacks.
-    fn jobs(tasks: Vec<(u64, Task)>) -> Vec<JobTask> {
-        tasks
-            .into_iter()
-            .map(|(fingerprint, run)| JobTask::new(fingerprint, run))
-            .collect()
+    /// Plain tasks as jobs without timeout callbacks.
+    fn jobs(tasks: Vec<Task>) -> Vec<JobTask> {
+        tasks.into_iter().map(JobTask::new).collect()
     }
 
     #[test]
@@ -822,17 +722,15 @@ mod tests {
 
     #[test]
     fn scheduler_runs_every_admitted_task_and_drains_on_drop() {
-        let s = Scheduler::new(2, 4, 64, None, None);
-        assert_eq!(s.shards(), 2);
+        let s = Scheduler::new(4, 64, None, None);
         assert_eq!(s.threads(), 4);
         let count = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<(u64, Task)> = (0..32u64)
-            .map(|i| {
+        let tasks: Vec<Task> = (0..32)
+            .map(|_| {
                 let count = Arc::clone(&count);
-                let task: Task = Box::new(move || {
+                Box::new(move || {
                     count.fetch_add(1, Ordering::SeqCst);
-                });
-                (i, task)
+                }) as Task
             })
             .collect();
         s.submit_jobs(1, 1, jobs(tasks)).expect("fits");
@@ -842,57 +740,61 @@ mod tests {
 
     #[test]
     fn admission_is_batch_atomic_and_reports_occupancy() {
-        // One paused worker so queued jobs stay queued.
-        let s = Scheduler::new(1, 1, 4, None, None);
-        let gate = Arc::new(std::sync::Barrier::new(2));
-        let g = Arc::clone(&gate);
-        let blocker: Task = Box::new(move || {
-            g.wait();
-        });
-        s.submit_jobs(1, 1, vec![JobTask::new(0, blocker)])
-            .expect("admitted");
-        // Wait until the worker picked the blocker up.
-        while s.stats()[0].executed == 0 {
-            std::thread::yield_now();
+        // Every worker shares the one queue, so its depth is the whole
+        // capacity whatever the worker count.
+        for workers in [1, 4] {
+            // Every worker paused on a barrier so queued jobs stay queued.
+            let s = Scheduler::new(workers, 4, None, None);
+            let gate = Arc::new(std::sync::Barrier::new(workers + 1));
+            let blockers: Vec<Task> = (0..workers)
+                .map(|_| {
+                    let g = Arc::clone(&gate);
+                    Box::new(move || {
+                        g.wait();
+                    }) as Task
+                })
+                .collect();
+            s.submit_jobs(1, 1, jobs(blockers)).expect("admitted");
+            // Wait until every worker picked a blocker up.
+            while s.stats().executed < workers as u64 {
+                std::thread::yield_now();
+            }
+            // 4 queued jobs fill the depth exactly.
+            let fill: Vec<Task> = (0..4).map(|_| Box::new(|| {}) as Task).collect();
+            let admitted = s.submit_jobs(1, 1, jobs(fill)).expect("fills the queue");
+            assert_eq!(admitted.ahead, 0);
+            // A 2-job batch must be rejected whole, not half-enqueued.
+            let over: Vec<Task> = (0..2).map(|_| Box::new(|| {}) as Task).collect();
+            let rejected = s.submit_jobs(2, 1, jobs(over)).expect_err("over depth");
+            assert_eq!(rejected.queued, 4, "{workers} workers");
+            assert_eq!(rejected.capacity, 4, "capacity is queue_depth");
+            assert_eq!(rejected.p95_ms, None, "depth rejection, not an SLO shed");
+            assert_eq!(s.stats().queued, 4, "rejected batch left nothing behind");
+            gate.wait(); // release the blockers, let the drop drain
         }
-        // 4 queued jobs fill the depth exactly.
-        let fill: Vec<(u64, Task)> = (0..4).map(|i| (i, Box::new(|| {}) as Task)).collect();
-        let admitted = s.submit_jobs(1, 1, jobs(fill)).expect("fills the queue");
-        assert_eq!(admitted.ahead, 0);
-        // A 2-job batch must be rejected whole, not half-enqueued.
-        let over: Vec<(u64, Task)> = (0..2).map(|i| (i, Box::new(|| {}) as Task)).collect();
-        let rejected = s.submit_jobs(2, 1, jobs(over)).expect_err("over depth");
-        assert_eq!(rejected.queued, 4);
-        assert_eq!(rejected.capacity, 4);
-        assert_eq!(rejected.p95_ms, None, "depth rejection, not an SLO shed");
-        assert_eq!(s.stats()[0].queued, 4, "rejected batch left nothing behind");
-        gate.wait(); // release the blocker, let the drop drain
     }
 
     #[test]
     fn cancel_client_purges_queued_jobs_and_frees_lanes() {
-        let s = Scheduler::new(1, 1, 64, None, None);
+        let s = Scheduler::new(1, 64, None, None);
         let gate = Arc::new(std::sync::Barrier::new(2));
         let g = Arc::clone(&gate);
         let ran = Arc::new(AtomicUsize::new(0));
         let blocker: Task = Box::new(move || {
             g.wait();
         });
-        s.submit_jobs(9, 1, vec![JobTask::new(0, blocker)])
+        s.submit_jobs(9, 1, vec![JobTask::new(blocker)])
             .expect("admitted");
-        while s.stats()[0].executed == 0 {
+        while s.stats().executed == 0 {
             std::thread::yield_now();
         }
         for client in [1u64, 2] {
-            let tasks: Vec<(u64, Task)> = (0..5)
-                .map(|i| {
+            let tasks: Vec<Task> = (0..5)
+                .map(|_| {
                     let ran = Arc::clone(&ran);
-                    (
-                        i,
-                        Box::new(move || {
-                            ran.fetch_add(1, Ordering::SeqCst);
-                        }) as Task,
-                    )
+                    Box::new(move || {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    }) as Task
                 })
                 .collect();
             s.submit_jobs(client, 1, jobs(tasks)).expect("admitted");
@@ -906,17 +808,14 @@ mod tests {
 
     #[test]
     fn a_panicking_task_does_not_kill_its_worker() {
-        let s = Scheduler::new(1, 1, 64, None, None);
+        let s = Scheduler::new(1, 64, None, None);
         let done = Arc::new(AtomicUsize::new(0));
-        let mut tasks: Vec<(u64, Task)> = vec![(0, Box::new(|| panic!("boom")) as Task)];
-        for i in 0..4 {
+        let mut tasks: Vec<Task> = vec![Box::new(|| panic!("boom"))];
+        for _ in 0..4 {
             let done = Arc::clone(&done);
-            tasks.push((
-                i,
-                Box::new(move || {
-                    done.fetch_add(1, Ordering::SeqCst);
-                }) as Task,
-            ));
+            tasks.push(Box::new(move || {
+                done.fetch_add(1, Ordering::SeqCst);
+            }));
         }
         s.submit_jobs(1, 1, jobs(tasks)).expect("admitted");
         drop(s);
@@ -932,23 +831,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_resolution_bounds() {
-        let s = Scheduler::new(0, 4, 8, None, None);
-        assert_eq!(s.shards(), 2, "auto: one group per two workers");
-        let s = Scheduler::new(8, 2, 8, None, None);
-        assert_eq!(s.shards(), 2, "groups never outnumber workers");
-        let s = Scheduler::new(0, 1, 8, None, None);
-        assert_eq!(s.shards(), 1);
-        assert_eq!(s.shard_of(7), s.shard_of(7));
-    }
-
-    #[test]
-    fn watchdog_times_out_a_stuck_job_and_the_shard_survives() {
-        let s = Scheduler::new(1, 1, 64, Some(Duration::from_millis(30)), None);
+    fn watchdog_times_out_a_stuck_job_and_the_worker_survives() {
+        let s = Scheduler::new(1, 64, Some(Duration::from_millis(30)), None);
         let timed_out = Arc::new(AtomicUsize::new(0));
         let t = Arc::clone(&timed_out);
         let stuck = JobTask {
-            fingerprint: 0,
             run: Box::new(|| std::thread::sleep(Duration::from_millis(200))),
             on_timeout: Some(Box::new(move || {
                 t.fetch_add(1, Ordering::SeqCst);
@@ -957,7 +844,6 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         let d = Arc::clone(&done);
         let follower = JobTask {
-            fingerprint: 1,
             run: Box::new(move || {
                 d.fetch_add(1, Ordering::SeqCst);
             }),
@@ -974,13 +860,12 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        let stats = s.stats();
-        assert_eq!(stats[0].timed_out, 1, "overrun counted on the shard");
+        assert_eq!(s.stats().timed_out, 1, "overrun counted on the queue");
         drop(s); // drains: the follower still runs after the overrun
         assert_eq!(
             done.load(Ordering::SeqCst),
             1,
-            "shard survived the stuck job"
+            "the worker survived the stuck job"
         );
         assert_eq!(
             timed_out.load(Ordering::SeqCst),
@@ -991,10 +876,9 @@ mod tests {
 
     #[test]
     fn fast_jobs_never_trip_the_watchdog() {
-        let s = Scheduler::new(1, 1, 64, Some(Duration::from_secs(10)), None);
+        let s = Scheduler::new(1, 64, Some(Duration::from_secs(10)), None);
         let tasks: Vec<JobTask> = (0..8)
-            .map(|i| JobTask {
-                fingerprint: i,
+            .map(|_| JobTask {
                 run: Box::new(|| {}),
                 on_timeout: Some(Box::new(|| panic!("must not fire"))),
             })
@@ -1008,15 +892,15 @@ mod tests {
     #[test]
     fn slo_controller_sheds_low_priority_first_and_reports_p95() {
         // Absurdly tight SLO: any completed work trips it.
-        let s = Scheduler::new(1, 1, 64, None, Some(0.000_001));
+        let s = Scheduler::new(1, 64, None, Some(0.000_001));
         assert_eq!(s.shed_batches(), 0);
         // Before any completion the latency window is empty — everything
         // is admitted.
-        s.submit_jobs(1, 0, jobs(vec![(0, Box::new(|| {}) as Task)]))
+        s.submit_jobs(1, 0, jobs(vec![Box::new(|| {})]))
             .expect("no latency signal yet");
         // Wait for the completion to populate the window.
         let start = Instant::now();
-        while s.stats()[0].p95_ms == 0.0 {
+        while s.stats().p95_ms == 0.0 {
             assert!(
                 start.elapsed() < Duration::from_secs(5),
                 "latency never noted"
@@ -1024,13 +908,13 @@ mod tests {
             std::thread::yield_now();
         }
         let rejected = s
-            .submit_jobs(1, 0, jobs(vec![(0, Box::new(|| {}) as Task)]))
+            .submit_jobs(1, 0, jobs(vec![Box::new(|| {})]))
             .expect_err("p95 over SLO sheds priority 0");
         assert!(rejected.p95_ms.is_some(), "shed carries the observed p95");
         assert!(rejected.p95_ms.unwrap() > 0.0);
         assert_eq!(s.shed_batches(), 1);
         // Priority 9 is never shed.
-        s.submit_jobs(1, 9, jobs(vec![(0, Box::new(|| {}) as Task)]))
+        s.submit_jobs(1, 9, jobs(vec![Box::new(|| {})]))
             .expect("priority 9 always admitted");
         drop(s);
     }

@@ -9,9 +9,9 @@
 //! resolves and admits batches to the [`Scheduler`], and writes each
 //! batch's records in job order as the workers deliver them. Job
 //! execution never happens on a connection thread — the scheduler's
-//! sharded worker groups do that — so a slow spec resolution or a
-//! panicking request costs only its own client. An idle connection, like
-//! the idle accept loop, waits in a blocking call and costs no CPU.
+//! workers do that — so a slow spec resolution or a panicking request
+//! costs only its own client. An idle connection, like the idle accept
+//! loop, waits in a blocking call and costs no CPU.
 //!
 //! # Backpressure
 //!
@@ -19,7 +19,7 @@
 //!
 //! * a connection over `max_connections` receives one structured
 //!   `busy` frame (`scope: "connections"`) and is closed;
-//! * a batch that would overflow a shard queue is rejected whole with a
+//! * a batch that would overflow the job queue is rejected whole with a
 //!   `busy` frame (`scope: "jobs"`) — the connection stays usable and
 //!   the client retries;
 //! * an admitted batch that has to wait is told so with a `queued`
@@ -94,32 +94,29 @@ impl std::fmt::Display for Listen {
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads across all shards (`0` = one per CPU).
+    /// Worker threads, all taking jobs from one queue (`0` = one per
+    /// CPU).
     pub threads: usize,
     /// Stage-cache root shared by every connection; `None` disables
     /// caching.
     pub cache_dir: Option<PathBuf>,
     /// Connections handled concurrently; an excess client receives a
     /// structured `busy` frame (`scope: "connections"`) and is closed
-    /// instead of stalling in the accept backlog.
+    /// instead of stalling in the accept backlog. At least 1.
     pub max_connections: usize,
-    /// Worker groups (shards) the threads are split into; jobs are
-    /// routed by content fingerprint so identical legs share a shard.
-    /// `0` = one group per two workers (capped at 8).
-    pub workers: usize,
-    /// Queued (not yet running) jobs each shard admits before batches
-    /// bounce with a `busy` frame (`scope: "jobs"`).
+    /// Queued (not yet running) jobs the queue admits before batches
+    /// bounce with a `busy` frame (`scope: "jobs"`). At least 1.
     pub queue_depth: usize,
-    /// p95 sojourn-latency SLO in milliseconds. When set, batches are
-    /// shed lowest-priority-first once a target shard's observed p95
+    /// p95 sojourn-latency SLO in milliseconds, finite and above 0. When
+    /// set, batches are shed lowest-priority-first once the observed p95
     /// exceeds it (`busy` frame, `scope: "slo"`, carrying the p95);
     /// priority 9 is never shed. `None` keeps plain queue-depth
     /// admission only.
     pub slo_ms: Option<f64>,
     /// Per-job execution deadline in milliseconds; a job still running
     /// past it is declared stuck by the watchdog and answered with a
-    /// structured `timeout` error record while the shard keeps serving.
-    /// `0` disables the watchdog.
+    /// structured `timeout` error record while the other workers keep
+    /// serving. `0` disables the watchdog.
     pub deadline_ms: u64,
     /// Deterministic fault-injection spec
     /// (e.g. `"seed=7,worker_panic=0.1,stall_ms=20"`) armed at bind —
@@ -134,7 +131,6 @@ impl Default for ServeOptions {
             threads: 0,
             cache_dir: None,
             max_connections: 8,
-            workers: 0,
             queue_depth: 256,
             slo_ms: None,
             deadline_ms: 30_000,
@@ -154,7 +150,7 @@ pub struct ServeReport {
     pub jobs: u64,
     /// Connections turned away with a `busy` frame at `max_connections`.
     pub rejected_connections: u64,
-    /// Batches bounced with a `busy` frame by shard-queue admission.
+    /// Batches bounced with a `busy` frame by queue-depth admission.
     pub rejected_batches: u64,
     /// Queued jobs purged because their client disconnected.
     pub purged_jobs: u64,
@@ -389,12 +385,11 @@ const HANGUP_POLL: Duration = Duration::from_millis(10);
 
 /// The long-running batch service.
 ///
-/// One [`Engine`] (and therefore one stage cache) and one sharded
-/// [`Scheduler`] are shared by every connection: concurrent clients
-/// submit batches whose jobs interleave fairly on the worker groups and
-/// warm the same cache, while each connection's result stream stays in
-/// its own batch's job order — byte-identical to `mmflow batch` on the
-/// same spec.
+/// One [`Engine`] (and therefore one stage cache) and one [`Scheduler`]
+/// are shared by every connection: concurrent clients submit batches
+/// whose jobs interleave fairly on the workers and warm the same cache,
+/// while each connection's result stream stays in its own batch's job
+/// order — byte-identical to `mmflow batch` on the same spec.
 pub struct Server {
     engine: Arc<Engine>,
     scheduler: Arc<Scheduler>,
@@ -408,29 +403,46 @@ impl std::fmt::Debug for Server {
         f.debug_struct("Server")
             .field("listen", &self.state.listen)
             .field("threads", &self.scheduler.threads())
-            .field("shards", &self.scheduler.shards())
             .field("max_connections", &self.max_connections)
             .finish()
     }
 }
 
 impl Server {
-    /// Binds the listener and starts the scheduler's worker groups (but
+    /// Binds the listener and starts the scheduler's workers (but
     /// accepts nothing until [`Server::run`]). A stale Unix socket path
     /// is removed first — the server owns it.
     ///
     /// # Errors
     ///
-    /// Fails if the socket cannot be bound or the cache directory cannot
-    /// be created.
+    /// Fails with [`std::io::ErrorKind::InvalidInput`], naming the
+    /// option, on an SLO that is not finite and above 0, a zero queue
+    /// depth or connection cap, or a malformed fault spec; otherwise if
+    /// the socket cannot be bound or the cache directory cannot be
+    /// created.
     pub fn bind(listen: &Listen, options: &ServeOptions) -> std::io::Result<Self> {
+        let invalid =
+            |message: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, message);
+        if let Some(slo) = options
+            .slo_ms
+            .filter(|slo| !(slo.is_finite() && *slo > 0.0))
+        {
+            return Err(invalid(format!(
+                "slo_ms must be a finite latency above 0 ms, got {slo}"
+            )));
+        }
+        if options.queue_depth == 0 {
+            return Err(invalid("queue_depth must be at least 1, got 0".to_string()));
+        }
+        if options.max_connections == 0 {
+            return Err(invalid(
+                "max_connections must be at least 1, got 0".to_string(),
+            ));
+        }
         if let Some(spec) = &options.fault_spec {
-            faultpoint::arm(spec).map_err(|message| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, message)
-            })?;
+            faultpoint::arm(spec).map_err(invalid)?;
         }
         let scheduler = Arc::new(Scheduler::new(
-            options.workers,
             options.threads,
             options.queue_depth,
             (options.deadline_ms > 0).then(|| Duration::from_millis(options.deadline_ms)),
@@ -491,7 +503,7 @@ impl Server {
                 listen,
                 open: Mutex::new(HashMap::new()),
             }),
-            max_connections: options.max_connections.max(1),
+            max_connections: options.max_connections,
         })
     }
 
@@ -524,7 +536,7 @@ impl Server {
     /// Serves until shutdown is requested (protocol `shutdown` frame or
     /// [`ServerHandle::shutdown`]), then drains: the accept loop stops,
     /// every connection — including batches still executing on the
-    /// worker groups — runs to completion, and the workers are joined
+    /// workers — runs to completion, and the workers are joined
     /// before this returns.
     ///
     /// # Errors
@@ -622,7 +634,7 @@ impl Server {
         // and every admitted batch has streamed its summary. Join the
         // workers (drains any purge-raced stragglers) before reporting.
         let shed_batches = scheduler.shed_batches();
-        let timed_out_jobs: u64 = scheduler.stats().iter().map(|s| s.timed_out).sum();
+        let timed_out_jobs = scheduler.stats().timed_out;
         drop(scheduler);
         if let Listen::Unix(path) = &state.listen {
             let _ = std::fs::remove_file(path);
@@ -692,7 +704,7 @@ fn serve_connection(ctx: Ctx<'_>, stream: SocketStream, slot: Slot<'_>) {
     }
 }
 
-/// Per-batch reorder buffer: shard workers finish jobs in any order,
+/// Per-batch reorder buffer: the workers finish jobs in any order,
 /// the connection's thread takes them strictly in job order, woken by
 /// each delivery.
 struct Collector {
@@ -994,7 +1006,7 @@ impl Conn {
         };
         let mut summary = report.summary_value();
         if let Value::Obj(members) = &mut summary {
-            members.push(("shards".to_string(), shard_stats_value(ctx.scheduler)));
+            members.push(("shards".to_string(), queue_stats_value(ctx.scheduler)));
         }
         self.send(&Frame::Summary { summary })
     }
@@ -1010,13 +1022,12 @@ fn job_task(
     collector: &Arc<Collector>,
     cancel: &Arc<AtomicBool>,
 ) -> JobTask {
-    // The worker groups are shared by every connection — one worker per
-    // job, no intra-job fan-out on top (results are byte-identical
-    // either way).
+    // The workers are shared by every connection — one worker per job,
+    // no intra-job fan-out on top (results are byte-identical either
+    // way).
     if job.options.intra_parallelism == 0 {
         job.options.intra_parallelism = 1;
     }
-    let fingerprint = job.fingerprint();
     let name = job.name.clone();
     let flow = job.flow;
     let engine = Arc::clone(ctx.engine);
@@ -1074,7 +1085,6 @@ fn job_task(
         }
     });
     JobTask {
-        fingerprint,
         run,
         on_timeout: Some(on_timeout),
     }
@@ -1128,22 +1138,16 @@ fn execute_with_retries(engine: &Engine, job: &Job, counters: &Counters) -> JobR
     }
 }
 
-/// Per-shard scheduler counters as a JSON array for the summary frame.
-fn shard_stats_value(scheduler: &Scheduler) -> Value {
-    Value::Arr(
-        scheduler
-            .stats()
-            .into_iter()
-            .map(|s| {
-                ObjBuilder::new()
-                    .field("executed", s.executed)
-                    .field("purged", s.purged)
-                    .field("timed_out", s.timed_out)
-                    .field("queued", s.queued)
-                    .field("peak_queued", s.peak_queued)
-                    .field("p95_ms", (s.p95_ms * 100.0).round() / 100.0)
-                    .build()
-            })
-            .collect(),
-    )
+/// The scheduler's queue counters for the summary frame: a one-element
+/// array under the `shards` key, the wire shape clients already read.
+fn queue_stats_value(scheduler: &Scheduler) -> Value {
+    let s = scheduler.stats();
+    Value::Arr(vec![ObjBuilder::new()
+        .field("executed", s.executed)
+        .field("purged", s.purged)
+        .field("timed_out", s.timed_out)
+        .field("queued", s.queued)
+        .field("peak_queued", s.peak_queued)
+        .field("p95_ms", (s.p95_ms * 100.0).round() / 100.0)
+        .build()])
 }

@@ -166,7 +166,7 @@ fn worker_panics_mid_job_recover_to_reference_bytes() {
 }
 
 #[test]
-fn stuck_jobs_time_out_and_the_shard_survives() {
+fn stuck_jobs_time_out_and_the_workers_survive() {
     let _fault = FaultGuard::take();
     let root = tmp_dir("stall");
     let spec = write_spec_dir(&root, 2);
@@ -200,8 +200,8 @@ fn stuck_jobs_time_out_and_the_shard_survives() {
         );
     }
 
-    // Disarm and resubmit on the same connection: the shard survived
-    // and now produces the reference bytes.
+    // Disarm and resubmit on the same connection: the workers survived
+    // and now produce the reference bytes.
     faultpoint::disarm();
     stream.write_all(line.as_bytes()).unwrap();
     let (records, _) = read_exchange(&mut reader);

@@ -442,6 +442,36 @@ fn connections_share_one_cache_and_stream_independently() {
 }
 
 #[test]
+fn bind_refuses_options_that_would_misbehave() {
+    let root = tmp_dir("badopts");
+    let socket = root.join("mmflow.sock");
+    let listen = Listen::Unix(socket.clone());
+    let with = |set: fn(&mut ServeOptions)| {
+        let mut options = ServeOptions::default();
+        set(&mut options);
+        options
+    };
+    let cases = [
+        ("slo_ms", with(|o| o.slo_ms = Some(f64::NAN))),
+        ("slo_ms", with(|o| o.slo_ms = Some(f64::INFINITY))),
+        ("slo_ms", with(|o| o.slo_ms = Some(-5.0))),
+        ("slo_ms", with(|o| o.slo_ms = Some(0.0))),
+        ("queue_depth", with(|o| o.queue_depth = 0)),
+        ("max_connections", with(|o| o.max_connections = 0)),
+    ];
+    for (option, options) in cases {
+        let err = Server::bind(&listen, &options).expect_err(option);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().starts_with(option), "{option}: {err}");
+        assert!(!socket.exists(), "refused before binding");
+    }
+    // A tiny positive SLO is a valid (if impatient) setting.
+    let options = with(|o| o.slo_ms = Some(0.001));
+    drop(Server::bind(&listen, &options).expect("a positive SLO binds"));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn binding_over_a_live_server_is_refused() {
     let root = tmp_dir("bind2");
     let server = RunningServer::start(&root, ServeOptions::default());
@@ -580,7 +610,6 @@ fn over_quota_batch_bounces_busy_and_the_connection_stays_usable() {
         &root,
         ServeOptions {
             threads: 1,
-            workers: 1,
             queue_depth: 2,
             cache_dir: None,
             ..ServeOptions::default()
@@ -628,7 +657,6 @@ fn a_disconnecting_client_has_its_queued_jobs_purged() {
         &root,
         ServeOptions {
             threads: 1,
-            workers: 1,
             cache_dir: None,
             ..ServeOptions::default()
         },
@@ -644,7 +672,7 @@ fn a_disconnecting_client_has_its_queued_jobs_purged() {
     }
 
     // The server stays fully usable for the next client, and its
-    // summary's shard stats show the purge (and an empty queue).
+    // summary's queue stats show the purge (and an empty queue).
     let mut stream = server.connect();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut request = test_request(spec_str);
@@ -658,15 +686,11 @@ fn a_disconnecting_client_has_its_queued_jobs_purged() {
     let shards = summary
         .get("shards")
         .and_then(|v| v.as_arr())
-        .expect("summary carries per-shard stats");
-    let purged: usize = shards
-        .iter()
-        .map(|s| s.get("purged").and_then(|v| v.as_usize()).unwrap_or(0))
-        .sum();
-    let queued: usize = shards
-        .iter()
-        .map(|s| s.get("queued").and_then(|v| v.as_usize()).unwrap_or(0))
-        .sum();
+        .expect("summary carries the queue stats");
+    assert_eq!(shards.len(), 1, "one queue: {summary:?}");
+    let stat = |key: &str| shards[0].get(key).and_then(|v| v.as_usize());
+    let purged = stat("purged").expect("purged count");
+    let queued = stat("queued").expect("queued count");
     assert!(purged >= 1, "disconnect purged queued jobs: {summary:?}");
     assert_eq!(queued, 0, "no ghost jobs left queued: {summary:?}");
 
@@ -705,7 +729,6 @@ fn concurrent_clients_all_get_reference_byte_streams() {
         &root,
         ServeOptions {
             threads: 2,
-            workers: 2,
             cache_dir: Some(root.join("cache")),
             ..ServeOptions::default()
         },
