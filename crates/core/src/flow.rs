@@ -8,7 +8,12 @@
 //!   router, and emitted as a parameterized configuration.
 //!
 //! Both flows size the fabric the same way the paper does: array area and
-//! channel width 20% above the minimum needed (§IV-B).
+//! channel width 20% above the minimum needed (§IV-B). Each routes its
+//! *leg* — the net lists that share one channel width: the tunable
+//! circuit for DCS, one list per mode for MDR — through one routine,
+//! which resolves the width, retries a congested leg +1, +2, +4, …
+//! tracks wider and names the failing list in its errors alike in both
+//! flows. The results keep the leg's width searches (`width_searches`).
 
 use crate::{FlowError, TunableCircuit};
 use mm_arch::{Architecture, RoutingGraph};
@@ -17,8 +22,8 @@ use mm_boolexpr::{ModeSet, ModeSpace};
 use mm_netlist::LutCircuit;
 use mm_place::{place_combined, CostKind, MultiPlacement, Placement, PlacerOptions};
 use mm_route::{
-    min_channel_width, nets_for_circuit, relaxed_width, verify_routing, RouteNet, Router,
-    RouterOptions, Routing,
+    min_channel_width, nets_for_circuit, relaxed_width, verify_routing, MinWidthResult, RouteNet,
+    Router, RouterOptions, Routing,
 };
 
 /// A validated multi-mode problem: the per-mode LUT circuits.
@@ -211,92 +216,100 @@ impl FlowOptions {
 
 /// Per-sink routing criticalities for a net list, produced fresh for
 /// each routing-resource graph (node ids change with channel width).
-pub(crate) type CritFn<'a> = &'a dyn Fn(&RoutingGraph, &[RouteNet]) -> Vec<Vec<f64>>;
+type CritFn<'a> = &'a dyn Fn(&RoutingGraph, &[RouteNet]) -> Vec<Vec<f64>>;
 
 /// Owned form of [`CritFn`], as built by `estimated_criticality_fn`.
 type BoxedCritFn<'a> = Box<dyn Fn(&RoutingGraph, &[RouteNet]) -> Vec<Vec<f64>> + 'a>;
 
-/// Routes nets at `width`, growing the channel (+1, +2, +4, …) up to
-/// `max_width` if negotiation fails — congestion convergence is not
-/// strictly monotone in width under an iteration cap, so the relaxed
-/// width occasionally needs another track.
+/// What [`route_leg`] returns: the final architecture and graph, one
+/// routing per net list and the width searches (none at a fixed width).
+type RoutedLeg = (
+    Architecture,
+    RoutingGraph,
+    Vec<Routing>,
+    Vec<MinWidthResult>,
+);
+
+/// Routes one leg: the net lists `nets(i, rrg)`, one per entry of
+/// `contexts`, that share a channel width — the tunable circuit for DCS,
+/// one list per mode for MDR.
 ///
-/// With `crit`, each width attempt routes timing-driven: the closure is
-/// re-evaluated against the attempt's graph and nets so criticalities
-/// always key the right RR nodes.
-pub(crate) fn route_with_growth(
+/// The width is the fixed one, or [`relaxed_width`] of the largest
+/// [`min_channel_width`] over the lists (a congestion-only search; a
+/// list whose search fails is `Unroutable` with its context). Each
+/// attempted width routes the lists in order on one [`Router`] (`route`
+/// resets its congestion state on entry and HPWL-seeds each net's
+/// bounding box from the placement geometry), timing-driven with `crit`:
+/// the closure is re-evaluated against the attempt's graph and nets so
+/// criticalities always key the right RR nodes. The first list that fails
+/// ends the attempt. An unreachable sink fails the leg at once
+/// (`UnreachableSinks`: every width of the fabric family replicates the
+/// same connectivity); on congestion the whole leg retries +1, +2, +4, …
+/// tracks wider up to `max_width`, since convergence is not strictly
+/// monotone in width under an iteration cap. Both final-width failures
+/// carry the context "`<list's context>` at final width". Every routing
+/// of the attempt that succeeded is verified.
+fn route_leg(
     base: &Architecture,
-    width: usize,
-    max_width: usize,
+    options: &FlowOptions,
     router: &RouterOptions,
-    context: &str,
+    contexts: &[String],
     crit: Option<CritFn<'_>>,
-    mut nets: impl FnMut(&RoutingGraph) -> Vec<RouteNet>,
-) -> Result<(Architecture, RoutingGraph, Vec<RouteNet>, Routing), FlowError> {
+    nets: impl Fn(usize, &RoutingGraph) -> Vec<RouteNet>,
+) -> Result<RoutedLeg, FlowError> {
+    let max_width = options.max_width;
+    let unroutable = |context: String| FlowError::Unroutable { max_width, context };
+    let (width, searches) = match options.width {
+        WidthChoice::Fixed(w) => (w, Vec::new()),
+        WidthChoice::Relaxed => {
+            let searches = contexts
+                .iter()
+                .enumerate()
+                .map(|(i, context)| {
+                    min_channel_width(base, router, max_width, |rrg| nets(i, rrg))
+                        .ok_or_else(|| unroutable(context.clone()))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let min = searches.iter().map(|s| s.min_width).max().unwrap_or(0);
+            (relaxed_width(min), searches)
+        }
+    };
     let mut grow = 0usize;
-    loop {
+    'grow: loop {
         let w = (width + grow).min(max_width);
         let arch = base.with_channel_width(w);
         let rrg = RoutingGraph::build(&arch);
-        let net_list = nets(&rrg);
-        // `route` seeds each net's initial bounding box from the
-        // placement geometry the nets carry (per-net HPWL, see
-        // `RouterOptions::bbox_margin`) instead of a fixed margin.
         let mut engine = Router::new(&rrg, *router);
-        let routing = match crit {
-            Some(f) => {
-                let rows = f(&rrg, &net_list);
-                engine.route_with_criticality(&net_list, &rows)
+        let mut routed = Vec::with_capacity(contexts.len());
+        for (i, context) in contexts.iter().enumerate() {
+            let list = nets(i, &rrg);
+            let routing = match crit {
+                Some(f) => engine.route_with_criticality(&list, &f(&rrg, &list)),
+                None => engine.route(&list),
+            };
+            if !routing.success {
+                let context = format!("{context} at final width");
+                if routing.unrouted_sinks > 0 {
+                    let nets = routing.unreachable_nets(&list);
+                    let nets = nets.iter().map(|s| (*s).to_string()).collect();
+                    return Err(FlowError::UnreachableSinks { context, nets });
+                }
+                if w >= max_width {
+                    return Err(unroutable(context));
+                }
+                grow = if grow == 0 { 1 } else { grow * 2 };
+                continue 'grow;
             }
-            None => engine.route(&net_list),
-        };
-        if routing.success {
-            return Ok((arch, rrg, net_list, routing));
+            routed.push((list, routing));
         }
-        if routing.unrouted_sinks > 0 {
-            // Hard unreachability, not congestion: the fabric family
-            // replicates the same connectivity at every width, so the
-            // growth retries cannot help — fail the route stage with
-            // the offending nets immediately.
-            return Err(FlowError::UnreachableSinks {
-                context: context.to_string(),
-                nets: routing
-                    .unreachable_nets(&net_list)
-                    .iter()
-                    .map(|s| (*s).to_string())
-                    .collect(),
-            });
+        // Frees the router's scratch arena before verification builds
+        // its own usage map.
+        drop(engine);
+        for (list, routing) in &routed {
+            verify_routing(&rrg, list, routing, router.mode_count).map_err(FlowError::Internal)?;
         }
-        if w >= max_width {
-            return Err(FlowError::Unroutable {
-                max_width,
-                context: context.to_string(),
-            });
-        }
-        grow = if grow == 0 { 1 } else { grow * 2 };
-    }
-}
-
-/// Resolves the channel width for a net-building closure: either fixed, or
-/// minimum + 20%.
-pub(crate) fn resolve_width(
-    arch: &Architecture,
-    options: &FlowOptions,
-    router: &RouterOptions,
-    context: &str,
-    nets: impl FnMut(&RoutingGraph) -> Vec<RouteNet>,
-) -> Result<usize, FlowError> {
-    match options.width {
-        WidthChoice::Fixed(w) => Ok(w),
-        WidthChoice::Relaxed => {
-            let found = min_channel_width(arch, router, options.max_width, nets).ok_or(
-                FlowError::Unroutable {
-                    max_width: options.max_width,
-                    context: context.to_string(),
-                },
-            )?;
-            Ok(relaxed_width(found.min_width))
-        }
+        let routings = routed.into_iter().map(|(_, routing)| routing).collect();
+        return Ok((arch, rrg, routings, searches));
     }
 }
 
@@ -315,6 +328,9 @@ pub struct MdrResult {
     pub routings: Vec<Routing>,
     /// Per-mode full configurations.
     pub configs: Vec<Config>,
+    /// The relaxed width's searches, one per mode in mode order, each
+    /// with its probes; empty at a fixed width.
+    pub width_searches: Vec<MinWidthResult>,
 }
 
 impl MdrResult {
@@ -397,7 +413,8 @@ impl MdrResult {
     }
 }
 
-/// The Modular Dynamic Reconfiguration baseline flow.
+/// The Modular Dynamic Reconfiguration baseline flow: each mode placed
+/// and routed on its own, all modes at one channel width.
 #[derive(Debug, Clone, Copy)]
 pub struct MdrFlow {
     options: FlowOptions,
@@ -464,12 +481,16 @@ impl MdrFlow {
     }
 
     /// Stage 2 of MDR: width resolution, per-mode routing and
-    /// configuration extraction on top of existing placements.
+    /// configuration extraction on top of existing placements. Every mode
+    /// routes at one shared width, the relaxed width of the largest
+    /// per-mode minimum, and a congested mode widens them all together.
     ///
     /// # Errors
     ///
     /// Fails if the placements do not fit the input or a mode cannot be
-    /// routed.
+    /// routed: mode m's failed width search is `Unroutable` with context
+    /// "MDR mode m", a failure at the final width `UnreachableSinks` or
+    /// `Unroutable` with context "MDR mode m at final width".
     pub fn run_with_placements(
         &self,
         input: &MultiModeInput,
@@ -493,75 +514,17 @@ impl MdrFlow {
         mm_place::verify_placement(input.circuits(), &base, &wrapped).map_err(FlowError::Input)?;
         let placements = wrapped.modes;
 
-        // Width: the maximum over the modes' minima, relaxed 20%, capped
-        // at `max_width` like the DCS legs' `route_with_growth`.
-        let width = match self.options.width {
-            WidthChoice::Fixed(w) => w,
-            WidthChoice::Relaxed => {
-                let mut w = 0usize;
-                for (m, circuit) in input.circuits().iter().enumerate() {
-                    let placement = &placements[m];
-                    let found = min_channel_width(&base, &router, self.options.max_width, |rrg| {
-                        nets_for_circuit(circuit, rrg, ModeSet::single(0), |b| placement.site_of(b))
-                    })
-                    .ok_or(FlowError::Unroutable {
-                        max_width: self.options.max_width,
-                        context: format!("MDR mode {m}"),
-                    })?;
-                    w = w.max(found.min_width);
-                }
-                relaxed_width(w)
-            }
-        };
-
-        // All modes must route at one shared width; grow it together if a
-        // mode fails to converge.
-        let mut final_width = width.min(self.options.max_width);
-        let (arch, rrg, routings, configs) = loop {
-            let arch = base.with_channel_width(final_width);
-            let rrg = RoutingGraph::build(&arch);
-            // One router serves every mode: `route` resets congestion
-            // state on entry (and HPWL-seeds each net's bounding box
-            // from the placement geometry), so the scratch arena is
-            // built once per width instead of once per mode.
-            let mut route_engine = Router::new(&rrg, router);
-            let mut routings = Vec::with_capacity(input.mode_count());
-            let mut configs = Vec::with_capacity(input.mode_count());
-            let mut ok = true;
-            for (m, circuit) in input.circuits().iter().enumerate() {
+        let contexts: Vec<String> = (0..input.mode_count())
+            .map(|m| format!("MDR mode {m}"))
+            .collect();
+        let (arch, rrg, routings, width_searches) =
+            route_leg(&base, &self.options, &router, &contexts, None, |m, rrg| {
                 let placement = &placements[m];
-                let nets =
-                    nets_for_circuit(circuit, &rrg, ModeSet::single(0), |b| placement.site_of(b));
-                let routing = route_engine.route(&nets);
-                if !routing.success {
-                    if routing.unrouted_sinks > 0 {
-                        return Err(FlowError::UnreachableSinks {
-                            context: format!("MDR mode {m}"),
-                            nets: routing
-                                .unreachable_nets(&nets)
-                                .iter()
-                                .map(|s| (*s).to_string())
-                                .collect(),
-                        });
-                    }
-                    ok = false;
-                    break;
-                }
-                verify_routing(&rrg, &nets, &routing, 1).map_err(FlowError::Internal)?;
-                configs.push(Config::from_routing(&routing));
-                routings.push(routing);
-            }
-            if ok {
-                break (arch, rrg, routings, configs);
-            }
-            if final_width >= self.options.max_width {
-                return Err(FlowError::Unroutable {
-                    max_width: self.options.max_width,
-                    context: "MDR at final width".into(),
-                });
-            }
-            final_width = (final_width + final_width.div_ceil(8)).min(self.options.max_width);
-        };
+                nets_for_circuit(&input.circuits()[m], rrg, ModeSet::single(0), |b| {
+                    placement.site_of(b)
+                })
+            })?;
+        let configs = routings.iter().map(Config::from_routing).collect();
         let model = ConfigModel::new(&arch, &rrg);
 
         Ok(MdrResult {
@@ -571,6 +534,7 @@ impl MdrFlow {
             placements,
             routings,
             configs,
+            width_searches,
         })
     }
 }
@@ -592,6 +556,9 @@ pub struct DcsResult {
     pub routing: Routing,
     /// The parameterized configuration.
     pub param: ParamConfig,
+    /// The relaxed width's search of the tunable circuit, with its
+    /// probes; empty at a fixed width.
+    pub width_searches: Vec<MinWidthResult>,
 }
 
 impl DcsResult {
@@ -775,7 +742,10 @@ impl DcsFlow {
     /// # Errors
     ///
     /// Fails if the placement does not fit the input, or on
-    /// routing/verification failure.
+    /// routing/verification failure: a failed width search is
+    /// `Unroutable` with context "tunable circuit", a failure at the
+    /// final width `UnreachableSinks` or `Unroutable` with context
+    /// "tunable circuit at final width".
     pub fn run_with_placement(
         &self,
         input: &MultiModeInput,
@@ -804,24 +774,19 @@ impl DcsFlow {
             None
         };
 
-        let width = resolve_width(&base, &self.options, &router, "tunable circuit", |rrg| {
-            tunable.route_nets(rrg)
-        })?;
-        let (arch, rrg, nets, routing) = route_with_growth(
+        let (arch, rrg, mut routings, width_searches) = route_leg(
             &base,
-            width,
-            self.options.max_width,
+            &self.options,
             &router,
-            "tunable circuit at final width",
+            &["tunable circuit".to_string()],
             crit_fn.as_deref(),
-            |rrg| tunable.route_nets(rrg),
+            |_, rrg| tunable.route_nets(rrg),
         )?;
         // Ends the criticality closure's borrow of `placement` (the box
         // has drop glue) before the result takes ownership.
         drop(crit_fn);
+        let routing = routings.pop().expect("one routing per net list");
         let model = ConfigModel::new(&arch, &rrg);
-        verify_routing(&rrg, &nets, &routing, input.mode_count()).map_err(FlowError::Internal)?;
-
         let param = ParamConfig::from_routing(&routing, input.space());
 
         Ok(DcsResult {
@@ -832,6 +797,7 @@ impl DcsFlow {
             tunable,
             routing,
             param,
+            width_searches,
         })
     }
 }
@@ -916,6 +882,11 @@ mod tests {
         let diff = result.diff_cost(0, 1);
         assert!(diff.routing_bits < mdr.routing_bits);
         assert!(result.mean_wires() > 0.0);
+        // One width search per mode; the leg did not grow, so the
+        // largest minimum relaxes to the final width.
+        assert_eq!(result.width_searches.len(), 2);
+        let min = result.width_searches.iter().map(|s| s.min_width).max();
+        assert_eq!(min.map(relaxed_width), Some(result.arch.channel_width));
     }
 
     #[test]
@@ -931,6 +902,11 @@ mod tests {
         assert_eq!(stats.modes, 2);
         assert!(stats.tunable_luts >= input.max_luts());
         assert!(dcs.parameterized_routing_bits() > 0);
+        // One width search, of the tunable circuit.
+        let [search] = &dcs.width_searches[..] else {
+            panic!("{:?}", dcs.width_searches);
+        };
+        assert_eq!(relaxed_width(search.min_width), dcs.arch.channel_width);
     }
 
     #[test]
@@ -970,6 +946,10 @@ mod tests {
             staged.routing.total_wires(&staged.rrg),
             whole.routing.total_wires(&whole.rrg)
         );
+        assert!(
+            staged.width_searches.is_empty(),
+            "a fixed width searches nothing"
+        );
 
         let mdr_flow = MdrFlow::new(options);
         let placements = mdr_flow.place(&input).unwrap();
@@ -977,12 +957,31 @@ mod tests {
         let whole = mdr_flow.run(&input).unwrap();
         assert_eq!(staged.mdr_cost(), whole.mdr_cost());
         assert_eq!(staged.diff_cost(0, 1), whole.diff_cost(0, 1));
+        assert!(
+            staged.width_searches.is_empty(),
+            "a fixed width searches nothing"
+        );
+    }
+
+    #[test]
+    fn a_fixed_width_below_the_need_grows_on_the_ladder() {
+        // Both flows retry a congested leg +1, +2, +4, … tracks wider:
+        // DCS from 2 tries 2, 3, 4 and lands on 6, skipping the 5 that
+        // routes from 3 and from 4.
+        let input = small_input();
+        let width = |w| FlowOptions::default().with_fixed_width(w);
+        for (fixed, grown) in [(2, 6), (3, 5), (4, 5)] {
+            let dcs = DcsFlow::new(width(fixed)).run(&input).unwrap();
+            assert_eq!(dcs.arch.channel_width, grown, "DCS from {fixed}");
+        }
+        let mdr = MdrFlow::new(width(2)).run(&input).unwrap();
+        assert_eq!(mdr.arch.channel_width, 3, "MDR from 2");
     }
 
     #[test]
     fn fixed_width_above_max_width_is_capped_in_every_flow() {
         // A pinned width above the cap routes at the cap in MDR as it
-        // does in DCS (whose `route_with_growth` clamps it).
+        // does in DCS: both route through `route_leg`, which clamps it.
         let input = small_input();
         let options = FlowOptions {
             max_width: 10,
@@ -1085,14 +1084,19 @@ mod tests {
         // no channel width can reach it: the route stage must surface the
         // structured error instead of burning width-growth retries.
         let arch = Architecture::new(4, 3, 4);
-        let err = route_with_growth(
+        let options = FlowOptions {
+            max_width: 64,
+            ..FlowOptions::default().with_fixed_width(4)
+        };
+        let calls = std::cell::Cell::new(0);
+        let err = route_leg(
             &arch,
-            4,
-            64,
+            &options,
             &RouterOptions::default(),
-            "growth test",
+            &["growth test".to_string()],
             None,
-            |rrg| {
+            |_, rrg| {
+                calls.set(calls.get() + 1);
                 vec![RouteNet {
                     name: "stuck".into(),
                     source: rrg.logic_source(mm_arch::Site::new(1, 1, 0)),
@@ -1106,15 +1110,18 @@ mod tests {
         .unwrap_err();
         match err {
             FlowError::UnreachableSinks { context, nets } => {
-                assert_eq!(context, "growth test");
+                assert_eq!(context, "growth test at final width");
                 assert_eq!(nets, vec!["stuck".to_string()]);
             }
             other => panic!("expected UnreachableSinks, got {other}"),
         }
+        assert_eq!(calls.get(), 1, "one attempt, no growth");
     }
 
     #[test]
     fn unroutable_reported() {
+        // Both flows name the failing list: its search at the relaxed
+        // width, "… at final width" when a pinned width cannot grow.
         let input = small_input();
         let options = FlowOptions {
             max_width: 1,
@@ -1124,7 +1131,21 @@ mod tests {
             },
             ..FlowOptions::default()
         };
-        let err = DcsFlow::new(options).run(&input).unwrap_err();
-        assert!(matches!(err, FlowError::Unroutable { .. }), "{err}");
+        for (options, suffix) in [
+            (options, ""),
+            (options.with_fixed_width(1), " at final width"),
+        ] {
+            let dcs = DcsFlow::new(options).run(&input).map(|_| ());
+            let mdr = MdrFlow::new(options).run(&input).map(|_| ());
+            for (err, list) in [(dcs, "tunable circuit"), (mdr, "MDR mode 0")] {
+                match err.unwrap_err() {
+                    FlowError::Unroutable { max_width, context } => {
+                        assert_eq!(max_width, 1);
+                        assert_eq!(context, format!("{list}{suffix}"));
+                    }
+                    other => panic!("expected Unroutable, got {other}"),
+                }
+            }
+        }
     }
 }

@@ -1,54 +1,42 @@
 //! Generator of the route crate's overuse corpus
 //! (`crates/route/tests/data/overuse_corpus.txt`), which its stop-rule
-//! replay and width-monotonicity tests read: the overused-node count per
-//! PathFinder iteration of every route a `pair` job makes on the paper's
-//! 30 pairings (10 regexp, 10 fir `lp i + hp i`, 10 mcnc) at the default
-//! options — every width probe and final route of its MDR, DCS
-//! edge-matching and DCS wire-length legs.
+//! replay, width-monotonicity and final-width tests read: the
+//! overused-node count per PathFinder iteration of every route a `pair`
+//! job makes on the paper's 30 pairings (10 regexp, 10 fir `lp i + hp i`,
+//! 10 mcnc) at the default options — every width probe and final route
+//! of its MDR, DCS edge-matching and DCS wire-length legs.
 //!
-//! Each width search is audited as well: the widths the doubling ladder
-//! the search replaced would have probed (4, 8, 16, … then bisection,
-//! derived from the minimum), and every width from w*−3 to w*+3, are
-//! routed too. A width either ladder probes is tagged `probe`, any other
-//! `audit`.
-//!
-//! The legs are re-run through the public calls the flows make, so each
-//! width probe's series is visible. Regenerate after a router change with
+//! The legs run through `MdrFlow::run` and `DcsFlow::run`: each width
+//! probe's series is read off the result's `width_searches`, each final
+//! route's off its routings. Each width search is audited as well: the
+//! widths the doubling ladder the search replaced would have probed (4,
+//! 8, 16, … then bisection, derived from the minimum), and every width
+//! from w*−3 to w*+3, are routed too. A width the search probed is tagged
+//! `probe`, any other audited width `audit`, and a list's route at its
+//! leg's final width `final`. Regenerate after a router, search or flow
+//! change with
 //!
 //! ```text
 //! cargo test --release -p mm-flow --test overuse_corpus -- --ignored --nocapture
 //! ```
 //!
-//! (about eleven minutes on two CPUs).
+//! (about seven minutes on two CPUs).
 
 use mm_arch::{Architecture, RoutingGraph};
 use mm_boolexpr::ModeSet;
-use mm_flow::{DcsFlow, FlowOptions, MdrFlow, MultiModeInput, TunableCircuit};
+use mm_flow::{DcsFlow, FlowOptions, MdrFlow, MultiModeInput};
 use mm_netlist::LutCircuit;
 use mm_place::CostKind;
-use mm_route::{min_channel_width, nets_for_circuit, relaxed_width, RouteNet, Router};
+use mm_route::{nets_for_circuit, MinWidthResult, RouteNet, Router, RouterOptions};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One corpus line: `<job> <leg> <probe|audit|final> <width> <nets>
-/// <overuse…>`.
-fn line(
-    out: &mut String,
-    job: &str,
-    leg: &str,
-    kind: &str,
-    width: usize,
-    nets: usize,
-    o: &[usize],
-) {
+/// <overuse…>`, where `list` is `<job> <leg>`.
+fn line(out: &mut String, list: &str, kind: &str, width: usize, nets: usize, o: &[usize]) {
     let series: Vec<String> = o.iter().map(ToString::to_string).collect();
-    writeln!(
-        out,
-        "{job} {leg} {kind} {width} {nets} {}",
-        series.join(" ")
-    )
-    .unwrap();
+    writeln!(out, "{list} {kind} {width} {nets} {}", series.join(" ")).unwrap();
 }
 
 /// The widths the doubling ladder (4, 8, 16, … up to the first width
@@ -76,30 +64,21 @@ fn doubling_probes(min: usize, max_width: usize) -> Vec<usize> {
     widths
 }
 
-/// The width search of one leg, as `min_channel_width` runs it, and its
-/// audit: logs every probe, then routes and logs the doubling ladder's
-/// widths and w*−3..=w*+3 that the search did not probe, one line a
-/// width in ascending order. Prints the search's probes
-/// (`<width><ok|x>/<iterations>`) to stderr and returns the minimum
-/// width.
+/// The width search of `list` (`<job> <leg>`, `nets` nets) and its
+/// audit: logs every probe, then routes with `route` (a width to its
+/// overuse series) and logs the doubling ladder's widths and w*−3..=w*+3
+/// that the search did not probe, one line a width in ascending order.
+/// Prints the search's probes (`<width><ok|x>/<iterations>`) to stderr.
 fn search(
     out: &mut String,
-    job: &str,
-    leg: &str,
-    base: &Architecture,
-    options: &FlowOptions,
-    router: &mm_route::RouterOptions,
-    mut nets: impl FnMut(&RoutingGraph) -> Vec<RouteNet>,
-) -> usize {
-    let mut count = 0;
-    let found = min_channel_width(base, router, options.max_width, |rrg| {
-        let list = nets(rrg);
-        count = list.len();
-        list
-    })
-    .expect("every paper pairing routes");
+    list: &str,
+    found: &MinWidthResult,
+    nets: usize,
+    max_width: usize,
+    route: impl Fn(usize) -> Vec<usize>,
+) {
     let min = found.min_width;
-    let ladder: Vec<String> = found
+    let probes: Vec<String> = found
         .probes
         .iter()
         .map(|p| {
@@ -107,119 +86,87 @@ fn search(
             format!("{}{verdict}/{}", p.width, p.iterations)
         })
         .collect();
-    eprintln!("{job} {leg}: w* {min}, probes {}", ladder.join(" "));
+    eprintln!("{list}: w* {min}, probes {}", probes.join(" "));
     let mut routes: BTreeMap<usize, (&str, Vec<usize>)> = found
         .probes
-        .into_iter()
-        .map(|p| (p.width, ("probe", p.overuse)))
+        .iter()
+        .map(|p| (p.width, ("probe", p.overuse.clone())))
         .collect();
-    let old = doubling_probes(min, options.max_width);
-    let near = min.saturating_sub(3).max(1)..=(min + 3).min(options.max_width);
-    let extra = old
-        .into_iter()
-        .map(|w| (w, "probe"))
-        .chain(near.map(|w| (w, "audit")));
-    for (w, kind) in extra {
-        routes.entry(w).or_insert_with(|| {
-            let rrg = RoutingGraph::build(&base.with_channel_width(w));
-            (kind, Router::new(&rrg, *router).route(&nets(&rrg)).overuse)
-        });
+    let near = min.saturating_sub(3).max(1)..=(min + 3).min(max_width);
+    for w in doubling_probes(min, max_width).into_iter().chain(near) {
+        routes.entry(w).or_insert_with(|| ("audit", route(w)));
     }
     for (w, (kind, series)) in &routes {
-        line(out, job, leg, kind, *w, count, series);
+        line(out, list, kind, *w, nets, series);
     }
-    min
 }
 
-/// The MDR leg: per-mode placements and width searches, then every mode
-/// at one shared width, grown together on a failure.
+/// The overuse series of `nets` routed at width `w` of `arch`'s fabric
+/// family.
+fn overuse_at(
+    arch: &Architecture,
+    w: usize,
+    router: RouterOptions,
+    nets: impl Fn(&RoutingGraph) -> Vec<RouteNet>,
+) -> Vec<usize> {
+    let rrg = RoutingGraph::build(&arch.with_channel_width(w));
+    Router::new(&rrg, router).route(&nets(&rrg)).overuse
+}
+
+/// The MDR leg: each mode's audited width search, then every mode's
+/// route at the shared final width.
 fn mdr_leg(out: &mut String, job: &str, input: &MultiModeInput, options: &FlowOptions) {
-    let base = options.base_arch(input);
-    let router = mm_route::RouterOptions {
+    let r = MdrFlow::new(*options).run(input).expect("MDR routes");
+    let router = RouterOptions {
         mode_count: 1,
         ..options.router
     };
-    let placements = MdrFlow::new(*options).place(input).expect("MDR places");
-    let mode_nets = |m: usize, rrg: &RoutingGraph| {
-        let placement = &placements[m];
-        nets_for_circuit(&input.circuits()[m], rrg, ModeSet::single(0), |b| {
-            placement.site_of(b)
-        })
-    };
-    let mut min = 0;
-    for m in 0..input.mode_count() {
-        let leg = format!("mdr{m}");
-        min = min.max(search(out, job, &leg, &base, options, &router, |rrg| {
-            mode_nets(m, rrg)
-        }));
+    let lists: Vec<String> = (0..input.mode_count())
+        .map(|m| format!("{job} mdr{m}"))
+        .collect();
+    for (m, found) in r.width_searches.iter().enumerate() {
+        let placement = &r.placements[m];
+        let nets = |rrg: &RoutingGraph| {
+            nets_for_circuit(&input.circuits()[m], rrg, ModeSet::single(0), |b| {
+                placement.site_of(b)
+            })
+        };
+        let count = r.routings[m].nets.len();
+        search(out, &lists[m], found, count, options.max_width, |w| {
+            overuse_at(&r.arch, w, router, nets)
+        });
     }
-    let mut width = relaxed_width(min).min(options.max_width);
-    loop {
-        let rrg = RoutingGraph::build(&base.with_channel_width(width));
-        let mut engine = Router::new(&rrg, router);
-        let mut ok = true;
-        for m in 0..input.mode_count() {
-            let nets = mode_nets(m, &rrg);
-            let routing = engine.route(&nets);
-            line(
-                out,
-                job,
-                &format!("mdr{m}"),
-                "final",
-                width,
-                nets.len(),
-                &routing.overuse,
-            );
-            if !routing.success {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            return;
-        }
-        assert!(width < options.max_width, "{job}: MDR unroutable");
-        width = (width + width.div_ceil(8)).min(options.max_width);
+    for (list, routing) in lists.iter().zip(&r.routings) {
+        let (width, nets) = (r.arch.channel_width, routing.nets.len());
+        line(out, list, "final", width, nets, &routing.overuse);
     }
 }
 
-/// A DCS leg: combined placement, tunable circuit, width search, then
-/// the route at the relaxed width, grown on a failure.
+/// A DCS leg: the tunable circuit's audited width search, then its route
+/// at the final width.
 fn dcs_leg(
     out: &mut String,
-    job: &str,
-    leg: &str,
+    list: &str,
     cost: CostKind,
     input: &MultiModeInput,
     options: &FlowOptions,
 ) {
-    let base = options.base_arch(input);
-    let router = mm_route::RouterOptions {
+    let r = DcsFlow::new(*options)
+        .with_cost(cost)
+        .run(input)
+        .expect("DCS routes");
+    let router = RouterOptions {
         mode_count: input.mode_count(),
         ..options.router
     };
-    let placement = DcsFlow::new(*options)
-        .with_cost(cost)
-        .place(input)
-        .expect("DCS places");
-    let tunable =
-        TunableCircuit::from_placement(input.circuits(), &placement, &base).expect("tunable");
-    let width = relaxed_width(search(out, job, leg, &base, options, &router, |rrg| {
-        tunable.route_nets(rrg)
-    }));
-    let mut grow = 0;
-    loop {
-        let w = (width + grow).min(options.max_width);
-        let rrg = RoutingGraph::build(&base.with_channel_width(w));
-        let nets = tunable.route_nets(&rrg);
-        let routing = Router::new(&rrg, router).route(&nets);
-        line(out, job, leg, "final", w, nets.len(), &routing.overuse);
-        if routing.success {
-            return;
-        }
-        assert!(w < options.max_width, "{job}: {leg} unroutable");
-        grow = if grow == 0 { 1 } else { grow * 2 };
-    }
+    let [found] = &r.width_searches[..] else {
+        panic!("{list}: one width search");
+    };
+    let (width, nets) = (r.arch.channel_width, r.routing.nets.len());
+    search(out, list, found, nets, options.max_width, |w| {
+        overuse_at(&r.arch, w, router, |rrg| r.tunable.route_nets(rrg))
+    });
+    line(out, list, "final", width, nets, &r.routing.overuse);
 }
 
 /// The paper's 30 pairings, named as `suite:<name>` batches name them.
@@ -270,15 +217,13 @@ fn generate_overuse_corpus() {
                         let input = MultiModeInput::new(circuits.clone()).expect("valid pairing");
                         let mut out = String::new();
                         mdr_leg(&mut out, name, &input, &options);
-                        dcs_leg(
-                            &mut out,
-                            name,
-                            "edge",
-                            CostKind::EdgeMatching,
-                            &input,
-                            &options,
-                        );
-                        dcs_leg(&mut out, name, "wl", CostKind::WireLength, &input, &options);
+                        for (leg, cost) in [
+                            ("edge", CostKind::EdgeMatching),
+                            ("wl", CostKind::WireLength),
+                        ] {
+                            let list = format!("{name} {leg}");
+                            dcs_leg(&mut out, &list, cost, &input, &options);
+                        }
                         mine.push((i, out));
                     }
                 })
@@ -294,7 +239,7 @@ fn generate_overuse_corpus() {
         "# Overused-node count per PathFinder iteration of every route of the\n\
          # paper's 30 pairings run as pair jobs at the default options. Each\n\
          # width search also routes the old doubling ladder's widths and\n\
-         # w*-3..w*+3; a width neither ladder probed is tagged audit.\n\
+         # w*-3..w*+3; a width the search did not probe is tagged audit.\n\
          # Generated by crates/core/tests/overuse_corpus.rs; one route a line:\n\
          # <job> <leg> <probe|audit|final> <width> <nets> <overuse per iteration...>\n",
     );

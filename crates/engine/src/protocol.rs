@@ -43,7 +43,8 @@ use mm_flow::{FlowOptions, WidthChoice};
 /// the backpressure frames `busy` / `queued`: a server at capacity now
 /// answers instead of stalling the client in the accept backlog. Still
 /// within version 2 (optional members only): `busy` frames may carry
-/// the observed `p95_ms` behind an SLO shed, and `error` frames for
+/// the observed `p95_ms` behind an SLO shed and the `slo_ms` it
+/// exceeded, and `error` frames for
 /// malformed request lines may carry the `offset`/`line` of the
 /// offender.
 pub const PROTOCOL_VERSION: u64 = 2;
@@ -314,11 +315,15 @@ pub enum Frame {
         scope: String,
         /// Current occupancy of that bound (for `"slo"`: jobs queued).
         queued: usize,
-        /// The bound itself (for `"slo"`: the configured SLO in ms).
+        /// The bound itself (for `"slo"`: the queue depth, as for
+        /// `"jobs"`).
         capacity: usize,
         /// For `"slo"` rejections: the observed p95 job latency (ms)
         /// that triggered the shed, so clients can modulate backoff.
         p95_ms: Option<f64>,
+        /// For `"slo"` rejections: the configured SLO (ms) the p95
+        /// exceeded.
+        slo_ms: Option<f64>,
     },
     /// The batch was admitted behind other work: this many jobs sit in
     /// the scheduler queue ahead of its first job. Purely informative —
@@ -371,6 +376,7 @@ impl Frame {
                 queued,
                 capacity,
                 p95_ms,
+                slo_ms,
             } => {
                 let mut o = ObjBuilder::new()
                     .field("type", "busy")
@@ -379,6 +385,9 @@ impl Frame {
                     .field("capacity", *capacity);
                 if let Some(p95) = p95_ms {
                     o = o.field("p95_ms", (*p95 * 100.0).round() / 100.0);
+                }
+                if let Some(slo) = slo_ms {
+                    o = o.field("slo_ms", *slo);
                 }
                 o.build().to_json()
             }
@@ -447,6 +456,7 @@ impl Frame {
                     .and_then(Value::as_usize)
                     .ok_or("busy frame needs a \"capacity\" count")?,
                 p95_ms: v.get("p95_ms").and_then(Value::as_f64),
+                slo_ms: v.get("slo_ms").and_then(Value::as_f64),
             }),
             "queued" => Ok(Frame::Queued {
                 ahead: v
@@ -611,12 +621,14 @@ mod tests {
                 queued: 128,
                 capacity: 128,
                 p95_ms: None,
+                slo_ms: None,
             },
             Frame::Busy {
                 scope: "slo".into(),
                 queued: 12,
-                capacity: 25,
+                capacity: 128,
                 p95_ms: Some(38.25),
+                slo_ms: Some(0.5),
             },
             Frame::Queued { ahead: 40 },
             Frame::Pong,

@@ -471,6 +471,57 @@ mod tests {
     }
 
     #[test]
+    fn every_corpus_leg_routes_once_at_the_relaxed_width_of_its_searches() {
+        // The flows retry a leg wider only when a final route fails, and
+        // the corpus keeps only the routings that succeeded: a leg that
+        // grew would show here as a final width above the relaxed one.
+        fn leg_of(list: &str) -> &str {
+            if list.starts_with("mdr") {
+                "mdr"
+            } else {
+                list
+            }
+        }
+        /// A final route: its list, width and whether it routed.
+        type Final<'a> = (&'a str, usize, bool);
+        let mut minima: BTreeMap<(&str, &str), usize> = BTreeMap::new();
+        let mut finals: BTreeMap<(&str, &str), Vec<Final>> = BTreeMap::new();
+        for line in CORPUS.lines().filter(|l| !l.starts_with('#')) {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let (job, list) = (fields[0], fields[1]);
+            let width: usize = fields[3].parse().unwrap();
+            let routed = fields.last() == Some(&"0");
+            match fields[2] {
+                "probe" if routed => {
+                    let min = minima.entry((job, list)).or_insert(width);
+                    *min = (*min).min(width);
+                }
+                "final" => finals
+                    .entry((job, leg_of(list)))
+                    .or_default()
+                    .push((list, width, routed)),
+                _ => {}
+            }
+        }
+        assert_eq!(minima.len(), 120, "30 jobs, 4 searches each");
+        assert_eq!(finals.len(), 90, "30 jobs, 3 legs each");
+        for ((job, leg), routes) in &finals {
+            // The leg's searches: mdr0 and mdr1 for MDR, else its own.
+            let searches: Vec<(&str, usize)> = minima
+                .iter()
+                .filter(|((j, list), _)| j == job && leg_of(list) == *leg)
+                .map(|((_, list), &min)| (*list, min))
+                .collect();
+            let min = searches.iter().map(|s| s.1).max().unwrap();
+            let expected: Vec<Final> = searches
+                .iter()
+                .map(|&(list, _)| (list, relaxed_width(min), true))
+                .collect();
+            assert_eq!(routes, &expected, "{job} {leg}: searches {searches:?}");
+        }
+    }
+
+    #[test]
     fn relaxed_width_adds_twenty_percent() {
         assert_eq!(relaxed_width(10), 12);
         assert_eq!(relaxed_width(5), 6);

@@ -2322,7 +2322,7 @@ mod tests {
     #[test]
     fn stop_rules_never_stop_a_converging_route_of_the_corpus() {
         let max_iterations = RouterOptions::default().max_iterations;
-        let (mut routes, mut finals, mut converged) = (0, 0, 0);
+        let (mut probes, mut audits, mut finals, mut converged) = (0, 0, 0, 0);
         let (mut verdicts, mut predicted, mut capped) = (0, 0, 0);
         // The highest stall level of a converging route: its best overuse
         // over its first, wherever the predictor's window-and-gain
@@ -2334,8 +2334,12 @@ mod tests {
             let series: Vec<usize> = fields[5..].iter().map(|f| f.parse().unwrap()).collect();
             let stop =
                 |n: usize| congestion_stalled(&series[..n]) || warmup_stalled(&series[..n], nets);
-            routes += 1;
-            finals += usize::from(fields[2] == "final");
+            match fields[2] {
+                "probe" => probes += 1,
+                "audit" => audits += 1,
+                "final" => finals += 1,
+                tag => panic!("unknown tag {tag}: {line}"),
+            }
             if series.last() == Some(&0) {
                 // The router checks the rules after every iteration that
                 // left overuse; none may fire before the route converges.
@@ -2368,11 +2372,14 @@ mod tests {
                 }
             }
         }
+        // A width the search probed is a `probe`, any other width it
+        // audits an `audit`.
         assert_eq!(
-            (routes, finals),
+            (probes + audits + finals, finals),
             (1125, 120),
             "30 jobs, 4 final routes each"
         );
+        assert_eq!((probes, audits), (503, 502));
         assert_eq!(converged, 662);
         assert_eq!((verdicts, predicted, capped), (110, 270, 83));
         // The gate sits well above every converging route's stall level:

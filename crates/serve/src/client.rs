@@ -71,12 +71,15 @@ pub enum Rejection {
         scope: String,
         /// Occupancy the server reported.
         queued: usize,
-        /// The configured capacity that was hit (for `"slo"` the SLO
-        /// itself, in ms).
+        /// The configured capacity of that bound (for `"slo"` the queue
+        /// depth).
         capacity: usize,
         /// The observed p95 batch latency (ms) when the SLO controller
         /// shed the batch; absent for plain capacity rejections.
         p95_ms: Option<f64>,
+        /// The SLO (ms) that p95 exceeded; absent for plain capacity
+        /// rejections.
+        slo_ms: Option<f64>,
     },
     /// An `error` frame: the request itself was refused (bad spec,
     /// draining server, …).
@@ -91,10 +94,14 @@ impl std::fmt::Display for Rejection {
                 queued,
                 capacity,
                 p95_ms,
+                slo_ms,
             } => {
                 write!(f, "server busy ({scope}: {queued}/{capacity}")?;
                 if let Some(p95) = p95_ms {
                     write!(f, ", observed p95 {p95:.2} ms")?;
+                }
+                if let Some(slo) = slo_ms {
+                    write!(f, " over a {slo} ms SLO")?;
                 }
                 write!(f, ")")
             }
@@ -254,12 +261,14 @@ impl Client {
                     queued,
                     capacity,
                     p95_ms,
+                    slo_ms,
                 }) => {
                     return Ok(Err(Rejection::Busy {
                         scope,
                         queued,
                         capacity,
                         p95_ms,
+                        slo_ms,
                     }));
                 }
                 ServerLine::Frame(other) => {
@@ -372,6 +381,21 @@ mod tests {
         assert!(
             message.contains(&format!("cannot connect to tcp:127.0.0.1:{port}")),
             "error must name the address: {message}"
+        );
+    }
+
+    #[test]
+    fn slo_rejection_names_the_p95_and_the_slo() {
+        let busy = Rejection::Busy {
+            scope: "slo".into(),
+            queued: 0,
+            capacity: 64,
+            p95_ms: Some(0.66),
+            slo_ms: Some(0.5),
+        };
+        assert_eq!(
+            busy.to_string(),
+            "server busy (slo: 0/64, observed p95 0.66 ms over a 0.5 ms SLO)"
         );
     }
 

@@ -385,12 +385,14 @@ impl std::fmt::Debug for Scheduler {
 pub struct Rejected {
     /// Jobs queued at rejection time.
     pub queued: usize,
-    /// The queue capacity (`queue_depth`); for SLO sheds the SLO itself
-    /// in ms.
+    /// The queue capacity (`queue_depth`).
     pub capacity: usize,
     /// The observed p95 sojourn latency (ms) when the SLO controller
     /// shed the batch; `None` for a plain queue-depth rejection.
     pub p95_ms: Option<f64>,
+    /// The SLO (ms) that p95 exceeded; `None` for a plain queue-depth
+    /// rejection.
+    pub slo_ms: Option<f64>,
 }
 
 /// A successfully admitted batch.
@@ -510,8 +512,9 @@ impl Scheduler {
                     self.shed.fetch_add(1, Ordering::Relaxed);
                     return Err(Rejected {
                         queued,
-                        capacity: slo as usize,
+                        capacity: self.queue_depth,
                         p95_ms: Some(p95),
+                        slo_ms: Some(slo),
                     });
                 }
             }
@@ -521,6 +524,7 @@ impl Scheduler {
                 queued,
                 capacity: self.queue_depth,
                 p95_ms: None,
+                slo_ms: None,
             });
         }
         for task in tasks {
@@ -892,7 +896,8 @@ mod tests {
     #[test]
     fn slo_controller_sheds_low_priority_first_and_reports_p95() {
         // Absurdly tight SLO: any completed work trips it.
-        let s = Scheduler::new(1, 64, None, Some(0.000_001));
+        let slo = 0.000_001;
+        let s = Scheduler::new(1, 64, None, Some(slo));
         assert_eq!(s.shed_batches(), 0);
         // Before any completion the latency window is empty — everything
         // is admitted.
@@ -912,6 +917,10 @@ mod tests {
             .expect_err("p95 over SLO sheds priority 0");
         assert!(rejected.p95_ms.is_some(), "shed carries the observed p95");
         assert!(rejected.p95_ms.unwrap() > 0.0);
+        // … and the sub-millisecond SLO it exceeded, untruncated, beside
+        // the queue's own capacity.
+        assert_eq!(rejected.slo_ms, Some(slo));
+        assert_eq!(rejected.capacity, 64, "capacity is queue_depth");
         assert_eq!(s.shed_batches(), 1);
         // Priority 9 is never shed.
         s.submit_jobs(1, 9, jobs(vec![Box::new(|| {})]))

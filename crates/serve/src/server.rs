@@ -109,7 +109,8 @@ pub struct ServeOptions {
     pub queue_depth: usize,
     /// p95 sojourn-latency SLO in milliseconds, finite and above 0. When
     /// set, batches are shed lowest-priority-first once the observed p95
-    /// exceeds it (`busy` frame, `scope: "slo"`, carrying the p95);
+    /// exceeds it (`busy` frame, `scope: "slo"`, carrying the p95 and
+    /// the SLO);
     /// priority 9 is never shed. `None` keeps plain queue-depth
     /// admission only.
     pub slo_ms: Option<f64>,
@@ -610,6 +611,7 @@ impl Server {
                             queued: occupied,
                             capacity: max_connections,
                             p95_ms: None,
+                            slo_ms: None,
                         };
                         let _ = stream.write_all((frame.to_json_line() + "\n").as_bytes());
                         continue;
@@ -941,6 +943,7 @@ impl Conn {
                     queued: rejected.queued,
                     capacity: rejected.capacity,
                     p95_ms: rejected.p95_ms,
+                    slo_ms: rejected.slo_ms,
                 });
             }
         };
