@@ -40,14 +40,10 @@
 //!   re-submission against the shared stage cache: end-to-end jobs/sec
 //!   including protocol framing, plus a byte-parity check of the socket
 //!   stream against a direct engine run.
-//! * [`sta_perf`] — the timing subsystem. *Baseline* is the from-scratch
-//!   reference STA (`mm_sta::reference`) re-analyzing the whole circuit
-//!   per delay change; *optimized* is the incremental [`mm_sta::Sta`]
-//!   propagating only the affected cones, parity-gated bit-for-bit on
-//!   the final state. Plus the headline flow comparison: the
-//!   `timing:<alpha>` DCS cost vs the wirelength-only baseline on a
-//!   deep-logic multi-mode problem, reporting the critical-path win and
-//!   the wirelength price paid for it.
+//! * [`sta_perf`] — the timing-driven flow: the `timing:<alpha>` DCS
+//!   cost vs the wirelength-only baseline on a deep-logic multi-mode
+//!   problem, reporting the critical-path win and the wirelength price
+//!   paid for it.
 //!
 //! All have a `--smoke` sized variant for CI.
 //!
@@ -2105,22 +2101,6 @@ impl TimingFlowPerf {
 /// The timing subsystem benchmark report.
 #[derive(Debug, Clone)]
 pub struct StaPerf {
-    /// LUTs of the STA workload circuit.
-    pub luts: usize,
-    /// Connections (delay vector length).
-    pub connections: usize,
-    /// Random single-connection delay updates timed.
-    pub updates: usize,
-    /// Microseconds per update with the incremental analyzer
-    /// (`set_delay` + `refresh`, affected cones only).
-    pub incremental_us_per_update: f64,
-    /// Microseconds per update re-running the from-scratch reference.
-    pub reference_us_per_update: f64,
-    /// reference / incremental wall-clock.
-    pub incremental_speedup: f64,
-    /// After the whole update storm the incremental analysis is
-    /// bit-identical to a from-scratch run on the final delays.
-    pub parity_ok: bool,
     /// The timing-driven vs wirelength-only flow comparison.
     pub flow: TimingFlowPerf,
 }
@@ -2131,24 +2111,6 @@ impl StaPerf {
     pub fn to_json(&self) -> String {
         ObjBuilder::new()
             .field("bench", "sta")
-            .field(
-                "workload",
-                ObjBuilder::new()
-                    .field("luts", self.luts)
-                    .field("connections", self.connections)
-                    .field("updates", self.updates)
-                    .build(),
-            )
-            .field(
-                "incremental_us_per_update",
-                round2(self.incremental_us_per_update),
-            )
-            .field(
-                "reference_us_per_update",
-                round2(self.reference_us_per_update),
-            )
-            .field("incremental_speedup", round2(self.incremental_speedup))
-            .field("parity_ok", self.parity_ok)
             .field("flow", self.flow.json())
             .build()
             .to_json()
@@ -2159,14 +2121,6 @@ impl StaPerf {
     pub fn check(&self, _config: &PerfConfig) -> Vec<String> {
         let tf = &self.flow;
         let mut g = Gates::default();
-        g.require(
-            self.parity_ok,
-            "parity_ok: incremental STA != from-scratch reference",
-        );
-        g.require(
-            round2(self.incremental_us_per_update) > 0.0,
-            "incremental_us_per_update: empty STA measurement",
-        );
         g.require(
             tf.improved,
             format!(
@@ -2186,60 +2140,15 @@ impl StaPerf {
     }
 }
 
-/// Runs the timing benchmark: incremental vs from-scratch STA under a
-/// random delay-update storm, then the timing-driven DCS flow vs the
+/// Runs the timing benchmark: the timing-driven DCS flow vs the
 /// wirelength-only baseline on a deep-logic multi-mode problem.
 ///
 /// # Panics
 ///
-/// Panics if the seeded workloads fail to analyze or route — a
+/// Panics if the seeded workload fails to route or analyze — a
 /// benchmark that cannot run must fail loudly.
 #[must_use]
 pub fn sta_perf(config: &PerfConfig) -> StaPerf {
-    // --- Incremental vs from-scratch STA on one deep circuit. ---
-    let (w, chains, depth, noise, updates) = if config.smoke {
-        (4usize, 3usize, 16usize, 20usize, 60usize)
-    } else {
-        (8, 6, 40, 120, 600)
-    };
-    let c = mm_gen::deeplogic::deep_chain_circuit("sta", 5, w, chains, depth, noise, 0x57a);
-    let connections = c.connections().len();
-    let base = vec![1.0f64; connections];
-    let mut rng = StdRng::seed_from_u64(0x57a7);
-    let total = updates * config.reps.max(1);
-    let storm: Vec<(usize, f64)> = (0..total)
-        .map(|_| (rng.gen_range(0..connections), rng.gen_range(0.0..4.0)))
-        .collect();
-
-    let mut sta = mm_sta::Sta::new(&c, &base).expect("workload analyzes");
-    let t0 = Instant::now();
-    for &(i, d) in &storm {
-        sta.set_delay(i, d).expect("storm delays are valid");
-        sta.refresh();
-        std::hint::black_box(sta.critical_path());
-    }
-    let incremental_us_per_update = t0.elapsed().as_secs_f64() * 1e6 / total as f64;
-
-    let mut delays = base;
-    let t0 = Instant::now();
-    for &(i, d) in &storm {
-        delays[i] = d;
-        let a = mm_sta::reference::analyze(&c, &delays).expect("workload analyzes");
-        std::hint::black_box(a.critical_path);
-    }
-    let reference_us_per_update = t0.elapsed().as_secs_f64() * 1e6 / total as f64;
-
-    let from_scratch = mm_sta::reference::analyze(&c, &delays).expect("workload analyzes");
-    let incremental = sta.analysis();
-    let parity_ok = incremental.critical_path.to_bits() == from_scratch.critical_path.to_bits()
-        && incremental
-            .criticalities()
-            .iter()
-            .zip(&from_scratch.criticalities())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-        && incremental.connections.len() == from_scratch.connections.len();
-
-    // --- Timing-driven vs wirelength-only DCS on deep-logic modes. ---
     let suite = mm_gen::deeplogic_suite(4);
     let mode_count = if config.smoke { 2 } else { 3 };
     let circuits: Vec<LutCircuit> = suite.into_iter().take(mode_count).collect();
@@ -2278,13 +2187,6 @@ pub fn sta_perf(config: &PerfConfig) -> StaPerf {
     let timing_wires = total_wires(&timing);
 
     StaPerf {
-        luts: c.lut_count(),
-        connections,
-        updates: total,
-        incremental_us_per_update,
-        reference_us_per_update,
-        incremental_speedup: reference_us_per_update / incremental_us_per_update.max(1e-9),
-        parity_ok,
         flow: TimingFlowPerf {
             modes: input.mode_count(),
             luts,
@@ -2456,9 +2358,6 @@ mod tests {
     #[test]
     fn sta_perf_smoke_wins_on_delay_and_keeps_parity() {
         let perf = sta_perf(&SMOKE);
-        assert!(perf.parity_ok, "incremental STA == from-scratch bits");
-        assert!(perf.incremental_us_per_update > 0.0);
-        assert!(perf.reference_us_per_update > 0.0);
         assert!(
             perf.flow.improved,
             "timing-driven cp {} must beat baseline cp {}",
@@ -2466,7 +2365,6 @@ mod tests {
         );
         assert!(perf.flow.baseline_wires > 0 && perf.flow.timing_wires > 0);
         let json = perf.to_json();
-        assert!(json.contains("\"incremental_speedup\""), "{json}");
         assert!(json.contains("\"critical_path_ratio\""), "{json}");
         assert!(
             mm_engine::json::parse(&json).is_ok(),
@@ -2476,7 +2374,6 @@ mod tests {
         assert_gate_bites(&perf, check, "flow.improved", |r| {
             r.flow.improved = false;
         });
-        assert_gate_bites(&perf, check, "parity_ok", |r| r.parity_ok = false);
     }
 
     #[test]

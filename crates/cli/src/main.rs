@@ -240,8 +240,9 @@ fn next_value<'a>(
         .ok_or_else(|| Usage(format!("{flag} needs a value")).into())
 }
 
-/// Parses a channel-width flag's value, refusing 0 through the engine's
-/// check, as spec files and serve requests do.
+/// Parses a channel-width flag's value, refusing 0 and widths above
+/// 1,024 through the engine's check, as spec files and serve requests
+/// do.
 fn width_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, Box<dyn Error>> {
     Ok(mm_engine::channel_width(
         flag,
@@ -714,7 +715,8 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--width" => width = Some(width_value(&mut it, "--width")?),
             "--effort" => effort = Some(effort_value(&mut it, "--effort")?),
             "--max-iterations" => {
-                max_iterations = Some(next_value(&mut it, "--max-iterations")?.parse()?);
+                let iters = next_value(&mut it, "--max-iterations")?.parse()?;
+                max_iterations = Some(mm_engine::iteration_cap("--max-iterations", iters)?);
             }
             "--max-width" => max_width = Some(width_value(&mut it, "--max-width")?),
             "--steiner-fanout" => {
@@ -993,14 +995,6 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
     if runs("sta") {
         eprintln!("bench: sta workload ...");
         let sta = sta_perf(&config);
-        eprintln!(
-            "  sta: incremental {:.2} us/update vs reference {:.2} us/update → {:.2}x \
-             (parity {})",
-            sta.incremental_us_per_update,
-            sta.reference_us_per_update,
-            sta.incremental_speedup,
-            if sta.parity_ok { "ok" } else { "FAILED" },
-        );
         eprintln!(
             "  sta[flow, {} modes]: critical path {:.0} → {:.0} ({:.2}x), \
              wires {} → {} ({:.2}x)",

@@ -403,50 +403,107 @@ fn zero_channel_widths_exit_1_without_panicking() {
     std::fs::create_dir_all(&group).unwrap();
     std::fs::copy(&a, group.join("m0.blif")).unwrap();
     std::fs::copy(&b, group.join("m1.blif")).unwrap();
-    let spec = dir.join("spec.json");
-    std::fs::write(
-        &spec,
-        r#"{"defaults": {"max_width": 0}, "jobs": [{"modes": ["a.blif", "b.blif"]}]}"#,
-    )
-    .unwrap();
+    let spec = |name: &str, defaults: &str| {
+        let path = dir.join(name);
+        std::fs::write(
+            &path,
+            format!(r#"{{"defaults": {defaults}, "jobs": [{{"modes": ["a.blif", "b.blif"]}}]}}"#),
+        )
+        .unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let zero_spec = spec("spec.json", r#"{"max_width": 0}"#);
+    let wide_spec = spec("wide.json", r#"{"width": 1025}"#);
+    let iter_spec = spec("iter.json", r#"{"max_iterations": 0}"#);
     let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
     let jobs = dir.join("jobs");
     let jobs = jobs.to_str().unwrap();
     let socket = dir.join("absent.sock");
     let connect = format!("unix:{}", socket.display());
+    let zero = "a positive channel width, got 0";
+    let over = "a channel width of at most 1024, got 1025";
     for (args, expected) in [
-        (vec!["merge", a, b, "--width", "0"], "--width must be"),
-        (vec!["mdr", a, b, "--width", "0"], "--width must be"),
         (
-            vec!["batch", jobs, "--no-cache", "--width", "0"],
-            "--width must be",
+            vec!["merge", a, b, "--width", "0"],
+            format!("--width must be {zero}"),
         ),
         (
-            vec!["batch", spec.to_str().unwrap(), "--no-cache"],
-            "\"max_width\" must be",
+            vec!["mdr", a, b, "--width", "0"],
+            format!("--width must be {zero}"),
+        ),
+        (
+            vec!["batch", jobs, "--no-cache", "--width", "0"],
+            format!("--width must be {zero}"),
+        ),
+        (
+            vec!["batch", &zero_spec, "--no-cache"],
+            format!("\"max_width\" must be {zero}"),
         ),
         (
             vec!["pareto", jobs, "--no-cache", "--width", "0"],
-            "--width must be",
+            format!("--width must be {zero}"),
         ),
         (
             vec!["submit", jobs, "--connect", &connect, "--width", "0"],
-            "--width must be",
+            format!("--width must be {zero}"),
         ),
         (
             vec!["submit", jobs, "--connect", &connect, "--max-width", "0"],
-            "--max-width must be",
+            format!("--max-width must be {zero}"),
+        ),
+        (
+            vec!["merge", a, b, "--width", "1025"],
+            format!("--width must be {over}"),
+        ),
+        (
+            vec!["batch", &wide_spec, "--no-cache"],
+            format!("\"width\" must be {over}"),
+        ),
+        (
+            vec!["submit", jobs, "--connect", &connect, "--max-width", "1025"],
+            format!("--max-width must be {over}"),
+        ),
+        (
+            vec!["batch", &iter_spec, "--no-cache"],
+            "\"max_iterations\" must be a positive iteration cap, got 0".to_string(),
+        ),
+        (
+            vec![
+                "submit",
+                jobs,
+                "--connect",
+                &connect,
+                "--max-iterations",
+                "0",
+            ],
+            "--max-iterations must be a positive iteration cap, got 0".to_string(),
         ),
     ] {
         let out = mmflow().args(&args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(
-            stderr.contains(&format!("{expected} a positive channel width, got 0")),
-            "{args:?}: {stderr}"
-        );
+        assert!(stderr.contains(&expected), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+    // The cap itself passes the checks: submit gets as far as connecting.
+    let out = mmflow()
+        .args([
+            "submit",
+            jobs,
+            "--connect",
+            &connect,
+            "--width",
+            "1024",
+            "--max-width",
+            "1024",
+            "--max-iterations",
+            "1",
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("must be"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

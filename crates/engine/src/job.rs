@@ -913,6 +913,13 @@ pub(crate) fn parse_seed(v: &Value) -> Result<u64, String> {
     Err("\"seed\" must be an integer below 2^53 or a decimal/0x string".to_string())
 }
 
+/// The widest channel read from input: about ten times the default
+/// `max_width` of 96. A job's routing graphs, and its memory, grow
+/// linearly with the width, so an unbounded width could exhaust the
+/// daemon's memory (and above 65,535 tracks the routing graph's 16-bit
+/// track index would wrap).
+pub(crate) const MAX_CHANNEL_WIDTH: usize = 1024;
+
 /// Checks a channel width read from input — a spec or request field, or
 /// a command-line flag, which `field` names. A fabric needs at least one
 /// track, so 0 is an error naming the field here, at the input
@@ -920,12 +927,31 @@ pub(crate) fn parse_seed(v: &Value) -> Result<u64, String> {
 ///
 /// # Errors
 ///
-/// Fails on 0.
+/// Fails on 0 and above `MAX_CHANNEL_WIDTH` (1,024).
 pub fn channel_width(field: &str, width: usize) -> Result<usize, String> {
     if width == 0 {
         return Err(format!("{field} must be a positive channel width, got 0"));
     }
+    if width > MAX_CHANNEL_WIDTH {
+        return Err(format!(
+            "{field} must be a channel width of at most {MAX_CHANNEL_WIDTH}, got {width}"
+        ));
+    }
     Ok(width)
+}
+
+/// Checks a router iteration cap read from input, as [`channel_width`]
+/// checks widths. At 0 no route runs a single iteration, and the job
+/// would fail later, in the route stage, as unroutable.
+///
+/// # Errors
+///
+/// Fails on 0.
+pub fn iteration_cap(field: &str, iterations: usize) -> Result<usize, String> {
+    if iterations == 0 {
+        return Err(format!("{field} must be a positive iteration cap, got 0"));
+    }
+    Ok(iterations)
 }
 
 /// The largest annealing effort read from input: ten times VPR's default
@@ -1000,9 +1026,10 @@ fn parse_job(
         options.placer.inner_num = annealing_effort("\"effort\"", effort)?;
     }
     if let Some(iters) = lookup(jv, defaults, "max_iterations") {
-        options.router.max_iterations = iters
+        let iters = iters
             .as_usize()
             .ok_or("\"max_iterations\" must be an integer")?;
+        options.router.max_iterations = iteration_cap("\"max_iterations\"", iters)?;
     }
     if let Some(max_width) = lookup(jv, defaults, "max_width") {
         let max_width = max_width
@@ -1375,36 +1402,71 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("a.blif"), blif::to_blif(&tiny("a"))).unwrap();
-        for (file, spec, field) in [
+        let zero = "must be a positive channel width";
+        let over = "must be a channel width of at most 1024, got 1025";
+        for (file, spec, field, expected) in [
             (
                 "w.json",
                 r#"{"jobs": [{"modes": ["a.blif"], "width": 0}]}"#,
                 "\"width\"",
+                zero,
             ),
             (
                 "mw.json",
                 r#"{"jobs": [{"modes": ["a.blif"], "max_width": 0}]}"#,
                 "\"max_width\"",
+                zero,
             ),
             (
                 "dw.json",
                 r#"{"defaults": {"width": 0}, "jobs": [{"modes": ["a.blif"]}]}"#,
                 "\"width\"",
+                zero,
             ),
             (
                 "dmw.json",
                 r#"{"defaults": {"max_width": 0}, "jobs": [{"modes": ["a.blif"]}]}"#,
                 "\"max_width\"",
+                zero,
+            ),
+            (
+                "wc.json",
+                r#"{"jobs": [{"modes": ["a.blif"], "width": 1025}]}"#,
+                "\"width\"",
+                over,
+            ),
+            (
+                "dmwc.json",
+                r#"{"defaults": {"max_width": 1025}, "jobs": [{"modes": ["a.blif"]}]}"#,
+                "\"max_width\"",
+                over,
+            ),
+            (
+                "i.json",
+                r#"{"jobs": [{"modes": ["a.blif"], "max_iterations": 0}]}"#,
+                "\"max_iterations\"",
+                "must be a positive iteration cap, got 0",
             ),
         ] {
             let path = dir.join(file);
             std::fs::write(&path, spec).unwrap();
             let err = load_spec(path.to_str().unwrap(), &FlowOptions::default(), 4).unwrap_err();
             assert!(
-                err.contains(&format!("{field} must be a positive channel width")),
+                err.contains(&format!("{field} {expected}")),
                 "{file}: {err}"
             );
         }
+        let path = dir.join("cap.json");
+        std::fs::write(
+            &path,
+            r#"{"jobs": [{"modes": ["a.blif"], "width": 1024, "max_width": 1024, "max_iterations": 1}]}"#,
+        )
+        .unwrap();
+        let spec = load_spec(path.to_str().unwrap(), &FlowOptions::default(), 4).unwrap();
+        let options = spec.jobs[0].options;
+        assert_eq!(options.width, WidthChoice::Fixed(MAX_CHANNEL_WIDTH));
+        assert_eq!(options.max_width, MAX_CHANNEL_WIDTH);
+        assert_eq!(options.router.max_iterations, 1);
         assert_eq!(channel_width("--width", 1), Ok(1));
         let _ = std::fs::remove_dir_all(&dir);
     }

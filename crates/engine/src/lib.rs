@@ -50,9 +50,10 @@ pub mod protocol;
 pub use cache::{CacheStats, GcSummary, StageCache};
 pub use engine::{BatchReport, Engine, EngineOptions, EngineStats};
 pub use job::{
-    annealing_effort, channel_width, load_spec, load_spec_with_modes, multi_placement_from,
-    placements_from, placements_value, read_blif, suite_jobs_n, BatchSpec, DcsSummary, FlowKind,
-    Job, JobCacheInfo, JobError, JobOutcome, JobResult, MdrSummary, SpecSource,
+    annealing_effort, channel_width, iteration_cap, load_spec, load_spec_with_modes,
+    multi_placement_from, placements_from, placements_value, read_blif, suite_jobs_n, BatchSpec,
+    DcsSummary, FlowKind, Job, JobCacheInfo, JobError, JobOutcome, JobResult, MdrSummary,
+    SpecSource,
 };
 
 // Everything crossing a worker-thread boundary must be Send + Sync.

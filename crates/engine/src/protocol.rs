@@ -251,7 +251,9 @@ impl Request {
                         .transpose()
                 };
                 request.width = width_field("width")?;
-                request.max_iterations = usize_field("max_iterations")?;
+                request.max_iterations = usize_field("max_iterations")?
+                    .map(|i| crate::iteration_cap("\"max_iterations\"", i))
+                    .transpose()?;
                 request.max_width = width_field("max_width")?;
                 request.steiner_fanout = usize_field("steiner_fanout")?;
                 request.seed = v.get("seed").map(parse_seed).transpose()?;
@@ -501,6 +503,8 @@ pub fn classify(line: &str) -> Result<ServerLine<'_>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::MAX_CHANNEL_WIDTH;
+    use proptest::prelude::*;
 
     #[test]
     fn requests_roundtrip() {
@@ -571,15 +575,112 @@ mod tests {
 
     #[test]
     fn zero_channel_widths_are_refused_naming_the_field() {
+        let line = |field: &str, value: usize| {
+            format!(r#"{{"cmd":"batch","spec":"suite:regexp","{field}":{value}}}"#)
+        };
         for field in ["width", "max_width"] {
-            let line = format!(r#"{{"cmd":"batch","spec":"suite:regexp","{field}":0}}"#);
-            let err = Request::parse(&line).unwrap_err();
+            let err = Request::parse(&line(field, 0)).unwrap_err();
             assert!(
                 err.contains(&format!("\"{field}\" must be a positive channel width")),
                 "{err}"
             );
-            let line = format!(r#"{{"cmd":"batch","spec":"suite:regexp","{field}":1}}"#);
-            assert!(Request::parse(&line).is_ok());
+            let err = Request::parse(&line(field, MAX_CHANNEL_WIDTH + 1)).unwrap_err();
+            assert!(
+                err.contains(&format!(
+                    "\"{field}\" must be a channel width of at most {MAX_CHANNEL_WIDTH}"
+                )),
+                "{err}"
+            );
+            assert!(Request::parse(&line(field, 1)).is_ok());
+            assert!(Request::parse(&line(field, MAX_CHANNEL_WIDTH)).is_ok());
+        }
+        let err = Request::parse(&line("max_iterations", 0)).unwrap_err();
+        assert!(
+            err.contains("\"max_iterations\" must be a positive iteration cap"),
+            "{err}"
+        );
+        assert!(Request::parse(&line("max_iterations", 1)).is_ok());
+    }
+
+    /// A batch request line that sets every member.
+    const FULL_BATCH: &str = concat!(
+        r#"{"cmd":"batch","spec":"suite:regexp","k":4,"modes":2,"max_jobs":3,"#,
+        r#""seed":7,"width":12,"effort":1.5,"max_iterations":30,"max_width":24,"#,
+        r#""steiner_fanout":48,"priority":7,"emit_stage_times":true}"#
+    );
+
+    /// Replaces the value of numeric member `key` in [`FULL_BATCH`]-shaped
+    /// `line` (values there end at the next `,` or `}`).
+    fn replace_member(line: &str, key: &str, value: &str) -> String {
+        let start = line.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+        let end = start + line[start..].find([',', '}']).unwrap();
+        format!("{}{value}{}", &line[..start], &line[end..])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Seeded mutations of a valid batch line: `Request::parse` always
+        /// returns, and every batch it accepts resolves to a width, a
+        /// width cap and an iteration cap the flows can run with.
+        #[test]
+        fn mutated_batch_lines_parse_without_panics_into_runnable_options(
+            member in 0usize..10,
+            value in 0usize..9,
+            replace: bool,
+            byte_ops in 0usize..=2,
+            op_seed: u64,
+        ) {
+            use rand::{Rng, SeedableRng};
+            const NUMERIC: [&str; 10] = [
+                "k", "modes", "max_jobs", "seed", "width", "effort",
+                "max_iterations", "max_width", "steiner_fanout", "priority",
+            ];
+            const VALUES: [&str; 9] = [
+                "0", "1025", "20000", "65536", "-1", "1e308",
+                "18446744073709551616", "\"12\"", "[12]",
+            ];
+            let mut line = if replace {
+                replace_member(FULL_BATCH, NUMERIC[member], VALUES[value])
+            } else {
+                FULL_BATCH.to_string()
+            };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(op_seed);
+            for _ in 0..byte_ops {
+                let mut bytes = line.into_bytes();
+                let n = bytes.len();
+                match rng.gen_range(0..3) {
+                    0 if n > 0 => {
+                        // Flip one bit of an ASCII byte (it stays ASCII).
+                        let i = rng.gen_range(0..n);
+                        bytes[i] ^= 1u8 << rng.gen_range(0..7);
+                    }
+                    1 => bytes.truncate(rng.gen_range(0..=n)),
+                    _ if n > 0 => {
+                        let a = rng.gen_range(0..n);
+                        let b = rng.gen_range(a..=n);
+                        let at = rng.gen_range(0..=n);
+                        let span = bytes[a..b].to_vec();
+                        bytes.splice(at..at, span);
+                    }
+                    _ => {}
+                }
+                line = String::from_utf8(bytes).expect("ASCII mutations stay UTF-8");
+            }
+            let parsed = std::panic::catch_unwind(|| Request::parse(&line));
+            prop_assert!(parsed.is_ok(), "Request::parse panicked on {line:?}");
+            if let Ok(Ok(Request::Batch(b))) = parsed {
+                let o = b.flow_options(&FlowOptions::default());
+                let caps = 1..=MAX_CHANNEL_WIDTH;
+                if let WidthChoice::Fixed(w) = o.width {
+                    prop_assert!(caps.contains(&w), "width {w} from {line:?}");
+                }
+                prop_assert!(caps.contains(&o.max_width), "max_width {} from {line:?}", o.max_width);
+                prop_assert!(
+                    o.router.max_iterations >= 1,
+                    "max_iterations 0 from {line:?}"
+                );
+            }
         }
     }
 

@@ -202,22 +202,32 @@ fn out_of_range_k_is_an_error_frame_on_every_connection() {
         let reader = BufReader::new(stream.try_clone().unwrap());
         (stream, reader)
     };
-    // The line on two connections held open side by side.
+    // Each line on two connections held open side by side.
     let mut held = Vec::new();
-    for _ in 0..2 {
-        let (mut stream, mut reader) = open();
-        stream
-            .write_all(b"{\"cmd\":\"batch\",\"spec\":\"suite:regexp\",\"k\":9}\n")
-            .unwrap();
-        let (records, frames) = read_exchange(&mut reader);
-        assert!(records.is_empty());
-        match frames.as_slice() {
-            [Frame::Error { message, .. }] => {
-                assert!(message.contains("k must be in 2..=6"), "{message}");
+    for (line, expected) in [
+        (
+            &b"{\"cmd\":\"batch\",\"spec\":\"suite:regexp\",\"k\":9}\n"[..],
+            "k must be in 2..=6",
+        ),
+        (
+            b"{\"cmd\":\"batch\",\"spec\":\"suite:regexp\",\"max_jobs\":1,\"width\":20000,\
+              \"max_width\":20000,\"max_iterations\":1}\n",
+            "\"width\" must be a channel width of at most 1024",
+        ),
+    ] {
+        for _ in 0..2 {
+            let (mut stream, mut reader) = open();
+            stream.write_all(line).unwrap();
+            let (records, frames) = read_exchange(&mut reader);
+            assert!(records.is_empty());
+            match frames.as_slice() {
+                [Frame::Error { message, .. }] => {
+                    assert!(message.contains(expected), "{message}");
+                }
+                other => panic!("expected one error frame, got {other:?}"),
             }
-            other => panic!("expected one error frame, got {other:?}"),
+            held.push((stream, reader));
         }
-        held.push((stream, reader));
     }
 
     let (mut stream, mut reader) = open();

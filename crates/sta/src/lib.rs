@@ -6,19 +6,10 @@
 //! criticality in `0..=1` that the placer and router consume for
 //! timing-driven optimization.
 //!
-//! Two implementations share one semantics:
-//!
-//! * [`Sta`] — the production engine. It stores the levelized graph once
-//!   and, after [`Sta::set_delay`] updates, re-levelizes only the fanout
-//!   and fanin cones actually touched ([`Sta::refresh`]), so repeated
-//!   analysis during placement/routing iteration is cheap.
-//! * [`reference::analyze`] — a from-scratch `HashMap`-based
-//!   implementation recomputing everything on every call.
-//!
-//! Both compute every node value as the same pure function of the delay
-//! inputs (identical fold order and expressions), so their results are
-//! **bit-identical** — the property-based parity suite in
-//! `tests/parity.rs` holds them to that.
+//! Every caller asks for one full analysis of one circuit, so
+//! [`analyze`] recomputes everything on every call: one forward sweep
+//! over the combinational LUTs in topological order, one backward sweep
+//! in reverse, then slack and criticality per connection.
 //!
 //! # Timing model
 //!
@@ -36,13 +27,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod reference;
-
 use mm_arch::{RoutingGraph, RrNodeId, Site};
 use mm_netlist::{BlockId, BlockKind, LutCircuit};
 use mm_route::{RouteNet, Routing};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Delay of one LUT in the unit-delay model (a LUT traversal costs a
@@ -129,16 +117,6 @@ pub struct TimingAnalysis {
 }
 
 impl TimingAnalysis {
-    /// Mean connection delay (0.0 for a circuit without connections).
-    #[must_use]
-    pub fn mean_connection_delay(&self) -> f64 {
-        if self.connections.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = self.connections.iter().map(|c| c.delay).sum();
-        sum / self.connections.len() as f64
-    }
-
     /// Criticalities in [`LutCircuit::connections`] order.
     #[must_use]
     pub fn criticalities(&self) -> Vec<f64> {
@@ -146,521 +124,124 @@ impl TimingAnalysis {
     }
 }
 
-/// Validates one delay value (finite, non-negative, not `-0.0` — the
-/// sign would leak into max/min folds where IEEE leaves the result
-/// underspecified).
-fn check_delay(index: usize, value: f64) -> Result<(), StaError> {
-    if !value.is_finite() || value.is_sign_negative() {
-        return Err(StaError::InvalidDelay { index, value });
-    }
-    Ok(())
-}
-
-/// Node classification for the timing graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    CombLut,
-    RegLut,
-    InputPad,
-    OutputPad,
-}
-
-/// Incremental static timing analyzer.
-///
-/// Built once per circuit from a delay vector aligned with
-/// [`LutCircuit::connections`]; delays can then be changed with
-/// [`Sta::set_delay`] and the analysis brought up to date with
-/// [`Sta::refresh`], which re-levelizes only the cones reachable from
-/// the changed connections. Results are bit-identical to a from-scratch
-/// run ([`reference::analyze`]) because every node value is recomputed
-/// in full (never delta-adjusted) with identical fold orders.
-#[derive(Debug, Clone)]
-pub struct Sta {
-    // Static structure.
-    conn_pairs: Vec<(BlockId, BlockId)>,
-    conn_src: Vec<u32>,
-    conn_dst: Vec<u32>,
-    delays: Vec<f64>,
-    class: Vec<Class>,
-    fanin_idx: Vec<u32>,
-    fanin_dat: Vec<u32>,
-    fanout_idx: Vec<u32>,
-    fanout_dat: Vec<u32>,
-    /// Combinational LUTs in topological order.
-    order: Vec<u32>,
-    /// Block → position in `order` (`u32::MAX` for non-comb blocks).
-    pos: Vec<u32>,
-    // Dynamic values.
-    arr: Vec<f64>,
-    contrib: Vec<f64>,
-    req: Vec<f64>,
-    t: f64,
-    slack: Vec<f64>,
-    crit: Vec<f64>,
-    // Dirty-set machinery (reused across refreshes).
-    fwd_heap: BinaryHeap<Reverse<u32>>,
-    fwd_in: Vec<bool>,
-    bwd_heap: BinaryHeap<u32>,
-    bwd_in: Vec<bool>,
-    dirty_end: Vec<u32>,
-    end_in: Vec<bool>,
-    dirty_conns: Vec<u32>,
-    conn_in: Vec<bool>,
-}
-
-impl Sta {
-    /// Builds the analyzer and runs the initial full analysis.
-    ///
-    /// `delays` holds one delay per [`LutCircuit::connections`] entry,
-    /// in that order.
-    ///
-    /// # Errors
-    ///
-    /// [`StaError::DelayCount`] on a length mismatch,
-    /// [`StaError::InvalidDelay`] for non-finite or negative delays, and
-    /// [`StaError::Cycle`] if the combinational part of the circuit is
-    /// cyclic.
-    pub fn new(circuit: &LutCircuit, delays: &[f64]) -> Result<Self, StaError> {
-        let conn_pairs = circuit.connections();
-        if delays.len() != conn_pairs.len() {
-            return Err(StaError::DelayCount {
-                expected: conn_pairs.len(),
-                got: delays.len(),
-            });
-        }
-        for (i, &d) in delays.iter().enumerate() {
-            check_delay(i, d)?;
-        }
-        let order_ids = circuit
-            .comb_topo_order()
-            .map_err(|e| StaError::Cycle(e.to_string()))?;
-
-        let n = circuit.block_count();
-        let class: Vec<Class> = circuit
-            .block_ids()
-            .map(|id| match circuit.block(id).kind() {
-                BlockKind::InputPad => Class::InputPad,
-                BlockKind::OutputPad { .. } => Class::OutputPad,
-                BlockKind::Lut {
-                    registered: true, ..
-                } => Class::RegLut,
-                BlockKind::Lut { .. } => Class::CombLut,
-            })
-            .collect();
-
-        let conn_src: Vec<u32> = conn_pairs.iter().map(|&(s, _)| s.index() as u32).collect();
-        let conn_dst: Vec<u32> = conn_pairs.iter().map(|&(_, d)| d.index() as u32).collect();
-        let (fanin_idx, fanin_dat) = csr(n, &conn_dst);
-        let (fanout_idx, fanout_dat) = csr(n, &conn_src);
-
-        let mut pos = vec![u32::MAX; n];
-        let order: Vec<u32> = order_ids.iter().map(|id| id.index() as u32).collect();
-        for (p, &b) in order.iter().enumerate() {
-            pos[b as usize] = p as u32;
-        }
-
-        let m = conn_pairs.len();
-        let mut sta = Self {
-            conn_pairs,
-            conn_src,
-            conn_dst,
-            delays: delays.to_vec(),
-            class,
-            fanin_idx,
-            fanin_dat,
-            fanout_idx,
-            fanout_dat,
-            order,
-            pos,
-            arr: vec![0.0; n],
-            contrib: vec![0.0; n],
-            req: vec![0.0; n],
-            t: 0.0,
-            slack: vec![0.0; m],
-            crit: vec![0.0; m],
-            fwd_heap: BinaryHeap::new(),
-            fwd_in: vec![false; n],
-            bwd_heap: BinaryHeap::new(),
-            bwd_in: vec![false; n],
-            dirty_end: Vec::new(),
-            end_in: vec![false; n],
-            dirty_conns: Vec::new(),
-            conn_in: vec![false; m],
-        };
-        sta.recompute();
-        Ok(sta)
-    }
-
-    /// Number of connections (and delays).
-    #[must_use]
-    pub fn connection_count(&self) -> usize {
-        self.delays.len()
-    }
-
-    /// The connection pairs, in [`LutCircuit::connections`] order.
-    #[must_use]
-    pub fn connections(&self) -> &[(BlockId, BlockId)] {
-        &self.conn_pairs
-    }
-
-    /// Current delay vector.
-    #[must_use]
-    pub fn delays(&self) -> &[f64] {
-        &self.delays
-    }
-
-    /// Critical path as of the last [`Sta::refresh`] (or construction).
-    #[must_use]
-    pub fn critical_path(&self) -> f64 {
-        self.t
-    }
-
-    /// Per-connection slacks.
-    #[must_use]
-    pub fn slacks(&self) -> &[f64] {
-        &self.slack
-    }
-
-    /// Per-connection criticalities in `0..=1`.
-    #[must_use]
-    pub fn criticalities(&self) -> &[f64] {
-        &self.crit
-    }
-
-    /// Updates one connection delay, marking the affected cones dirty.
-    /// Call [`Sta::refresh`] to bring the analysis up to date.
-    ///
-    /// # Errors
-    ///
-    /// [`StaError::InvalidDelay`] for a non-finite or negative value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn set_delay(&mut self, index: usize, delay: f64) -> Result<(), StaError> {
-        check_delay(index, delay)?;
-        if self.delays[index].to_bits() == delay.to_bits() {
-            return Ok(());
-        }
-        self.delays[index] = delay;
-        self.mark_conn(index as u32);
-        let dst = self.conn_dst[index] as usize;
-        match self.class[dst] {
-            Class::CombLut => self.push_fwd(self.pos[dst]),
-            Class::RegLut | Class::OutputPad => self.mark_end(dst as u32),
-            Class::InputPad => {}
-        }
-        let src = self.conn_src[index] as usize;
-        if self.class[src] == Class::CombLut {
-            self.push_bwd(self.pos[src]);
-        }
-        Ok(())
-    }
-
-    /// Replaces the whole delay vector (marking only actually-changed
-    /// connections dirty) and refreshes.
-    ///
-    /// # Errors
-    ///
-    /// [`StaError::DelayCount`] on a length mismatch and
-    /// [`StaError::InvalidDelay`] for invalid values.
-    pub fn set_delays(&mut self, delays: &[f64]) -> Result<(), StaError> {
-        if delays.len() != self.delays.len() {
-            return Err(StaError::DelayCount {
-                expected: self.delays.len(),
-                got: delays.len(),
-            });
-        }
-        for (i, &d) in delays.iter().enumerate() {
-            self.set_delay(i, d)?;
-        }
-        self.refresh();
-        Ok(())
-    }
-
-    /// Propagates all pending delay changes through the affected fanout
-    /// and fanin cones. A no-op when nothing is dirty.
-    pub fn refresh(&mut self) {
-        // Forward: arrival times, ascending topological position. A
-        // node's recomputed arrival only dirties its successors (strictly
-        // larger positions), so one ascending sweep settles the cone.
-        while let Some(Reverse(p)) = self.fwd_heap.pop() {
-            self.fwd_in[p as usize] = false;
-            let b = self.order[p as usize] as usize;
-            let a = self.compute_arr(b);
-            if a.to_bits() != self.arr[b].to_bits() {
-                self.arr[b] = a;
-                self.contrib[b] = a;
-                let (s, e) = self.fanout_range(b);
-                for i in s..e {
-                    let ci = self.fanout_dat[i];
-                    self.mark_conn(ci);
-                    let d = self.conn_dst[ci as usize] as usize;
-                    match self.class[d] {
-                        Class::CombLut => self.push_fwd(self.pos[d]),
-                        Class::RegLut | Class::OutputPad => self.mark_end(d as u32),
-                        Class::InputPad => {}
-                    }
-                }
-                // Required times downstream do not depend on arrivals,
-                // but this node's own required time bounds its fanin
-                // slacks — those connections were marked above.
-            }
-        }
-
-        // Endpoints: recompute the dirtied critical-path contributions.
-        let dirty_end = std::mem::take(&mut self.dirty_end);
-        for &b in &dirty_end {
-            self.end_in[b as usize] = false;
-            let e = self.compute_end(b as usize);
-            if e.to_bits() != self.contrib[b as usize].to_bits() {
-                self.contrib[b as usize] = e;
-            }
-        }
-        self.dirty_end = dirty_end;
-        self.dirty_end.clear();
-
-        // Critical path: an exact max over the contribution vector (max
-        // is order-insensitive on finite floats, so a full scan is both
-        // cheap and bit-stable).
-        let t = self.compute_t();
-        if t.to_bits() != self.t.to_bits() {
-            // A changed critical path moves every required time and every
-            // criticality: fall back to the full backward pass.
-            self.t = t;
-            self.bwd_heap.clear();
-            self.bwd_in.iter_mut().for_each(|f| *f = false);
-            self.dirty_conns.clear();
-            self.conn_in.iter_mut().for_each(|f| *f = false);
-            self.recompute_backward();
-            self.recompute_all_slacks();
-            return;
-        }
-
-        // Backward: required times, descending topological position (a
-        // node's required time depends only on successors).
-        while let Some(p) = self.bwd_heap.pop() {
-            self.bwd_in[p as usize] = false;
-            let b = self.order[p as usize] as usize;
-            let r = self.compute_req(b);
-            if r.to_bits() != self.req[b].to_bits() {
-                self.req[b] = r;
-                let (s, e) = self.fanin_range(b);
-                for i in s..e {
-                    let ci = self.fanin_dat[i];
-                    self.mark_conn(ci);
-                    let src = self.conn_src[ci as usize] as usize;
-                    if self.class[src] == Class::CombLut {
-                        self.push_bwd(self.pos[src]);
-                    }
-                }
-            }
-        }
-
-        // Slack/criticality of exactly the touched connections.
-        let dirty = std::mem::take(&mut self.dirty_conns);
-        for &ci in &dirty {
-            self.conn_in[ci as usize] = false;
-            let (s, c) = self.conn_timing(ci as usize);
-            self.slack[ci as usize] = s;
-            self.crit[ci as usize] = c;
-        }
-        self.dirty_conns = dirty;
-        self.dirty_conns.clear();
-    }
-
-    /// Extracts the full analysis at the current delay state.
-    #[must_use]
-    pub fn analysis(&self) -> TimingAnalysis {
-        let connections = self
-            .conn_pairs
-            .iter()
-            .enumerate()
-            .map(|(i, &(source, sink))| ConnectionTiming {
-                source,
-                sink,
-                delay: self.delays[i],
-                arrival: self.arr[self.conn_src[i] as usize] + self.delays[i],
-                slack: self.slack[i],
-                criticality: self.crit[i],
-            })
-            .collect();
-        TimingAnalysis {
-            critical_path: self.t,
-            connections,
-        }
-    }
-
-    // ---- internals ----
-
-    fn fanin_range(&self, b: usize) -> (usize, usize) {
-        (self.fanin_idx[b] as usize, self.fanin_idx[b + 1] as usize)
-    }
-
-    fn fanout_range(&self, b: usize) -> (usize, usize) {
-        (self.fanout_idx[b] as usize, self.fanout_idx[b + 1] as usize)
-    }
-
-    fn push_fwd(&mut self, p: u32) {
-        if !self.fwd_in[p as usize] {
-            self.fwd_in[p as usize] = true;
-            self.fwd_heap.push(Reverse(p));
-        }
-    }
-
-    fn push_bwd(&mut self, p: u32) {
-        if !self.bwd_in[p as usize] {
-            self.bwd_in[p as usize] = true;
-            self.bwd_heap.push(p);
-        }
-    }
-
-    fn mark_end(&mut self, b: u32) {
-        if !self.end_in[b as usize] {
-            self.end_in[b as usize] = true;
-            self.dirty_end.push(b);
-        }
-    }
-
-    fn mark_conn(&mut self, ci: u32) {
-        if !self.conn_in[ci as usize] {
-            self.conn_in[ci as usize] = true;
-            self.dirty_conns.push(ci);
-        }
-    }
-
-    /// Arrival at a combinational LUT's output: max over fanin of
-    /// `arrival(src) + delay`, plus the LUT delay.
-    fn compute_arr(&self, b: usize) -> f64 {
-        let (s, e) = self.fanin_range(b);
-        let mut a = 0.0f64;
-        for i in s..e {
-            let ci = self.fanin_dat[i] as usize;
-            a = a.max(self.arr[self.conn_src[ci] as usize] + self.delays[ci]);
-        }
-        a + LUT_DELAY
-    }
-
-    /// Critical-path contribution of an endpoint block: a registered
-    /// LUT's capture (fold + LUT delay) or an output pad's arrival.
-    fn compute_end(&self, b: usize) -> f64 {
-        let (s, e) = self.fanin_range(b);
-        let mut a = 0.0f64;
-        for i in s..e {
-            let ci = self.fanin_dat[i] as usize;
-            a = a.max(self.arr[self.conn_src[ci] as usize] + self.delays[ci]);
-        }
-        match self.class[b] {
-            Class::RegLut => a + LUT_DELAY,
-            _ => a,
-        }
-    }
-
-    /// Required time at the consumer side of connection `ci` (the time
-    /// by which the signal must arrive at the consumer's input).
-    fn edge_req(&self, ci: usize) -> f64 {
-        let d = self.conn_dst[ci] as usize;
-        match self.class[d] {
-            Class::CombLut => self.req[d] - LUT_DELAY,
-            Class::RegLut => self.t - LUT_DELAY,
-            Class::OutputPad | Class::InputPad => self.t,
-        }
-    }
-
-    /// Required time at a combinational LUT's output: min over fanout of
-    /// `edge_req - delay`, starting from `T` (the node's own arrival also
-    /// counts toward the critical path).
-    fn compute_req(&self, b: usize) -> f64 {
-        let (s, e) = self.fanout_range(b);
-        let mut r = self.t;
-        for i in s..e {
-            let ci = self.fanout_dat[i] as usize;
-            r = r.min(self.edge_req(ci) - self.delays[ci]);
-        }
-        r
-    }
-
-    fn compute_t(&self) -> f64 {
-        let mut t = 0.0f64;
-        for &c in &self.contrib {
-            t = t.max(c);
-        }
-        t
-    }
-
-    fn conn_timing(&self, ci: usize) -> (f64, f64) {
-        let slack = self.edge_req(ci) - (self.arr[self.conn_src[ci] as usize] + self.delays[ci]);
-        let crit = if self.t > 0.0 {
-            (1.0 - slack / self.t).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        (slack, crit)
-    }
-
-    /// Full from-scratch recompute of every derived value.
-    fn recompute(&mut self) {
-        for p in 0..self.order.len() {
-            let b = self.order[p] as usize;
-            let a = self.compute_arr(b);
-            self.arr[b] = a;
-            self.contrib[b] = a;
-        }
-        for b in 0..self.class.len() {
-            match self.class[b] {
-                Class::RegLut | Class::OutputPad => self.contrib[b] = self.compute_end(b),
-                Class::CombLut => {}
-                Class::InputPad => self.contrib[b] = 0.0,
-            }
-        }
-        self.t = self.compute_t();
-        self.recompute_backward();
-        self.recompute_all_slacks();
-    }
-
-    fn recompute_backward(&mut self) {
-        for p in (0..self.order.len()).rev() {
-            let b = self.order[p] as usize;
-            self.req[b] = self.compute_req(b);
-        }
-    }
-
-    fn recompute_all_slacks(&mut self) {
-        for ci in 0..self.delays.len() {
-            let (s, c) = self.conn_timing(ci);
-            self.slack[ci] = s;
-            self.crit[ci] = c;
-        }
-    }
-}
-
-/// Builds a CSR mapping block → connection indices whose `key` equals
-/// the block, preserving connection order within each list.
-fn csr(n: usize, key: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let mut idx = vec![0u32; n + 1];
-    for &k in key {
-        idx[k as usize + 1] += 1;
-    }
-    for i in 0..n {
-        idx[i + 1] += idx[i];
-    }
-    let mut dat = vec![0u32; key.len()];
-    let mut cursor = idx.clone();
-    for (ci, &k) in key.iter().enumerate() {
-        dat[cursor[k as usize] as usize] = ci as u32;
-        cursor[k as usize] += 1;
-    }
-    (idx, dat)
-}
-
 /// Runs a full analysis of `circuit` under `delays` (one entry per
 /// [`LutCircuit::connections`] element, in order).
 ///
 /// # Errors
 ///
-/// See [`Sta::new`].
+/// [`StaError::DelayCount`] on a length mismatch,
+/// [`StaError::InvalidDelay`] for non-finite or negative delays, and
+/// [`StaError::Cycle`] if the combinational part of the circuit is
+/// cyclic.
 pub fn analyze(circuit: &LutCircuit, delays: &[f64]) -> Result<TimingAnalysis, StaError> {
-    Ok(Sta::new(circuit, delays)?.analysis())
+    let conns = circuit.connections();
+    if delays.len() != conns.len() {
+        return Err(StaError::DelayCount {
+            expected: conns.len(),
+            got: delays.len(),
+        });
+    }
+    // `-0.0` is refused too: its sign would leak into max/min folds,
+    // where IEEE leaves the result underspecified.
+    for (i, &d) in delays.iter().enumerate() {
+        if !d.is_finite() || d.is_sign_negative() {
+            return Err(StaError::InvalidDelay { index: i, value: d });
+        }
+    }
+    let order = circuit
+        .comb_topo_order()
+        .map_err(|e| StaError::Cycle(e.to_string()))?;
+
+    // Fanin/fanout connection indices per block, in connection order.
+    let mut fanin: HashMap<BlockId, Vec<usize>> = HashMap::new();
+    let mut fanout: HashMap<BlockId, Vec<usize>> = HashMap::new();
+    for (ci, &(src, dst)) in conns.iter().enumerate() {
+        fanout.entry(src).or_default().push(ci);
+        fanin.entry(dst).or_default().push(ci);
+    }
+    // Forward: arrivals of combinational LUTs (everything else is a
+    // startpoint at 0.0).
+    let mut arr: HashMap<BlockId, f64> = HashMap::new();
+    let arrival_of =
+        |arr: &HashMap<BlockId, f64>, id: BlockId| arr.get(&id).copied().unwrap_or(0.0);
+    let input_fold = |arr: &HashMap<BlockId, f64>, id: BlockId| {
+        let mut a = 0.0f64;
+        if let Some(list) = fanin.get(&id) {
+            for &ci in list {
+                a = a.max(arrival_of(arr, conns[ci].0) + delays[ci]);
+            }
+        }
+        a
+    };
+    for &b in &order {
+        let a = input_fold(&arr, b) + LUT_DELAY;
+        arr.insert(b, a);
+    }
+
+    // Critical path: max over combinational arrivals and endpoint
+    // arrivals, scanning blocks in ascending id order.
+    let mut t = 0.0f64;
+    for id in circuit.block_ids() {
+        match circuit.block(id).kind() {
+            BlockKind::Lut {
+                registered: false, ..
+            } => t = t.max(arrival_of(&arr, id)),
+            BlockKind::Lut {
+                registered: true, ..
+            } => t = t.max(input_fold(&arr, id) + LUT_DELAY),
+            BlockKind::OutputPad { .. } => t = t.max(input_fold(&arr, id)),
+            BlockKind::InputPad => {}
+        }
+    }
+
+    // Backward: required time at each combinational LUT's output.
+    let mut req: HashMap<BlockId, f64> = HashMap::new();
+    let edge_req = |req: &HashMap<BlockId, f64>, dst: BlockId| match circuit.block(dst).kind() {
+        BlockKind::Lut {
+            registered: false, ..
+        } => req[&dst] - LUT_DELAY,
+        BlockKind::Lut {
+            registered: true, ..
+        } => t - LUT_DELAY,
+        _ => t,
+    };
+    for &b in order.iter().rev() {
+        let mut r = t;
+        if let Some(list) = fanout.get(&b) {
+            for &ci in list {
+                r = r.min(edge_req(&req, conns[ci].1) - delays[ci]);
+            }
+        }
+        req.insert(b, r);
+    }
+
+    // Per-connection slack and criticality.
+    let connections = conns
+        .iter()
+        .enumerate()
+        .map(|(ci, &(source, sink))| {
+            let arrival = arrival_of(&arr, source) + delays[ci];
+            let slack = edge_req(&req, sink) - arrival;
+            let criticality = if t > 0.0 {
+                (1.0 - slack / t).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            ConnectionTiming {
+                source,
+                sink,
+                delay: delays[ci],
+                arrival,
+                slack,
+                criticality,
+            }
+        })
+        .collect();
+
+    Ok(TimingAnalysis {
+        critical_path: t,
+        connections,
+    })
 }
 
 /// Extracts per-connection routed delays for `mode` from a routing:
@@ -717,7 +298,7 @@ pub fn routed_connection_delays(
 /// # Errors
 ///
 /// [`StaError::MissingDelay`] if the routing does not cover every
-/// connection in `mode`; otherwise see [`Sta::new`].
+/// connection in `mode`; otherwise see [`analyze`].
 pub fn analyze_routed(
     circuit: &LutCircuit,
     site_of: impl FnMut(BlockId) -> Site,
@@ -749,7 +330,7 @@ pub fn unit_criticalities(circuit: &LutCircuit) -> Result<Vec<f64>, StaError> {
 ///
 /// # Errors
 ///
-/// See [`Sta::new`].
+/// See [`analyze`].
 pub fn analyze_estimated(
     circuit: &LutCircuit,
     mut dist: impl FnMut(BlockId, BlockId) -> f64,
@@ -880,28 +461,6 @@ mod tests {
         let map = HashMap::new();
         let err = routed_connection_delays(&c, |_| Site::new(1, 1, 0), &rrg, &map).unwrap_err();
         assert!(matches!(err, StaError::MissingDelay { .. }));
-    }
-
-    #[test]
-    fn incremental_update_tracks_full_rebuild() {
-        let c = chain();
-        let n = c.connections().len();
-        let mut sta = Sta::new(&c, &vec![1.0; n]).unwrap();
-        let mut delays = vec![1.0; n];
-        delays[1] = 7.0;
-        sta.set_delays(&delays).unwrap();
-        let fresh = Sta::new(&c, &delays).unwrap();
-        assert_eq!(
-            sta.critical_path().to_bits(),
-            fresh.critical_path().to_bits()
-        );
-        for i in 0..n {
-            assert_eq!(sta.slacks()[i].to_bits(), fresh.slacks()[i].to_bits());
-            assert_eq!(
-                sta.criticalities()[i].to_bits(),
-                fresh.criticalities()[i].to_bits()
-            );
-        }
     }
 
     #[test]
