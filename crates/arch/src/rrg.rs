@@ -450,12 +450,6 @@ impl RoutingGraph {
         self.nodes.len()
     }
 
-    /// Number of directed edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Number of wire-segment nodes (`ChanX` + `ChanY`).
     #[must_use]
     pub fn wire_count(&self) -> usize {

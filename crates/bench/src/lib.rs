@@ -45,14 +45,19 @@ impl BenchmarkSet {
         }
     }
 
+    /// The generated suite behind the set.
+    fn suite(self) -> mm_gen::Suite {
+        match self {
+            BenchmarkSet::RegExp => mm_gen::Suite::RegExp,
+            BenchmarkSet::Fir => mm_gen::Suite::Fir,
+            BenchmarkSet::Mcnc => mm_gen::Suite::Mcnc,
+        }
+    }
+
     /// The suite circuits (mapped to 4-LUTs).
     #[must_use]
     pub fn circuits(self) -> Vec<LutCircuit> {
-        match self {
-            BenchmarkSet::RegExp => mm_gen::regexp_suite(4),
-            BenchmarkSet::Fir => mm_gen::fir_suite(4),
-            BenchmarkSet::Mcnc => mm_gen::mcnc_suite(4),
-        }
+        self.suite().circuits(4)
     }
 
     /// The multi-mode pairings of the suite (the paper's N = 2 case of
@@ -62,8 +67,8 @@ impl BenchmarkSet {
         self.tuples(2).into_iter().map(|t| (t[0], t[1])).collect()
     }
 
-    /// The `modes`-ary combinations of the suite: every ascending tuple
-    /// for RegExp/MCNC, interleaved filter families for FIR.
+    /// The `modes`-ary combinations of the suite
+    /// ([`mm_gen::Suite::tuples`]).
     ///
     /// # Panics
     ///
@@ -73,12 +78,7 @@ impl BenchmarkSet {
     /// nothing wrong while measuring the wrong workload.
     #[must_use]
     pub fn tuples(self, modes: usize) -> Vec<Vec<usize>> {
-        let tuples = match self {
-            BenchmarkSet::RegExp | BenchmarkSet::Mcnc => {
-                mm_gen::all_tuples(mm_gen::SUITE_SIZE, modes)
-            }
-            BenchmarkSet::Fir => mm_gen::fir_mode_tuples(modes),
-        };
+        let tuples = self.suite().tuples(modes);
         assert!(
             modes >= 2 && tuples.first().is_some_and(|t| t.len() == modes),
             "suite {} cannot form {modes}-mode problems",

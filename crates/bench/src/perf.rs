@@ -1643,25 +1643,20 @@ pub fn serve_perf(config: &PerfConfig) -> ServePerf {
         }
     }
     let spec_str = spec_dir.to_str().expect("utf-8 tmp path").to_string();
-    let mut request = BatchRequest::new(spec_str.clone());
-    request.width = Some(12);
-    request.effort = Some(1.0);
-    request.max_iterations = Some(30);
+    let mut request = BatchRequest::new(spec_str);
+    request.overrides.width = Some(12);
+    request.overrides.effort = Some(1.0);
+    request.overrides.max_iterations = Some(30);
 
-    // Reference bytes: a direct sequential engine run on the same spec,
-    // under exactly the options the request resolves to server-side.
-    let options = request.flow_options(&FlowOptions::default());
+    // Reference bytes: a direct sequential engine run on the jobs the
+    // request resolves to server-side.
     let reference: Vec<String> = Engine::new(EngineOptions {
         threads: 1,
         cache_dir: None,
         ..Default::default()
     })
     .expect("reference engine")
-    .run(
-        mm_engine::load_spec(&spec_str, &options, 4)
-            .expect("bench spec loads")
-            .jobs,
-    )
+    .run(request.jobs().expect("bench spec loads"))
     .results
     .iter()
     .map(mm_engine::JobResult::to_json_line)

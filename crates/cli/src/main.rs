@@ -14,7 +14,9 @@
 //! mmflow gen   <SUITE> DIR           write a benchmark suite as BLIF files
 //! ```
 
-use mm_flow::{DcsFlow, FlowOptions, MdrFlow, MultiModeInput, WidthChoice};
+use mm_engine::protocol::BatchRequest;
+use mm_engine::{Engine, EngineOptions, FlowKind, FlowOverrides};
+use mm_flow::{DcsFlow, FlowOptions, MdrFlow, MultiModeInput};
 use mm_netlist::{blif, LutCircuit};
 use mm_place::CostKind;
 use std::error::Error;
@@ -60,42 +62,50 @@ USAGE:
                                           SUITE is one of
                                           regexp|fir|mcnc|deeplogic|broadcast
 
-OPTIONS:
+MERGE/MDR OPTIONS:
   -k <N>           LUT input count (default 4)
   --cost <C>       combined-placement cost: wl | edge | hybrid:<lambda>
                    | timing:<alpha> (default wl); timing blends bounding-box
                    wirelength with criticality-weighted connection length
                    (alpha 0 = pure wirelength, 1 = pure delay) and records
                    per-mode critical paths
-  --width <W>      fixed channel width (default: minimum + 20%)
-  --seed <S>       placer seed (default 0x5eed)
-  --effort <E>     annealing effort (VPR inner_num, default 1)
   --bits <N>       print the first N parameterized bit expressions
+
+FLOW OPTIONS (batch, pareto, submit; merge and mdr take the first three;
+spec files and serve requests take the same values as the members seed,
+width, effort, max_iterations, max_width and steiner_fanout):
+  --seed <S>       placer seed, decimal or 0x... (default 0x5eed)
+  --width <W>      fixed channel width, 1..=1024 (default: min + 20%)
+  --effort <E>     annealing effort (VPR inner_num), in (0, 100] (default 1)
+  --max-iterations <N>
+                   router iteration cap, at least 1 (default 40)
+  --max-width <W>  width-search cap, 1..=1024 (default 96)
+  --steiner-fanout <N>
+                   route nets with N or more sinks along a rectilinear
+                   Steiner topology (0 = off, the default)
 
 BATCH OPTIONS:
   -k <N>           LUT width for directory BLIFs and generated suites
                    (default 4; spec files may set their own \"k\")
   --modes <N>      modes per problem for generated suites (default 2;
                    equivalent to the suite:<name>:<N> spelling)
+  --jobs <N>       only run the first N jobs of the batch
+  --out <FILE>     write JSONL results to FILE instead of stdout
   --threads <N>    worker threads (default: one per CPU; 1 = serial)
   --serial         shorthand for --threads 1
   --cache <DIR>    stage-cache directory (default .mmcache)
   --no-cache       disable the stage cache
-  --jobs <N>       only run the first N jobs of the batch
-  --out <FILE>     write JSONL results to FILE instead of stdout
-  --steiner-fanout <N>
-                   route nets with N or more sinks along a rectilinear
-                   Steiner topology (0 = off, the default)
   --emit-stage-times
                    append per-stage timings to every record as
                    stages: [{name, ms, cache}] (off by default so
                    record bytes stay reproducible)
+  plus the FLOW OPTIONS
 
 PARETO OPTIONS:
   --alphas <LIST>  comma-separated timing alphas to sweep
                    (default 0,0.25,0.5,0.75,1)
-  plus all BATCH OPTIONS; with --out, per-leg JSONL records (including
-  per-mode critical_paths) are written to FILE
+  plus the BATCH OPTIONS but --emit-stage-times; with --out, per-leg
+  JSONL records (including per-mode critical_paths) are written to FILE
 
 SERVE OPTIONS:
   --listen <ADDR>       unix:<path> or tcp:<host:port> (required)
@@ -125,19 +135,14 @@ SUBMIT OPTIONS:
   --retries <N>     resubmit up to N times on busy frames or dropped
                     connections, with jittered exponential backoff;
                     records stream exactly once (default 0)
-  -k <N>            LUT width for directory BLIFs and generated suites
-  --modes <N>       modes per problem for generated suites
-  --jobs <N>        only run the first N jobs of the batch
+  -k, --modes, --jobs, --out, --emit-stage-times
+                    as in BATCH OPTIONS (stage timings are appended by
+                    the server)
   --priority <N>    scheduling priority 0..=9, higher runs first
                     (default 1)
-  --emit-stage-times
-                    ask the server to append per-stage timings to each
-                    record, as in batch
-  --seed/--width/--effort/--max-iterations/--max-width/--steiner-fanout
-                    flow overrides, as in batch specs
-  --out <FILE>      write JSONL results to FILE instead of stdout
   --shutdown        ask the server to drain and exit (after the batch,
                     or alone when no SPEC is given)
+  plus the FLOW OPTIONS
 
 BENCH OPTIONS:
   --json           write BENCH_router.json, BENCH_place.json,
@@ -211,6 +216,7 @@ fn parse_common(args: &[String]) -> Result<CommonOptions, Box<dyn Error>> {
         show_bits: 0,
         files: Vec::new(),
     };
+    let mut overrides = FlowOverrides::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -219,9 +225,9 @@ fn parse_common(args: &[String]) -> Result<CommonOptions, Box<dyn Error>> {
                 let v = next_value(&mut it, "--cost")?;
                 options.cost = parse_cost(v)?;
             }
-            "--width" => options.flow.width = WidthChoice::Fixed(width_value(&mut it, "--width")?),
-            "--seed" => options.flow.placer.seed = next_value(&mut it, "--seed")?.parse()?,
-            "--effort" => options.flow.placer.inner_num = effort_value(&mut it, "--effort")?,
+            flag @ ("--width" | "--seed" | "--effort") => {
+                overrides.read_flag(flag, next_value(&mut it, flag)?)?;
+            }
             "--bits" => options.show_bits = next_value(&mut it, "--bits")?.parse()?,
             other if other.starts_with('-') => {
                 return Err(Usage(format!("unknown option '{other}'")).into());
@@ -229,6 +235,7 @@ fn parse_common(args: &[String]) -> Result<CommonOptions, Box<dyn Error>> {
             file => options.files.push(file.to_string()),
         }
     }
+    options.flow = overrides.apply(&options.flow);
     Ok(options)
 }
 
@@ -240,32 +247,73 @@ fn next_value<'a>(
         .ok_or_else(|| Usage(format!("{flag} needs a value")).into())
 }
 
-/// Parses a channel-width flag's value, refusing 0 and widths above
-/// 1,024 through the engine's check, as spec files and serve requests
-/// do.
-fn width_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, Box<dyn Error>> {
-    Ok(mm_engine::channel_width(
-        flag,
-        next_value(it, flag)?.parse()?,
-    )?)
+/// Reads the arguments `batch`, `pareto` and `submit` share — the spec,
+/// `-k`, `--modes`, `--jobs`, the flow overrides and `--out` — into a
+/// request, `None` without a spec, and the `--out` path. `own` reads the
+/// command's other flags and says whether it took `flag`.
+fn batch_args(
+    command: &str,
+    args: &[String],
+    mut own: impl FnMut(&str, &mut std::slice::Iter<'_, String>) -> Result<bool, Box<dyn Error>>,
+) -> Result<(Option<BatchRequest>, Option<String>), Box<dyn Error>> {
+    let mut request = BatchRequest::new("");
+    let mut spec = None;
+    let mut out = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "-k" => request.k = next_value(&mut it, "-k")?.parse()?,
+            "--modes" => request.modes = Some(next_value(&mut it, "--modes")?.parse()?),
+            "--jobs" => request.max_jobs = Some(next_value(&mut it, "--jobs")?.parse()?),
+            "--out" => out = Some(next_value(&mut it, "--out")?.clone()),
+            flag if FlowOverrides::is_flag(flag) => {
+                request
+                    .overrides
+                    .read_flag(flag, next_value(&mut it, flag)?)?;
+            }
+            flag if own(flag, &mut it)? => {}
+            other if other.starts_with('-') => {
+                return Err(Usage(format!("unknown {command} option '{other}'")).into());
+            }
+            positional if spec.is_none() => spec = Some(positional.to_string()),
+            extra => return Err(format!("unexpected argument '{extra}'").into()),
+        }
+    }
+    Ok((spec.map(|spec| BatchRequest { spec, ..request }), out))
 }
 
-/// Parses an `--effort` value, refusing efforts the annealer cannot
-/// finish through the engine's check, as spec files and serve requests
-/// do.
-fn effort_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<f64, Box<dyn Error>> {
-    Ok(mm_engine::annealing_effort(
-        flag,
-        next_value(it, flag)?.parse()?,
-    )?)
+/// Reads the engine flags `batch` and `pareto` share; says whether
+/// `flag` was one.
+fn engine_flag(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+    options: &mut EngineOptions,
+) -> Result<bool, Box<dyn Error>> {
+    match flag {
+        "--threads" => options.threads = next_value(it, "--threads")?.parse()?,
+        "--serial" => options.threads = 1,
+        "--cache" => options.cache_dir = Some(next_value(it, "--cache")?.into()),
+        "--no-cache" => options.cache_dir = None,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// The engine options of `batch` and `pareto` before their flags: one
+/// worker per CPU and the `.mmcache` stage cache.
+fn default_engine_options() -> EngineOptions {
+    EngineOptions {
+        cache_dir: Some(".mmcache".into()),
+        ..EngineOptions::default()
+    }
 }
 
 /// Parses `--cost` values through the engine's validated parser, so the
 /// CLI rejects the same NaN/negative/non-finite hybrid weights batch
 /// specs do (those weights fingerprint into cache keys).
 fn parse_cost(v: &str) -> Result<CostKind, Box<dyn Error>> {
-    match mm_engine::FlowKind::parse("dcs", Some(v))? {
-        mm_engine::FlowKind::Dcs(cost) => Ok(cost),
+    match FlowKind::parse("dcs", Some(v))? {
+        FlowKind::Dcs(cost) => Ok(cost),
         _ => unreachable!("parsing the dcs flow yields a dcs kind"),
     }
 }
@@ -365,58 +413,24 @@ fn cmd_mdr(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_batch(args: &[String]) -> Result<(), Box<dyn Error>> {
-    use mm_engine::{load_spec_with_modes, Engine, EngineOptions};
     use std::io::Write;
 
-    let mut spec: Option<String> = None;
-    let mut threads = 0usize;
-    let mut cache_dir: Option<std::path::PathBuf> = Some(".mmcache".into());
-    let mut max_jobs = usize::MAX;
-    let mut out_path: Option<String> = None;
-    let mut flow = FlowOptions::default();
-    let mut k = 4usize;
-    let mut modes: Option<usize> = None;
+    let mut engine_options = default_engine_options();
     let mut emit_stage_times = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "-k" => k = next_value(&mut it, "-k")?.parse()?,
-            "--modes" => modes = Some(next_value(&mut it, "--modes")?.parse()?),
-            "--emit-stage-times" => emit_stage_times = true,
-            "--threads" => threads = next_value(&mut it, "--threads")?.parse()?,
-            "--serial" => threads = 1,
-            "--cache" => {
-                cache_dir = Some(next_value(&mut it, "--cache")?.into());
-            }
-            "--no-cache" => cache_dir = None,
-            "--jobs" => max_jobs = next_value(&mut it, "--jobs")?.parse()?,
-            "--out" => out_path = Some(next_value(&mut it, "--out")?.clone()),
-            "--width" => flow.width = WidthChoice::Fixed(width_value(&mut it, "--width")?),
-            "--seed" => flow.placer.seed = next_value(&mut it, "--seed")?.parse()?,
-            "--effort" => flow.placer.inner_num = effort_value(&mut it, "--effort")?,
-            "--steiner-fanout" => {
-                flow.router.steiner_fanout = next_value(&mut it, "--steiner-fanout")?.parse()?;
-            }
-            other if other.starts_with('-') => {
-                return Err(Usage(format!("unknown batch option '{other}'")).into());
-            }
-            positional if spec.is_none() => spec = Some(positional.to_string()),
-            extra => return Err(format!("unexpected argument '{extra}'").into()),
+    let (request, out_path) = batch_args("batch", args, |flag, it| {
+        if flag == "--emit-stage-times" {
+            emit_stage_times = true;
+            return Ok(true);
         }
-    }
-    let spec = spec.ok_or("batch needs a spec: a JSON file, a directory, or suite:<name>")?;
-
-    let mut batch = load_spec_with_modes(&spec, &flow, k, modes)?;
-    batch.jobs.truncate(max_jobs);
-    let job_count = batch.jobs.len();
-    eprintln!("batch: {} jobs from {spec}", job_count);
-
-    let engine = Engine::new(EngineOptions {
-        threads,
-        cache_dir,
-        ..Default::default()
+        engine_flag(flag, it, &mut engine_options)
     })?;
+    let request = request.ok_or("batch needs a spec: a JSON file, a directory, or suite:<name>")?;
+
+    let jobs = request.jobs()?;
+    let job_count = jobs.len();
+    eprintln!("batch: {} jobs from {}", job_count, request.spec);
+
+    let engine = Engine::new(engine_options)?;
     let mut sink: Box<dyn Write + Send> = match &out_path {
         Some(path) => Box::new(std::io::BufWriter::new(std::fs::File::create(path)?)),
         None => Box::new(std::io::stdout()),
@@ -426,7 +440,7 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn Error>> {
     // hours computing results nobody can read.
     let cancelled = std::sync::atomic::AtomicBool::new(false);
     let mut write_error: Option<std::io::Error> = None;
-    let report = engine.run_streamed_cancellable(batch.jobs, Some(&cancelled), |r| {
+    let report = engine.run_streamed_cancellable(jobs, Some(&cancelled), |r| {
         if write_error.is_none() {
             let record = if emit_stage_times {
                 r.to_json_line_with_stages()
@@ -460,62 +474,31 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_pareto(args: &[String]) -> Result<(), Box<dyn Error>> {
-    use mm_engine::{load_spec_with_modes, Engine, EngineOptions, FlowKind, Job, JobOutcome};
+    use mm_engine::{Job, JobOutcome};
     use std::io::Write;
 
-    let mut spec: Option<String> = None;
     let mut alphas: Vec<f64> = vec![0.0, 0.25, 0.5, 0.75, 1.0];
-    let mut threads = 0usize;
-    let mut cache_dir: Option<std::path::PathBuf> = Some(".mmcache".into());
-    let mut max_jobs = usize::MAX;
-    let mut out_path: Option<String> = None;
-    let mut flow = FlowOptions::default();
-    let mut k = 4usize;
-    let mut modes: Option<usize> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "-k" => k = next_value(&mut it, "-k")?.parse()?,
-            "--modes" => modes = Some(next_value(&mut it, "--modes")?.parse()?),
-            "--alphas" => {
-                alphas = next_value(&mut it, "--alphas")?
-                    .split(',')
-                    .map(str::parse)
-                    .collect::<Result<_, _>>()?;
-                if alphas.is_empty() {
-                    return Err("--alphas needs at least one value".into());
-                }
-            }
-            "--threads" => threads = next_value(&mut it, "--threads")?.parse()?,
-            "--serial" => threads = 1,
-            "--cache" => cache_dir = Some(next_value(&mut it, "--cache")?.into()),
-            "--no-cache" => cache_dir = None,
-            "--jobs" => max_jobs = next_value(&mut it, "--jobs")?.parse()?,
-            "--out" => out_path = Some(next_value(&mut it, "--out")?.clone()),
-            "--width" => flow.width = WidthChoice::Fixed(width_value(&mut it, "--width")?),
-            "--seed" => flow.placer.seed = next_value(&mut it, "--seed")?.parse()?,
-            "--effort" => flow.placer.inner_num = effort_value(&mut it, "--effort")?,
-            "--steiner-fanout" => {
-                flow.router.steiner_fanout = next_value(&mut it, "--steiner-fanout")?.parse()?;
-            }
-            other if other.starts_with('-') => {
-                return Err(Usage(format!("unknown pareto option '{other}'")).into());
-            }
-            positional if spec.is_none() => spec = Some(positional.to_string()),
-            extra => return Err(format!("unexpected argument '{extra}'").into()),
+    let mut engine_options = default_engine_options();
+    let (request, out_path) = batch_args("pareto", args, |flag, it| {
+        if flag == "--alphas" {
+            alphas = next_value(it, "--alphas")?
+                .split(',')
+                .map(str::parse)
+                .collect::<Result<_, _>>()?;
+            return Ok(true);
         }
-    }
-    let spec = spec.ok_or("pareto needs a spec: a JSON file, a directory, or suite:<name>")?;
+        engine_flag(flag, it, &mut engine_options)
+    })?;
+    let request =
+        request.ok_or("pareto needs a spec: a JSON file, a directory, or suite:<name>")?;
 
-    let mut batch = load_spec_with_modes(&spec, &flow, k, modes)?;
-    batch.jobs.truncate(max_jobs);
+    let problems = request.jobs()?;
     // Each problem sweeps the wirelength-vs-delay blend: one timing job
     // per alpha (alpha 0 anneals on pure wirelength but still reports
     // the routed critical path). Every leg is content-address-cached,
     // so re-sweeping with more alphas only runs the new legs.
-    let mut jobs = Vec::with_capacity(batch.jobs.len() * alphas.len());
-    for job in &batch.jobs {
+    let mut jobs = Vec::with_capacity(problems.len() * alphas.len());
+    for job in &problems {
         for &alpha in &alphas {
             let kind = FlowKind::parse("dcs", Some(&format!("timing:{alpha}")))?;
             jobs.push(Job {
@@ -527,23 +510,17 @@ fn cmd_pareto(args: &[String]) -> Result<(), Box<dyn Error>> {
         }
     }
     eprintln!(
-        "pareto: {} problems x {} alphas = {} jobs from {spec}",
-        batch.jobs.len(),
+        "pareto: {} problems x {} alphas = {} jobs from {}",
+        problems.len(),
         alphas.len(),
-        jobs.len()
+        jobs.len(),
+        request.spec
     );
 
-    let engine = Engine::new(EngineOptions {
-        threads,
-        cache_dir,
-        ..Default::default()
-    })?;
-    let mut sink: Option<Box<dyn Write + Send>> = match &out_path {
-        Some(path) => Some(Box::new(std::io::BufWriter::new(std::fs::File::create(
-            path,
-        )?))),
-        None => None,
-    };
+    let engine = Engine::new(engine_options)?;
+    let mut sink = out_path
+        .map(|path| std::fs::File::create(path).map(std::io::BufWriter::new))
+        .transpose()?;
     let mut write_error: Option<std::io::Error> = None;
     let report = engine.run_streamed(jobs, |r| {
         if let Some(sink) = sink.as_mut() {
@@ -679,85 +656,40 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_submit(args: &[String]) -> Result<(), Box<dyn Error>> {
-    use mm_engine::protocol::BatchRequest;
+    use mm_engine::protocol::{DEFAULT_PRIORITY, MAX_PRIORITY};
     use std::io::Write;
 
     let mut connect: Option<String> = None;
-    let mut spec: Option<String> = None;
-    let mut out_path: Option<String> = None;
     let mut shutdown = false;
-    let mut k: Option<usize> = None;
-    let mut modes: Option<usize> = None;
-    let mut max_jobs: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut width: Option<usize> = None;
-    let mut effort: Option<f64> = None;
-    let mut max_iterations: Option<usize> = None;
-    let mut max_width: Option<usize> = None;
-    let mut steiner_fanout: Option<usize> = None;
-    let mut priority: Option<u8> = None;
+    let mut priority = DEFAULT_PRIORITY;
     let mut emit_stage_times = false;
     let mut retries = 0u32;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--connect" => connect = Some(next_value(&mut it, "--connect")?.clone()),
-            "--out" => out_path = Some(next_value(&mut it, "--out")?.clone()),
+    let (request, out_path) = batch_args("submit", args, |flag, it| {
+        match flag {
+            "--connect" => connect = Some(next_value(it, "--connect")?.clone()),
             "--shutdown" => shutdown = true,
-            "--retries" => retries = next_value(&mut it, "--retries")?.parse()?,
-            "-k" => k = Some(next_value(&mut it, "-k")?.parse()?),
-            "--modes" => modes = Some(next_value(&mut it, "--modes")?.parse()?),
-            "--jobs" => max_jobs = Some(next_value(&mut it, "--jobs")?.parse()?),
-            "--priority" => priority = Some(next_value(&mut it, "--priority")?.parse()?),
+            "--retries" => retries = next_value(it, "--retries")?.parse()?,
+            "--priority" => {
+                priority = next_value(it, "--priority")?.parse()?;
+                if priority > MAX_PRIORITY {
+                    return Err(format!("--priority must be 0..={MAX_PRIORITY}").into());
+                }
+            }
             "--emit-stage-times" => emit_stage_times = true,
-            "--seed" => seed = Some(next_value(&mut it, "--seed")?.parse()?),
-            "--width" => width = Some(width_value(&mut it, "--width")?),
-            "--effort" => effort = Some(effort_value(&mut it, "--effort")?),
-            "--max-iterations" => {
-                let iters = next_value(&mut it, "--max-iterations")?.parse()?;
-                max_iterations = Some(mm_engine::iteration_cap("--max-iterations", iters)?);
-            }
-            "--max-width" => max_width = Some(width_value(&mut it, "--max-width")?),
-            "--steiner-fanout" => {
-                steiner_fanout = Some(next_value(&mut it, "--steiner-fanout")?.parse()?);
-            }
-            other if other.starts_with('-') => {
-                return Err(Usage(format!("unknown submit option '{other}'")).into());
-            }
-            positional if spec.is_none() => spec = Some(positional.to_string()),
-            extra => return Err(format!("unexpected argument '{extra}'").into()),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let connect = connect.ok_or("submit needs --connect unix:<path> or tcp:<host:port>")?;
-    if spec.is_none() && !shutdown {
+    if request.is_none() && !shutdown {
         return Err("submit needs a SPEC (or --shutdown alone)".into());
     }
 
     let mut client = mm_serve::Client::connect(&mm_serve::Listen::parse(&connect)?)?;
     let mut failed_jobs = 0usize;
 
-    if let Some(spec) = spec {
-        let mut request = BatchRequest::new(spec);
-        request.k = k.unwrap_or(4);
-        request.modes = modes;
-        request.max_jobs = max_jobs;
-        request.seed = seed;
-        request.width = width;
-        request.effort = effort;
-        request.max_iterations = max_iterations;
-        request.max_width = max_width;
-        request.steiner_fanout = steiner_fanout;
-        if let Some(priority) = priority {
-            if priority > mm_engine::protocol::MAX_PRIORITY {
-                return Err(format!(
-                    "--priority must be 0..={}",
-                    mm_engine::protocol::MAX_PRIORITY
-                )
-                .into());
-            }
-            request.priority = priority;
-        }
+    if let Some(mut request) = request {
+        request.priority = priority;
         request.emit_stage_times = emit_stage_times;
 
         let mut sink: Box<dyn Write> = match &out_path {
@@ -1083,14 +1015,7 @@ fn cmd_gen(args: &[String]) -> Result<(), Box<dyn Error>> {
     let [suite, dir] = args else {
         return Err("usage: mmflow gen <regexp|fir|mcnc|deeplogic|broadcast> <DIR>".into());
     };
-    let circuits = match suite.as_str() {
-        "regexp" => mm_gen::regexp_suite(4),
-        "fir" => mm_gen::fir_suite(4),
-        "mcnc" => mm_gen::mcnc_suite(4),
-        "deeplogic" => mm_gen::deeplogic_suite(4),
-        "broadcast" => mm_gen::broadcast_suite(4),
-        other => return Err(format!("unknown suite '{other}'").into()),
-    };
+    let circuits = mm_gen::Suite::from_name(suite)?.circuits(4);
     std::fs::create_dir_all(dir)?;
     for c in &circuits {
         let path = Path::new(dir).join(format!("{}.blif", c.name()));
@@ -1103,6 +1028,7 @@ fn cmd_gen(args: &[String]) -> Result<(), Box<dyn Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mm_flow::WidthChoice;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(ToString::to_string).collect()

@@ -377,13 +377,23 @@ fn merge_rejects_bad_inputs_without_panicking() {
     let dir = tmpdir("merge_bad");
     let a = write_blif(&dir, "a.blif", MODE_A);
     let b = write_blif(&dir, "b.blif", MODE_B);
-    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    let wide = write_blif(
+        &dir,
+        "wide.blif",
+        ".model w\n.inputs a b c d e f g\n.outputs y\n.names a b c d e f g y\n1111111 1\n.end\n",
+    );
+    let (a, b, wide) = (
+        a.to_str().unwrap(),
+        b.to_str().unwrap(),
+        wide.to_str().unwrap(),
+    );
     for (args, expected) in [
         (
             vec!["merge", a, "/dev/null"],
             "/dev/null: not a regular file",
         ),
         (vec!["merge", a, b, "-k", "9"], "k must be in 1..=6"),
+        (vec!["merge", a, wide], ".names with 7 inputs exceeds k = 4"),
     ] {
         let out = mmflow().args(&args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -504,6 +514,67 @@ fn zero_channel_widths_exit_1_without_panicking() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(!stderr.contains("must be"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_command_reads_the_flow_flags_alike() {
+    let dir = tmpdir("flow_flags");
+    let a = write_blif(&dir, "a.blif", MODE_A);
+    let b = write_blif(&dir, "b.blif", MODE_B);
+    let group = dir.join("jobs").join("g0");
+    std::fs::create_dir_all(&group).unwrap();
+    std::fs::copy(&a, group.join("m0.blif")).unwrap();
+    std::fs::copy(&b, group.join("m1.blif")).unwrap();
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    let jobs = dir.join("jobs");
+    let jobs = jobs.to_str().unwrap();
+    let connect = format!("unix:{}", dir.join("absent.sock").display());
+    let integer = "must be a non-negative integer";
+    for (flag, value, refusal) in [
+        ("--width", "twelve", integer),
+        (
+            "--seed",
+            "banana",
+            "must be a decimal or 0x seed below 2^64, got 'banana'",
+        ),
+        ("--effort", "high", "must be a number"),
+        (
+            "--max-iterations",
+            "0",
+            "must be a positive iteration cap, got 0",
+        ),
+        ("--max-width", "-1", integer),
+        ("--steiner-fanout", "1.5", integer),
+    ] {
+        let mut commands = vec![
+            vec!["batch", jobs, "--no-cache"],
+            vec!["pareto", jobs, "--no-cache"],
+            vec!["submit", jobs, "--connect", &connect],
+        ];
+        if ["--width", "--seed", "--effort"].contains(&flag) {
+            commands.extend([vec!["merge", a, b], vec!["mdr", a, b]]);
+        }
+        for mut args in commands {
+            args.extend([flag, value]);
+            let out = mmflow().args(&args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("error: {flag} {refusal}")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+    // A seed may be written in hex, as in spec files: 0x5eed is the
+    // default seed.
+    let default = mmflow().args(["merge", a, b]).output().unwrap();
+    let hex = mmflow()
+        .args(["merge", a, b, "--seed", "0x5eed"])
+        .output()
+        .unwrap();
+    assert!(default.status.success());
+    assert_eq!(hex.stdout, default.stdout);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -356,14 +356,12 @@ impl Engine {
 
     fn execute(&self, job: &Job, cancel: Option<&std::sync::atomic::AtomicBool>) -> JobResult {
         if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-            return JobResult {
-                name: job.name.clone(),
-                flow: job.flow,
-                outcome: Err(JobError::engine("cancelled before execution")),
-                cache: JobCacheInfo::default(),
-                duration: Duration::ZERO,
-                stages: Vec::new(),
-            };
+            return JobResult::failed(
+                job.name.clone(),
+                job.flow,
+                JobError::engine("cancelled before execution"),
+                Duration::ZERO,
+            );
         }
         let t0 = Instant::now();
         let mut info = JobCacheInfo::default();

@@ -304,6 +304,21 @@ pub struct JobResult {
 }
 
 impl JobResult {
+    /// The record of a job that ended in `error` without running its
+    /// plan (cancelled, timed out, panicked): no cache provenance and no
+    /// stage telemetry.
+    #[must_use]
+    pub fn failed(name: String, flow: FlowKind, error: JobError, duration: Duration) -> Self {
+        Self {
+            name,
+            flow,
+            outcome: Err(error),
+            cache: JobCacheInfo::default(),
+            duration,
+            stages: Vec::new(),
+        }
+    }
+
     fn record(&self) -> ObjBuilder {
         let b = ObjBuilder::new()
             .field("name", self.name.as_str())
@@ -610,8 +625,9 @@ pub struct BatchSpec {
 /// * anything else — a JSON spec file (see the module docs; each job's
 ///   `"modes"` array carries the mode list, any length).
 ///
-/// `base` supplies the flow options jobs inherit; spec files can
-/// override seed/width/cost/flow per job or via `"defaults"`. `k` is
+/// `base` supplies the flow options jobs inherit; spec files can set
+/// the [`FlowOverrides`], `flow` and `cost` per job or in `"defaults"`
+/// (whose overrides are checked once, before any job). `k` is
 /// the LUT width used to parse directory BLIFs and to map generated
 /// suites (spec files may override it with their own `"k"`).
 ///
@@ -625,8 +641,8 @@ pub fn load_spec(spec: &str, base: &FlowOptions, k: usize) -> Result<BatchSpec, 
 }
 
 /// [`load_spec`] with an external mode-count override for generated
-/// suites — what `mmflow batch|submit --modes N` and the serve
-/// protocol's `modes` member resolve through. An explicit
+/// suites, which [`crate::protocol::BatchRequest::jobs`] resolves a
+/// request's `modes` (`--modes N`) through. An explicit
 /// `suite:<name>:<modes>` suffix wins over `modes`; a `modes` override
 /// on a non-suite spec is an error (files and directories already carry
 /// their own mode lists).
@@ -635,7 +651,7 @@ pub fn load_spec(spec: &str, base: &FlowOptions, k: usize) -> Result<BatchSpec, 
 ///
 /// As [`load_spec`]; also fails on a `modes` override of a non-suite
 /// spec.
-pub fn load_spec_with_modes(
+pub(crate) fn load_spec_with_modes(
     spec: &str,
     base: &FlowOptions,
     k: usize,
@@ -749,7 +765,7 @@ fn check_k(k: usize, range: RangeInclusive<usize>, what: &str) -> Result<(), Str
 ///
 /// RegExp and MCNC enumerate every ascending combination of `modes`
 /// circuits out of the five; FIR interleaves the low-pass and high-pass
-/// families ([`mm_gen::fir_mode_tuples`]).
+/// families ([`mm_gen::Suite::tuples`]).
 ///
 /// # Errors
 ///
@@ -767,30 +783,8 @@ pub fn suite_jobs_n(
         ));
     }
     check_k(k, SUITE_K, "generated suites")?;
-    let (circuits, tuples) = match suite {
-        "regexp" => (
-            mm_gen::regexp_suite(k),
-            mm_gen::all_tuples(mm_gen::SUITE_SIZE, modes),
-        ),
-        "fir" => (mm_gen::fir_suite(k), mm_gen::fir_mode_tuples(modes)),
-        "mcnc" => (
-            mm_gen::mcnc_suite(k),
-            mm_gen::all_tuples(mm_gen::SUITE_SIZE, modes),
-        ),
-        "deeplogic" => (
-            mm_gen::deeplogic_suite(k),
-            mm_gen::all_tuples(mm_gen::SUITE_SIZE, modes),
-        ),
-        "broadcast" => (
-            mm_gen::broadcast_suite(k),
-            mm_gen::all_tuples(mm_gen::SUITE_SIZE, modes),
-        ),
-        other => {
-            return Err(format!(
-                "unknown suite '{other}' (regexp|fir|mcnc|deeplogic|broadcast)"
-            ))
-        }
-    };
+    let generated = mm_gen::Suite::from_name(suite)?;
+    let (circuits, tuples) = (generated.circuits(k), generated.tuples(modes));
     if tuples.is_empty() || tuples[0].len() != modes {
         return Err(format!(
             "suite '{suite}' has only {} circuits — cannot form {modes}-mode problems",
@@ -872,7 +866,13 @@ fn spec_file_jobs(
         .transpose()?
         .unwrap_or(default_k);
     check_k(k, BLIF_K, "BLIF mode files").map_err(|e| format!("{}: {e}", path.display()))?;
+    // The defaults are checked once, before any job, even where every
+    // job overrides them.
     let defaults = doc.get("defaults");
+    let base = defaults
+        .map_or(Ok(FlowOverrides::default()), FlowOverrides::from_json)
+        .map_err(|e| format!("{} defaults: {e}", path.display()))?
+        .apply(base);
     let jobs_value = doc
         .get("jobs")
         .and_then(Value::as_arr)
@@ -881,7 +881,7 @@ fn spec_file_jobs(
 
     let mut jobs = Vec::with_capacity(jobs_value.len());
     for (index, jv) in jobs_value.iter().enumerate() {
-        let job = parse_job(jv, index, defaults, spec_dir, base, k)
+        let job = parse_job(jv, index, defaults, spec_dir, &base, k)
             .map_err(|e| format!("{} job {index}: {e}", path.display()))?;
         jobs.push(job);
     }
@@ -895,24 +895,6 @@ fn lookup<'v>(jv: &'v Value, defaults: Option<&'v Value>, key: &str) -> Option<&
     jv.get(key).or_else(|| defaults.and_then(|d| d.get(key)))
 }
 
-/// Seeds are 64-bit, but JSON numbers round-trip exactly only up to
-/// 2^53 — larger seeds must be written as strings (decimal or `0x…`)
-/// so the requested seed is never silently rounded to a neighbour.
-/// Shared with the serve protocol, which carries the same seed field.
-pub(crate) fn parse_seed(v: &Value) -> Result<u64, String> {
-    if let Some(n) = v.as_u64() {
-        return Ok(n);
-    }
-    if let Some(s) = v.as_str() {
-        let parsed = match s.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
-        };
-        return parsed.map_err(|_| format!("bad seed '{s}'"));
-    }
-    Err("\"seed\" must be an integer below 2^53 or a decimal/0x string".to_string())
-}
-
 /// The widest channel read from input: about ten times the default
 /// `max_width` of 96. A job's routing graphs, and its memory, grow
 /// linearly with the width, so an unbounded width could exhaust the
@@ -920,15 +902,10 @@ pub(crate) fn parse_seed(v: &Value) -> Result<u64, String> {
 /// track index would wrap).
 pub(crate) const MAX_CHANNEL_WIDTH: usize = 1024;
 
-/// Checks a channel width read from input — a spec or request field, or
-/// a command-line flag, which `field` names. A fabric needs at least one
-/// track, so 0 is an error naming the field here, at the input
+/// Checks a channel width read from input, naming its `field`. A fabric
+/// needs at least one track, so 0 is an error here, at the input
 /// boundary, instead of a panic inside the flow.
-///
-/// # Errors
-///
-/// Fails on 0 and above `MAX_CHANNEL_WIDTH` (1,024).
-pub fn channel_width(field: &str, width: usize) -> Result<usize, String> {
+fn channel_width(field: &str, width: usize) -> Result<usize, String> {
     if width == 0 {
         return Err(format!("{field} must be a positive channel width, got 0"));
     }
@@ -940,14 +917,10 @@ pub fn channel_width(field: &str, width: usize) -> Result<usize, String> {
     Ok(width)
 }
 
-/// Checks a router iteration cap read from input, as [`channel_width`]
-/// checks widths. At 0 no route runs a single iteration, and the job
-/// would fail later, in the route stage, as unroutable.
-///
-/// # Errors
-///
-/// Fails on 0.
-pub fn iteration_cap(field: &str, iterations: usize) -> Result<usize, String> {
+/// Checks a router iteration cap read from input. At 0 no route runs a
+/// single iteration, and the job would fail later, in the route stage,
+/// as unroutable.
+fn iteration_cap(field: &str, iterations: usize) -> Result<usize, String> {
     if iterations == 0 {
         return Err(format!("{field} must be a positive iteration cap, got 0"));
     }
@@ -959,14 +932,9 @@ pub fn iteration_cap(field: &str, iterations: usize) -> Result<usize, String> {
 /// temperature, so an unbounded effort never finishes.
 const MAX_EFFORT: f64 = 100.0;
 
-/// Checks an annealing effort (the placer's `inner_num`) read from input
-/// — a spec or request field, or a command-line flag, which `field`
-/// names — at the input boundary, as [`channel_width`] checks widths.
-///
-/// # Errors
-///
-/// Fails unless the effort is finite, above 0 and at most 100.
-pub fn annealing_effort(field: &str, effort: f64) -> Result<f64, String> {
+/// Checks an annealing effort (the placer's `inner_num`) read from
+/// input: it must be finite, above 0 and at most [`MAX_EFFORT`].
+fn annealing_effort(field: &str, effort: f64) -> Result<f64, String> {
     if effort.is_finite() && effort > 0.0 && effort <= MAX_EFFORT {
         Ok(effort)
     } else {
@@ -976,6 +944,174 @@ pub fn annealing_effort(field: &str, effort: f64) -> Result<f64, String> {
     }
 }
 
+/// The flow options a batch may override: from a spec file's
+/// `"defaults"` or one of its jobs, from a serve batch request, or from
+/// the `mmflow` command line. Each value is checked where it is read,
+/// by the same code for every source, so every entry point accepts and
+/// refuses the same values; `None` keeps the base option.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FlowOverrides {
+    /// Placer seed (`"seed"`, `--seed`): a JSON integer below 2^53, or a
+    /// decimal or `0x…` string (as a flag's text is).
+    pub seed: Option<u64>,
+    /// Fixed channel width (`"width"`, `--width`), in 1..=1024.
+    pub width: Option<usize>,
+    /// Annealing effort, VPR's `inner_num` (`"effort"`, `--effort`),
+    /// above 0 and at most 100.
+    pub effort: Option<f64>,
+    /// Router iteration cap (`"max_iterations"`, `--max-iterations`), at
+    /// least 1.
+    pub max_iterations: Option<usize>,
+    /// Width-search cap (`"max_width"`, `--max-width`), in 1..=1024.
+    pub max_width: Option<usize>,
+    /// Steiner-tree fanout threshold (`"steiner_fanout"`,
+    /// `--steiner-fanout`; 0 disables the decomposition).
+    pub steiner_fanout: Option<usize>,
+}
+
+/// Each override's JSON member and command-line flag, in the order they
+/// are read and written.
+const OVERRIDES: [(&str, &str); 6] = [
+    ("seed", "--seed"),
+    ("width", "--width"),
+    ("effort", "--effort"),
+    ("max_iterations", "--max-iterations"),
+    ("max_width", "--max-width"),
+    ("steiner_fanout", "--steiner-fanout"),
+];
+
+/// Reads a seed: a JSON integer below 2^53, or a decimal or `0x…`
+/// string. JSON numbers round-trip exactly only up to 2^53, so larger
+/// seeds must be strings, and a requested seed is never silently
+/// rounded to a neighbour.
+fn read_seed(field: &str, value: &Value) -> Result<u64, String> {
+    if let Some(seed) = value.as_u64() {
+        return Ok(seed);
+    }
+    let text = value
+        .as_str()
+        .ok_or_else(|| format!("{field} must be an integer below 2^53 or a decimal/0x string"))?;
+    match text.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => text.parse(),
+    }
+    .map_err(|_| format!("{field} must be a decimal or 0x seed below 2^64, got '{text}'"))
+}
+
+impl FlowOverrides {
+    /// Reads the overrides a JSON object carries (a spec file's
+    /// `"defaults"` or job, or a serve batch request); other members are
+    /// left to the caller.
+    ///
+    /// # Errors
+    ///
+    /// Fails, naming the member, on a value of the wrong type or out of
+    /// range.
+    pub fn from_json(object: &Value) -> Result<Self, String> {
+        let mut overrides = Self::default();
+        for (key, _) in OVERRIDES {
+            if let Some(value) = object.get(key) {
+                overrides.set(key, &format!("\"{key}\""), value)?;
+            }
+        }
+        Ok(overrides)
+    }
+
+    /// Whether `flag` sets an override: `--` and the member's name with
+    /// `-` for `_` (`--max-width`).
+    #[must_use]
+    pub fn is_flag(flag: &str) -> bool {
+        OVERRIDES.iter().any(|&(_, f)| f == flag)
+    }
+
+    /// Reads override flag `flag` with its `value`, as
+    /// [`FlowOverrides::from_json`] reads the member of that name: the
+    /// text stands for the JSON number it spells, or else for a string,
+    /// and a seed is always a string.
+    ///
+    /// # Errors
+    ///
+    /// Fails, naming the flag, where [`FlowOverrides::from_json`] fails,
+    /// and on a flag that sets no override.
+    pub fn read_flag(&mut self, flag: &str, value: &str) -> Result<(), String> {
+        let (key, _) = OVERRIDES
+            .into_iter()
+            .find(|&(_, f)| f == flag)
+            .ok_or_else(|| format!("{flag} sets no flow option"))?;
+        let value = match value.parse() {
+            Ok(number) if key != "seed" => Value::Num(number),
+            _ => Value::from(value),
+        };
+        self.set(key, flag, &value)
+    }
+
+    fn set(&mut self, key: &str, field: &str, value: &Value) -> Result<(), String> {
+        let count = || {
+            value
+                .as_usize()
+                .ok_or_else(|| format!("{field} must be a non-negative integer"))
+        };
+        match key {
+            "seed" => self.seed = Some(read_seed(field, value)?),
+            "width" => self.width = Some(channel_width(field, count()?)?),
+            "effort" => {
+                let effort = value
+                    .as_f64()
+                    .ok_or_else(|| format!("{field} must be a number"))?;
+                self.effort = Some(annealing_effort(field, effort)?);
+            }
+            "max_iterations" => self.max_iterations = Some(iteration_cap(field, count()?)?),
+            "max_width" => self.max_width = Some(channel_width(field, count()?)?),
+            "steiner_fanout" => self.steiner_fanout = Some(count()?),
+            other => unreachable!("'{other}' is not a flow override"),
+        }
+        Ok(())
+    }
+
+    /// Appends the set overrides to a request line's object, in the order
+    /// [`FlowOverrides::from_json`] reads them. A seed from 2^53 goes as
+    /// a decimal string, which no JSON number round-trip can round.
+    #[must_use]
+    pub fn write(&self, mut o: ObjBuilder) -> ObjBuilder {
+        let seed = self.seed.map(|seed| {
+            if seed < 1 << 53 {
+                Value::from(seed)
+            } else {
+                Value::from(seed.to_string())
+            }
+        });
+        let values = [
+            seed,
+            self.width.map(Value::from),
+            self.effort.map(Value::from),
+            self.max_iterations.map(Value::from),
+            self.max_width.map(Value::from),
+            self.steiner_fanout.map(Value::from),
+        ];
+        for ((key, _), value) in OVERRIDES.into_iter().zip(values) {
+            if let Some(value) = value {
+                o = o.field(key, value);
+            }
+        }
+        o
+    }
+
+    /// `base` with the set overrides applied.
+    #[must_use]
+    pub fn apply(&self, base: &FlowOptions) -> FlowOptions {
+        let mut o = *base;
+        o.placer.seed = self.seed.unwrap_or(o.placer.seed);
+        o.width = self.width.map_or(o.width, WidthChoice::Fixed);
+        o.placer.inner_num = self.effort.unwrap_or(o.placer.inner_num);
+        o.router.max_iterations = self.max_iterations.unwrap_or(o.router.max_iterations);
+        o.max_width = self.max_width.unwrap_or(o.max_width);
+        o.router.steiner_fanout = self.steiner_fanout.unwrap_or(o.router.steiner_fanout);
+        o
+    }
+}
+
+/// One spec-file job: `base` already carries the spec's `"defaults"`
+/// overrides, which `defaults` supplies `flow` and `cost` from.
 fn parse_job(
     jv: &Value,
     index: usize,
@@ -1012,41 +1148,11 @@ fn parse_job(
         .map(|v| v.as_str().ok_or("\"cost\" must be a string"))
         .transpose()?;
     let flow = FlowKind::parse(flow_name, cost)?;
-
-    let mut options = *base;
-    if let Some(seed) = lookup(jv, defaults, "seed") {
-        options.placer.seed = parse_seed(seed)?;
-    }
-    if let Some(width) = lookup(jv, defaults, "width") {
-        let width = width.as_usize().ok_or("\"width\" must be an integer")?;
-        options.width = WidthChoice::Fixed(channel_width("\"width\"", width)?);
-    }
-    if let Some(effort) = lookup(jv, defaults, "effort") {
-        let effort = effort.as_f64().ok_or("\"effort\" must be a number")?;
-        options.placer.inner_num = annealing_effort("\"effort\"", effort)?;
-    }
-    if let Some(iters) = lookup(jv, defaults, "max_iterations") {
-        let iters = iters
-            .as_usize()
-            .ok_or("\"max_iterations\" must be an integer")?;
-        options.router.max_iterations = iteration_cap("\"max_iterations\"", iters)?;
-    }
-    if let Some(max_width) = lookup(jv, defaults, "max_width") {
-        let max_width = max_width
-            .as_usize()
-            .ok_or("\"max_width\" must be an integer")?;
-        options.max_width = channel_width("\"max_width\"", max_width)?;
-    }
-    if let Some(fanout) = lookup(jv, defaults, "steiner_fanout") {
-        options.router.steiner_fanout = fanout
-            .as_usize()
-            .ok_or("\"steiner_fanout\" must be an integer")?;
-    }
     Ok(Job {
         name,
         circuits,
         flow,
-        options,
+        options: FlowOverrides::from_json(jv)?.apply(base),
     })
 }
 
@@ -1447,6 +1553,14 @@ mod tests {
                 "\"max_iterations\"",
                 "must be a positive iteration cap, got 0",
             ),
+            // The defaults are checked before any job, even one that
+            // overrides them (and whose mode file is missing).
+            (
+                "dwj.json",
+                r#"{"defaults": {"width": 0}, "jobs": [{"modes": ["absent.blif"], "width": 8}]}"#,
+                "defaults: \"width\"",
+                zero,
+            ),
         ] {
             let path = dir.join(file);
             std::fs::write(&path, spec).unwrap();
@@ -1530,6 +1644,122 @@ mod tests {
     }
 
     #[test]
+    fn every_entry_point_reads_overrides_alike() {
+        use crate::protocol::Request;
+        let dir = std::env::temp_dir().join(format!("mm_engine_overrides_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("a.blif"), blif::to_blif(&tiny("a"))).unwrap();
+        let spec = dir.join("spec.json");
+        let spec_name = spec.display().to_string();
+        let from_spec = |text: String| {
+            std::fs::write(&spec, text).unwrap();
+            load_spec(&spec_name, &FlowOptions::default(), 4).map(|b| b.jobs[0].options)
+        };
+        let integer = "must be a non-negative integer";
+        let width_over = "must be a channel width of at most 1024, got 1025";
+        // (member, its JSON value, the flag's text for the same value,
+        // the refusal after the field's name or None to accept).
+        for (key, json, text, refusal) in [
+            ("seed", "7", "7", None),
+            ("seed", r#""0x5eed1""#, "0x5eed1", None),
+            (
+                "seed",
+                r#""banana""#,
+                "banana",
+                Some("must be a decimal or 0x seed below 2^64, got 'banana'"),
+            ),
+            (
+                "seed",
+                r#""18446744073709551616""#,
+                "18446744073709551616",
+                Some("must be a decimal or 0x seed below 2^64, got '18446744073709551616'"),
+            ),
+            ("width", "12", "12", None),
+            ("width", r#""twelve""#, "twelve", Some(integer)),
+            ("width", "12.5", "12.5", Some(integer)),
+            (
+                "width",
+                "0",
+                "0",
+                Some("must be a positive channel width, got 0"),
+            ),
+            ("width", "1025", "1025", Some(width_over)),
+            ("effort", "2.5", "2.5", None),
+            ("effort", r#""high""#, "high", Some("must be a number")),
+            (
+                "effort",
+                "100.5",
+                "100.5",
+                Some("must be an annealing effort above 0 and at most 100, got 100.5"),
+            ),
+            ("max_iterations", "17", "17", None),
+            ("max_iterations", r#""x""#, "x", Some(integer)),
+            (
+                "max_iterations",
+                "0",
+                "0",
+                Some("must be a positive iteration cap, got 0"),
+            ),
+            ("max_width", "33", "33", None),
+            ("max_width", "[33]", "[33]", Some(integer)),
+            ("max_width", "1025", "1025", Some(width_over)),
+            ("steiner_fanout", "64", "64", None),
+            ("steiner_fanout", "null", "null", Some(integer)),
+            ("steiner_fanout", "-1", "-1", Some(integer)),
+            // Past 2^53 a JSON number may be a rounded neighbour.
+            (
+                "steiner_fanout",
+                "9007199254740993",
+                "9007199254740993",
+                Some(integer),
+            ),
+        ] {
+            let flag = format!("--{}", key.replace('_', "-"));
+            assert!(FlowOverrides::is_flag(&flag), "{flag}");
+            let member = format!(r#""{key}": {json}"#);
+            let default = from_spec(format!(
+                r#"{{"defaults": {{{member}}}, "jobs": [{{"modes": ["a.blif"]}}]}}"#
+            ));
+            let job = from_spec(format!(
+                r#"{{"jobs": [{{"modes": ["a.blif"], {member}}}]}}"#
+            ));
+            let request = match Request::parse(&format!(r#"{{"cmd":"batch","spec":"s",{member}}}"#))
+            {
+                Ok(Request::Batch(b)) => Ok(b.overrides.apply(&FlowOptions::default())),
+                Ok(other) => panic!("{other:?}"),
+                Err(e) => Err(e),
+            };
+            let mut overrides = FlowOverrides::default();
+            let cli = overrides
+                .read_flag(&flag, text)
+                .map(|()| overrides.apply(&FlowOptions::default()));
+            match refusal {
+                None => {
+                    let options = cli.unwrap();
+                    assert_ne!(options, FlowOptions::default(), "{key} {json}");
+                    for (source, read) in [("default", default), ("job", job), ("request", request)]
+                    {
+                        assert_eq!(read, Ok(options), "{key} {json} as a {source}");
+                    }
+                }
+                Some(refusal) => {
+                    let field = format!(r#""{key}" {refusal}"#);
+                    assert_eq!(default, Err(format!("{spec_name} defaults: {field}")));
+                    assert_eq!(job, Err(format!("{spec_name} job 0: {field}")));
+                    assert_eq!(request, Err(field));
+                    assert_eq!(cli, Err(format!("{flag} {refusal}")));
+                }
+            }
+        }
+        let mut overrides = FlowOverrides::default();
+        assert!(!FlowOverrides::is_flag("--jobs"));
+        assert!(overrides.read_flag("--jobs", "1").is_err());
+        assert_eq!(overrides, FlowOverrides::default());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn suite_mode_counts_are_validated() {
         let base = FlowOptions::default();
         // Malformed or infeasible counts fail before any circuit is
@@ -1561,6 +1791,10 @@ mod tests {
 
     #[test]
     fn seed_precision_is_protected() {
+        let parse_seed = |v: &Value| {
+            let object = ObjBuilder::new().field("seed", v.clone()).build();
+            FlowOverrides::from_json(&object).map(|o| o.seed.expect("a seed"))
+        };
         assert_eq!(parse_seed(&Value::Num(7.0)).unwrap(), 7);
         assert_eq!(
             parse_seed(&Value::Num(9_007_199_254_740_991.0)).unwrap(),

@@ -7,7 +7,8 @@
 //!
 //! * **[`Job`]** — one multi-mode problem + flow kind + options; batches
 //!   come from JSON spec files, directories of BLIF mode groups, or the
-//!   generated suites ([`load_spec`]).
+//!   generated suites ([`load_spec`]); [`FlowOverrides`] reads the flow
+//!   options a spec, a serve request or a command line may override.
 //! * **[`Engine`]** — fans jobs out across a thread pool;
 //!   results stream in job order and are byte-identical to a sequential
 //!   run under the same seeds.
@@ -50,10 +51,9 @@ pub mod protocol;
 pub use cache::{CacheStats, GcSummary, StageCache};
 pub use engine::{BatchReport, Engine, EngineOptions, EngineStats};
 pub use job::{
-    annealing_effort, channel_width, iteration_cap, load_spec, load_spec_with_modes,
-    multi_placement_from, placements_from, placements_value, read_blif, suite_jobs_n, BatchSpec,
-    DcsSummary, FlowKind, Job, JobCacheInfo, JobError, JobOutcome, JobResult, MdrSummary,
-    SpecSource,
+    load_spec, multi_placement_from, placements_from, placements_value, read_blif, suite_jobs_n,
+    BatchSpec, DcsSummary, FlowKind, FlowOverrides, Job, JobCacheInfo, JobError, JobOutcome,
+    JobResult, MdrSummary, SpecSource,
 };
 
 // Everything crossing a worker-thread boundary must be Send + Sync.

@@ -31,9 +31,9 @@
 //! yields one `{"type":"error",…}` frame instead of the
 //! accepted/records/summary sequence; the connection stays usable.
 
-use crate::job::parse_seed;
+use crate::job::{load_spec_with_modes, FlowOverrides, Job};
 use crate::json::{self, ObjBuilder, Value};
-use mm_flow::{FlowOptions, WidthChoice};
+use mm_flow::FlowOptions;
 
 /// Protocol version, carried in every `accepted` frame. Frames may grow
 /// members (unknown members are ignored), but semantic breaks bump this
@@ -56,14 +56,14 @@ pub const MAX_PRIORITY: u8 = 9;
 /// Priority of requests that do not ask for one.
 pub const DEFAULT_PRIORITY: u8 = 1;
 
-/// A batch submission: the spec reference plus the flow-option
-/// overrides `mmflow batch` exposes, so a submit through the service
-/// can reproduce any batch invocation byte-for-byte.
+/// A batch: the spec reference plus the options `mmflow batch` exposes.
+/// `mmflow batch` and `mmflow pareto` build one from their command line
+/// and a submit sends one to the service, so a submit can reproduce any
+/// batch invocation byte-for-byte.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchRequest {
-    /// The batch spec, resolved server-side exactly like `mmflow batch`:
-    /// a JSON spec file path, a directory of BLIF mode groups, or
-    /// `suite:<regexp|fir|mcnc>[:<modes>]`.
+    /// The batch spec: a JSON spec file path, a directory of BLIF mode
+    /// groups, or `suite:<name>[:<modes>]`.
     pub spec: String,
     /// LUT width for directory BLIFs and generated suites.
     pub k: usize,
@@ -73,19 +73,9 @@ pub struct BatchRequest {
     pub modes: Option<usize>,
     /// Run only the first N jobs.
     pub max_jobs: Option<usize>,
-    /// Placer seed override.
-    pub seed: Option<u64>,
-    /// Fixed channel width override.
-    pub width: Option<usize>,
-    /// Annealing effort override (VPR `inner_num`).
-    pub effort: Option<f64>,
-    /// Router iteration cap override.
-    pub max_iterations: Option<usize>,
-    /// Width-search cap override.
-    pub max_width: Option<usize>,
-    /// Steiner-tree fanout threshold override
-    /// (`RouterOptions::steiner_fanout`; 0 disables the decomposition).
-    pub steiner_fanout: Option<usize>,
+    /// Flow-option overrides (seed, width, effort, iteration and width
+    /// caps, Steiner fanout).
+    pub overrides: FlowOverrides,
     /// Scheduling priority (`0..=MAX_PRIORITY`, higher runs first);
     /// batches compete for workers at this level before fairness ties
     /// within a level are broken per client.
@@ -107,41 +97,28 @@ impl BatchRequest {
             k: 4,
             modes: None,
             max_jobs: None,
-            seed: None,
-            width: None,
-            effort: None,
-            max_iterations: None,
-            max_width: None,
-            steiner_fanout: None,
+            overrides: FlowOverrides::default(),
             priority: DEFAULT_PRIORITY,
             emit_stage_times: false,
         }
     }
 
-    /// The base flow options with this request's overrides applied — the
-    /// same mapping `mmflow batch` performs on its command line.
-    #[must_use]
-    pub fn flow_options(&self, base: &FlowOptions) -> FlowOptions {
-        let mut options = *base;
-        if let Some(seed) = self.seed {
-            options.placer.seed = seed;
+    /// The jobs the request runs: its spec loaded at `k` and `modes`
+    /// under the default flow options with its overrides applied, cut to
+    /// the first `max_jobs`. The one batch resolution, shared by `mmflow
+    /// batch`, `mmflow pareto` and the service.
+    ///
+    /// # Errors
+    ///
+    /// Fails as [`crate::load_spec`] does, and on a `modes` count for a
+    /// spec that is not a generated suite.
+    pub fn jobs(&self) -> Result<Vec<Job>, String> {
+        let options = self.overrides.apply(&FlowOptions::default());
+        let mut jobs = load_spec_with_modes(&self.spec, &options, self.k, self.modes)?.jobs;
+        if let Some(n) = self.max_jobs {
+            jobs.truncate(n);
         }
-        if let Some(width) = self.width {
-            options.width = WidthChoice::Fixed(width);
-        }
-        if let Some(effort) = self.effort {
-            options.placer.inner_num = effort;
-        }
-        if let Some(iters) = self.max_iterations {
-            options.router.max_iterations = iters;
-        }
-        if let Some(max_width) = self.max_width {
-            options.max_width = max_width;
-        }
-        if let Some(fanout) = self.steiner_fanout {
-            options.router.steiner_fanout = fanout;
-        }
-        options
+        Ok(jobs)
     }
 }
 
@@ -176,30 +153,7 @@ impl Request {
                 if let Some(n) = b.max_jobs {
                     o = o.field("max_jobs", n);
                 }
-                if let Some(seed) = b.seed {
-                    // Seeds beyond 2^53 go as strings so the JSON number
-                    // round-trip can never round them (cf. `parse_seed`).
-                    if seed < (1 << 53) {
-                        o = o.field("seed", seed as usize);
-                    } else {
-                        o = o.field("seed", format!("{seed}"));
-                    }
-                }
-                if let Some(w) = b.width {
-                    o = o.field("width", w);
-                }
-                if let Some(e) = b.effort {
-                    o = o.field("effort", e);
-                }
-                if let Some(i) = b.max_iterations {
-                    o = o.field("max_iterations", i);
-                }
-                if let Some(w) = b.max_width {
-                    o = o.field("max_width", w);
-                }
-                if let Some(sf) = b.steiner_fanout {
-                    o = o.field("steiner_fanout", sf);
-                }
+                o = b.overrides.write(o);
                 if b.priority != DEFAULT_PRIORITY {
                     o = o.field("priority", b.priority as usize);
                 }
@@ -245,25 +199,7 @@ impl Request {
                 request.k = usize_field("k")?.unwrap_or(4);
                 request.modes = usize_field("modes")?;
                 request.max_jobs = usize_field("max_jobs")?;
-                let width_field = |key: &str| -> Result<Option<usize>, String> {
-                    usize_field(key)?
-                        .map(|w| crate::channel_width(&format!("\"{key}\""), w))
-                        .transpose()
-                };
-                request.width = width_field("width")?;
-                request.max_iterations = usize_field("max_iterations")?
-                    .map(|i| crate::iteration_cap("\"max_iterations\"", i))
-                    .transpose()?;
-                request.max_width = width_field("max_width")?;
-                request.steiner_fanout = usize_field("steiner_fanout")?;
-                request.seed = v.get("seed").map(parse_seed).transpose()?;
-                request.effort = v
-                    .get("effort")
-                    .map(|f| {
-                        let effort = f.as_f64().ok_or("\"effort\" must be a number")?;
-                        crate::annealing_effort("\"effort\"", effort)
-                    })
-                    .transpose()?;
+                request.overrides = FlowOverrides::from_json(&v)?;
                 if let Some(p) = usize_field("priority")? {
                     if p > MAX_PRIORITY as usize {
                         return Err(format!("\"priority\" must be 0..={MAX_PRIORITY}"));
@@ -504,6 +440,7 @@ pub fn classify(line: &str) -> Result<ServerLine<'_>, String> {
 mod tests {
     use super::*;
     use crate::job::MAX_CHANNEL_WIDTH;
+    use mm_flow::WidthChoice;
     use proptest::prelude::*;
 
     #[test]
@@ -512,12 +449,14 @@ mod tests {
         batch.k = 5;
         batch.modes = Some(3);
         batch.max_jobs = Some(3);
-        batch.seed = Some(u64::MAX);
-        batch.width = Some(12);
-        batch.effort = Some(1.5);
-        batch.max_iterations = Some(30);
-        batch.max_width = Some(24);
-        batch.steiner_fanout = Some(48);
+        batch.overrides = FlowOverrides {
+            seed: Some(u64::MAX),
+            width: Some(12),
+            effort: Some(1.5),
+            max_iterations: Some(30),
+            max_width: Some(24),
+            steiner_fanout: Some(48),
+        };
         batch.priority = 7;
         batch.emit_stage_times = true;
         for request in [Request::Batch(batch), Request::Ping, Request::Shutdown] {
@@ -534,7 +473,7 @@ mod tests {
         };
         assert_eq!(b.spec, "jobs/");
         assert_eq!(b.k, 4);
-        assert_eq!(b.seed, Some(7));
+        assert_eq!(b.overrides.seed, Some(7));
         assert_eq!(b.modes, None);
         assert_eq!(b.max_jobs, None);
         assert_eq!(b.priority, DEFAULT_PRIORITY);
@@ -551,11 +490,9 @@ mod tests {
             .contains("emit_stage_times"));
 
         // Small seeds serialize as plain numbers.
-        let line = Request::Batch(BatchRequest {
-            seed: Some(7),
-            ..BatchRequest::new("x")
-        })
-        .to_json_line();
+        let mut request = BatchRequest::new("x");
+        request.overrides.seed = Some(7);
+        let line = Request::Batch(request).to_json_line();
         assert!(line.contains("\"seed\":7"), "{line}");
     }
 
@@ -670,7 +607,7 @@ mod tests {
             let parsed = std::panic::catch_unwind(|| Request::parse(&line));
             prop_assert!(parsed.is_ok(), "Request::parse panicked on {line:?}");
             if let Ok(Ok(Request::Batch(b))) = parsed {
-                let o = b.flow_options(&FlowOptions::default());
+                let o = b.overrides.apply(&FlowOptions::default());
                 let caps = 1..=MAX_CHANNEL_WIDTH;
                 if let WidthChoice::Fixed(w) = o.width {
                     prop_assert!(caps.contains(&w), "width {w} from {line:?}");
@@ -760,14 +697,14 @@ mod tests {
 
     #[test]
     fn request_overrides_map_onto_flow_options() {
-        let mut batch = BatchRequest::new("s");
-        batch.seed = Some(9);
-        batch.width = Some(11);
-        batch.effort = Some(2.0);
-        batch.max_iterations = Some(17);
-        batch.max_width = Some(33);
-        batch.steiner_fanout = Some(64);
-        let o = batch.flow_options(&FlowOptions::default());
+        let line = concat!(
+            r#"{"cmd":"batch","spec":"s","seed":9,"width":11,"effort":2,"#,
+            r#""max_iterations":17,"max_width":33,"steiner_fanout":64}"#
+        );
+        let Request::Batch(batch) = Request::parse(line).unwrap() else {
+            panic!("not a batch");
+        };
+        let o = batch.overrides.apply(&FlowOptions::default());
         assert_eq!(o.placer.seed, 9);
         assert_eq!(o.width, WidthChoice::Fixed(11));
         assert!((o.placer.inner_num - 2.0).abs() < 1e-12);
@@ -775,7 +712,9 @@ mod tests {
         assert_eq!(o.max_width, 33);
         assert_eq!(o.router.steiner_fanout, 64);
         // No overrides ⇒ the base options pass through untouched.
-        let untouched = BatchRequest::new("s").flow_options(&FlowOptions::default());
+        let untouched = BatchRequest::new("s")
+            .overrides
+            .apply(&FlowOptions::default());
         assert_eq!(untouched, FlowOptions::default());
     }
 }

@@ -42,12 +42,6 @@ impl FirSpec {
         bits + 1 // sign
     }
 
-    /// Number of non-zero taps.
-    #[must_use]
-    pub fn nonzero_taps(&self) -> usize {
-        self.taps.iter().filter(|&&c| c != 0).count()
-    }
-
     /// Reference (software) filter response for validation: `y[n]` given
     /// the full input history `x[0..=n]`.
     #[must_use]

@@ -205,6 +205,71 @@ pub fn broadcast_suite(k: usize) -> Vec<LutCircuit> {
         .collect()
 }
 
+/// A generated suite, by the name `mmflow` and batch specs use
+/// (`suite:<name>`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Suite {
+    /// [`regexp_suite`].
+    RegExp,
+    /// [`fir_suite`].
+    Fir,
+    /// [`mcnc_suite`].
+    Mcnc,
+    /// [`deeplogic_suite`].
+    DeepLogic,
+    /// [`broadcast_suite`].
+    Broadcast,
+}
+
+impl Suite {
+    /// The suite called `name`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an unknown name, listing the known ones.
+    pub fn from_name(name: &str) -> Result<Self, String> {
+        match name {
+            "regexp" => Ok(Suite::RegExp),
+            "fir" => Ok(Suite::Fir),
+            "mcnc" => Ok(Suite::Mcnc),
+            "deeplogic" => Ok(Suite::DeepLogic),
+            "broadcast" => Ok(Suite::Broadcast),
+            other => Err(format!(
+                "unknown suite '{other}' (regexp|fir|mcnc|deeplogic|broadcast)"
+            )),
+        }
+    }
+
+    /// The suite's circuits, mapped to `k`-LUTs.
+    ///
+    /// # Panics
+    ///
+    /// As the suite's generator, e.g. on a `k` the mapper cannot use.
+    #[must_use]
+    pub fn circuits(self, k: usize) -> Vec<LutCircuit> {
+        match self {
+            Suite::RegExp => regexp_suite(k),
+            Suite::Fir => fir_suite(k),
+            Suite::Mcnc => mcnc_suite(k),
+            Suite::DeepLogic => deeplogic_suite(k),
+            Suite::Broadcast => broadcast_suite(k),
+        }
+    }
+
+    /// The suite's `modes`-mode problems, as index tuples into
+    /// [`Suite::circuits`]: interleaved filter families for FIR
+    /// ([`fir_mode_tuples`]), every ascending combination of the five
+    /// circuits otherwise ([`all_tuples`]). Empty, or shorter than
+    /// `modes`, where the suite cannot supply that many modes.
+    #[must_use]
+    pub fn tuples(self, modes: usize) -> Vec<Vec<usize>> {
+        match self {
+            Suite::Fir => fir_mode_tuples(modes),
+            _ => all_tuples(SUITE_SIZE, modes),
+        }
+    }
+}
+
 /// All unordered pairs `(i, j)` with `i < j < n` — the paper's "all
 /// possible combinations of 2 circuits out of the 5" (10 pairs for 5).
 #[must_use]

@@ -339,18 +339,19 @@ fn build_circuit(
 
     // Phase 2: patch fanin and truth tables.
     for (ni, n) in names.iter().enumerate() {
-        let truth = TruthTable::from_cover(n.inputs.len(), &n.cover).map_err(|e| {
-            NetlistError::BlifParse {
-                line: n.line,
-                msg: e.to_string(),
-            }
-        })?;
+        // Checked first: a truth table holds at most MAX_LUT_INPUTS.
         if n.inputs.len() > k {
             return Err(NetlistError::BlifParse {
                 line: n.line,
                 msg: format!(".names with {} inputs exceeds k = {k}", n.inputs.len()),
             });
         }
+        let truth = TruthTable::from_cover(n.inputs.len(), &n.cover).map_err(|e| {
+            NetlistError::BlifParse {
+                line: n.line,
+                msg: e.to_string(),
+            }
+        })?;
         let fanin: Vec<BlockId> = n
             .inputs
             .iter()
@@ -668,6 +669,15 @@ mod tests {
 ";
         assert!(from_blif(text, 4).is_err());
         assert!(from_blif(text, 5).is_ok());
+        // Wider than any LUT: refused at every k, never a panic.
+        let seven = ".model m\n.inputs a b c d e f g\n.outputs y\n.names a b c d e f g y\n1111111 1\n.end\n";
+        for k in [1, 4, 6] {
+            let err = from_blif(seven, k).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!(".names with 7 inputs exceeds k = {k}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -25,17 +25,16 @@
 //! * an admitted batch that has to wait is told so with a `queued`
 //!   frame carrying the number of jobs ahead of it;
 //! * a client that reads slowly blocks only its own connection's
-//!   writes, and one that accepts no bytes for 30 s is dropped.
+//!   writes, and one that accepts no bytes for 30 s is dropped;
+//! * a connection that has not completed a request line a minute after
+//!   it started waiting for one is closed, so clients that connect and
+//!   send nothing cannot hold every slot.
 
 use crate::scheduler::{panic_message, ClientId, JobTask, Scheduler, Task};
 use mm_engine::faultpoint;
 use mm_engine::json::{ObjBuilder, Value};
 use mm_engine::protocol::{BatchRequest, Frame, Request};
-use mm_engine::{
-    load_spec_with_modes, BatchReport, Engine, EngineOptions, EngineStats, Job, JobCacheInfo,
-    JobError, JobResult,
-};
-use mm_flow::FlowOptions;
+use mm_engine::{BatchReport, Engine, EngineOptions, EngineStats, Job, JobError, JobResult};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -235,12 +234,6 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.state.begin_drain();
     }
-
-    /// Whether shutdown has been requested.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.state.shutdown.load(Ordering::Relaxed)
-    }
 }
 
 enum Listener {
@@ -309,6 +302,14 @@ impl SocketStream {
             StreamInner::Unix(s) => StreamInner::Unix(s.try_clone()?),
             StreamInner::Tcp(s) => StreamInner::Tcp(s.try_clone()?),
         }))
+    }
+
+    /// Bounds blocking reads (shared by all clones of the socket).
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        match &self.0 {
+            StreamInner::Unix(s) => s.set_read_timeout(timeout),
+            StreamInner::Tcp(s) => s.set_read_timeout(timeout),
+        }
     }
 
     /// Bounds blocking writes (shared by all clones of the socket).
@@ -380,6 +381,12 @@ const MAX_REQUEST_LINE: usize = 1 << 20;
 /// gone.
 const WRITE_STALL: Duration = Duration::from_secs(30);
 
+/// A connection that has not completed a request line this long after
+/// it started waiting for one is closed, freeing its slot. Bytes that
+/// trickle in meanwhile do not extend it; a batch that streams is not
+/// waiting for a line.
+const IDLE_REQUEST: Duration = Duration::from_secs(60);
+
 /// How often a connection waiting for its batch's next result checks,
 /// without blocking, whether its client has hung up.
 const HANGUP_POLL: Duration = Duration::from_millis(10);
@@ -397,6 +404,8 @@ pub struct Server {
     listener: Listener,
     state: Arc<ServerState>,
     max_connections: usize,
+    /// [`IDLE_REQUEST`], which the tests shorten.
+    idle_request: Duration,
 }
 
 impl std::fmt::Debug for Server {
@@ -505,6 +514,7 @@ impl Server {
                 open: Mutex::new(HashMap::new()),
             }),
             max_connections: options.max_connections,
+            idle_request: IDLE_REQUEST,
         })
     }
 
@@ -550,11 +560,13 @@ impl Server {
             listener,
             state,
             max_connections,
+            idle_request,
         } = self;
         let ctx = Ctx {
             engine: &engine,
             scheduler: &scheduler,
             state: &state,
+            idle_request,
         };
         std::thread::scope(|scope| -> std::io::Result<()> {
             loop {
@@ -662,6 +674,7 @@ struct Ctx<'a> {
     engine: &'a Arc<Engine>,
     scheduler: &'a Scheduler,
     state: &'a Arc<ServerState>,
+    idle_request: Duration,
 }
 
 /// An occupied connection slot; dropping it frees the slot and the
@@ -691,7 +704,10 @@ fn serve_connection(ctx: Ctx<'_>, stream: SocketStream, slot: Slot<'_>) {
     };
     let _ = stream.set_write_timeout(Some(WRITE_STALL));
     let mut conn = Conn {
-        reader: BufReader::new(read_half),
+        reader: BufReader::new(LineReader {
+            stream: read_half,
+            deadline: None,
+        }),
         writer: stream,
         client: slot.client,
         consumed: 0,
@@ -756,9 +772,30 @@ impl Drop for Admission<'_> {
     }
 }
 
+/// A connection's read half. While a request line is awaited, each read
+/// waits only until the line's deadline, so bytes that trickle in do
+/// not extend it.
+struct LineReader {
+    stream: SocketStream,
+    deadline: Option<Instant>,
+}
+
+impl Read for LineReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if let Some(deadline) = self.deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        self.stream.read(buf)
+    }
+}
+
 /// One admitted connection.
 struct Conn {
-    reader: BufReader<SocketStream>,
+    reader: BufReader<LineReader>,
     writer: SocketStream,
     client: ClientId,
     /// Request-stream bytes consumed so far — the byte offset of the
@@ -772,7 +809,7 @@ impl Conn {
     fn serve(&mut self, ctx: &Ctx<'_>) {
         loop {
             ctx.state.set_waiting(self.client, true);
-            let line = self.next_line();
+            let line = self.next_line(ctx.idle_request);
             ctx.state.set_waiting(self.client, false);
             let (offset, line) = match line {
                 Some(Ok(line)) => line,
@@ -837,16 +874,19 @@ impl Conn {
     /// The next request line (newline stripped, lossily decoded) with
     /// its byte offset; `Err(offset)` for a line over
     /// [`MAX_REQUEST_LINE`]; `None` once the client is gone — end of
-    /// stream, a read error, or a last line without its newline.
-    fn next_line(&mut self) -> Option<Result<(u64, String), u64>> {
+    /// stream, a read error, a last line without its newline, or no
+    /// complete line within `idle`.
+    fn next_line(&mut self, idle: Duration) -> Option<Result<(u64, String), u64>> {
         let limit = MAX_REQUEST_LINE as u64 + 1;
         let mut bytes = Vec::new();
-        match self
+        self.reader.get_mut().deadline = Some(Instant::now() + idle);
+        let read = self
             .reader
             .by_ref()
             .take(limit)
-            .read_until(b'\n', &mut bytes)
-        {
+            .read_until(b'\n', &mut bytes);
+        self.reader.get_mut().deadline = None;
+        match read {
             Ok(_) if bytes.last() == Some(&b'\n') => {}
             Ok(n) if n as u64 == limit => return Some(Err(self.consumed)),
             _ => return None,
@@ -874,7 +914,7 @@ impl Conn {
         if !self.reader.buffer().is_empty() {
             return false;
         }
-        if self.reader.get_ref().set_nonblocking(true).is_err() {
+        if self.reader.get_ref().stream.set_nonblocking(true).is_err() {
             return false;
         }
         let gone = match self.reader.fill_buf() {
@@ -884,7 +924,7 @@ impl Conn {
                 std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
             ),
         };
-        let _ = self.reader.get_ref().set_nonblocking(false);
+        let _ = self.reader.get_ref().stream.set_nonblocking(false);
         gone
     }
 
@@ -894,22 +934,17 @@ impl Conn {
     /// the connection stays usable either way. `Err` means the
     /// connection is done for.
     fn run_batch(&mut self, ctx: &Ctx<'_>, request: &BatchRequest) -> std::io::Result<()> {
-        let options = request.flow_options(&FlowOptions::default());
-        let mut batch =
-            match load_spec_with_modes(&request.spec, &options, request.k, request.modes) {
-                Ok(batch) => batch,
-                Err(message) => {
-                    return self.send(&Frame::Error {
-                        message,
-                        offset: None,
-                        line: None,
-                    })
-                }
-            };
-        if let Some(n) = request.max_jobs {
-            batch.jobs.truncate(n);
-        }
-        let n = batch.jobs.len();
+        let jobs = match request.jobs() {
+            Ok(jobs) => jobs,
+            Err(message) => {
+                return self.send(&Frame::Error {
+                    message,
+                    offset: None,
+                    line: None,
+                })
+            }
+        };
+        let n = jobs.len();
         let t0 = Instant::now();
         let cache_before = ctx.engine.cache().map(|c| c.stats()).unwrap_or_default();
         let collector = Arc::new(Collector {
@@ -917,8 +952,7 @@ impl Conn {
             ready: Condvar::new(),
         });
         let cancel = Arc::new(AtomicBool::new(false));
-        let tasks: Vec<JobTask> = batch
-            .jobs
+        let tasks: Vec<JobTask> = jobs
             .into_iter()
             .enumerate()
             .map(|(index, job)| job_task(ctx, index, job, &collector, &cancel))
@@ -1044,14 +1078,12 @@ fn job_task(
     let timeout_delivered = Arc::clone(&delivered);
     let run: Task = Box::new(move || {
         let result = if cancel.load(Ordering::Relaxed) {
-            JobResult {
-                name: job.name.clone(),
-                flow: job.flow,
-                outcome: Err(JobError::engine("cancelled: client disconnected")),
-                cache: JobCacheInfo::default(),
-                duration: Duration::ZERO,
-                stages: Vec::new(),
-            }
+            JobResult::failed(
+                job.name.clone(),
+                job.flow,
+                JobError::engine("cancelled: client disconnected"),
+                Duration::ZERO,
+            )
         } else {
             // Counted here — not at admission — so the operator's exit
             // report only claims jobs that actually ran.
@@ -1071,20 +1103,11 @@ fn job_task(
             .is_ok()
         {
             let deadline = deadline.unwrap_or_default();
-            timeout_collector.deliver(
-                index,
-                JobResult {
-                    name,
-                    flow,
-                    outcome: Err(JobError::timeout(format!(
-                        "job exceeded the {} ms deadline and was declared stuck",
-                        deadline.as_millis()
-                    ))),
-                    cache: JobCacheInfo::default(),
-                    duration: deadline,
-                    stages: Vec::new(),
-                },
-            );
+            let error = JobError::timeout(format!(
+                "job exceeded the {} ms deadline and was declared stuck",
+                deadline.as_millis()
+            ));
+            timeout_collector.deliver(index, JobResult::failed(name, flow, error, deadline));
         }
     });
     JobTask {
@@ -1122,17 +1145,11 @@ fn execute_with_retries(engine: &Engine, job: &Job, counters: &Counters) -> JobR
         match run {
             Ok(result) => return result,
             Err(panic) if attempts >= MAX_JOB_ATTEMPTS => {
-                return JobResult {
-                    name: job.name.clone(),
-                    flow: job.flow,
-                    outcome: Err(JobError::engine(format!(
-                        "job panicked ({attempts} attempts): {}",
-                        panic_message(panic.as_ref())
-                    ))),
-                    cache: JobCacheInfo::default(),
-                    duration: Duration::ZERO,
-                    stages: Vec::new(),
-                }
+                let error = JobError::engine(format!(
+                    "job panicked ({attempts} attempts): {}",
+                    panic_message(panic.as_ref())
+                ));
+                return JobResult::failed(job.name.clone(), job.flow, error, Duration::ZERO);
             }
             Err(_) => {
                 counters.panic_retries.fetch_add(1, Ordering::Relaxed);
@@ -1153,4 +1170,65 @@ fn queue_stats_value(scheduler: &Scheduler) -> Value {
         .field("peak_queued", s.peak_queued)
         .field("p95_ms", (s.p95_ms * 100.0).round() / 100.0)
         .build()])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_connection_without_a_request_line_frees_its_slot() {
+        let dir = std::env::temp_dir().join(format!("mm_serve_idle_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("idle.sock");
+        let options = ServeOptions {
+            threads: 1,
+            max_connections: 1,
+            ..ServeOptions::default()
+        };
+        let mut server = Server::bind(&Listen::Unix(socket.clone()), &options).unwrap();
+        server.idle_request = Duration::from_millis(300);
+        let handle = server.handle();
+        let thread = std::thread::spawn(move || server.run());
+        let ping = |stream: &mut UnixStream, reader: &mut BufReader<UnixStream>| {
+            stream.write_all(b"{\"cmd\":\"ping\"}\n").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line
+        };
+
+        // The slot's holder is answered, then trickles a byte every 50 ms
+        // without ever completing a line.
+        let mut idle = UnixStream::connect(&socket).unwrap();
+        let mut reader = BufReader::new(idle.try_clone().unwrap());
+        assert_eq!(ping(&mut idle, &mut reader), "{\"type\":\"pong\"}\n");
+        idle.set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let start = Instant::now();
+        loop {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "an idle connection kept its slot"
+            );
+            let _ = idle.write_all(b" ");
+            let mut line = String::new();
+            match reader.read_line(&mut line) {
+                Ok(0) => break,
+                Ok(_) => panic!("unexpected line {line:?}"),
+                Err(_) => {}
+            }
+        }
+        assert!(start.elapsed() >= Duration::from_millis(150));
+
+        // The freed slot admits the next client.
+        let mut next = UnixStream::connect(&socket).unwrap();
+        let mut next_reader = BufReader::new(next.try_clone().unwrap());
+        assert_eq!(ping(&mut next, &mut next_reader), "{\"type\":\"pong\"}\n");
+        drop((next, next_reader));
+        handle.shutdown();
+        let report = thread.join().unwrap().unwrap();
+        assert_eq!((report.connections, report.rejected_connections), (2, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -41,9 +41,9 @@ fn write_spec_dir(root: &Path, groups: usize) -> PathBuf {
 /// The overrides every test batch uses (fast, deterministic).
 fn test_request(spec: &str) -> mm_engine::protocol::BatchRequest {
     let mut b = mm_engine::protocol::BatchRequest::new(spec);
-    b.width = Some(12);
-    b.effort = Some(1.0);
-    b.max_iterations = Some(30);
+    b.overrides.width = Some(12);
+    b.overrides.effort = Some(1.0);
+    b.overrides.max_iterations = Some(30);
     b
 }
 
