@@ -745,6 +745,50 @@ mod tests {
     }
 
     #[test]
+    fn no_node_has_two_edges_to_the_same_node() {
+        // The router stores a path's predecessors only and takes each
+        // switch from the one edge between two consecutive nodes.
+        let fcs = [None, Some((0.4, 0.25)), Some((1.0, 1.0)), Some((0.1, 0.1))];
+        let shapes = [
+            (1, 1),
+            (2, 32),
+            (3, 5),
+            (5, 8),
+            (8, 2),
+            (12, 13),
+            (16, 4),
+            (20, 9),
+        ];
+        let mut graphs = 0;
+        for pattern in [crate::SwitchPattern::Wilton, crate::SwitchPattern::Disjoint] {
+            for fc in fcs {
+                for (grid, width) in shapes {
+                    let mut arch = Architecture::new(4, grid, width).with_switch_pattern(pattern);
+                    if let Some((fc_in, fc_out)) = fc {
+                        arch = arch.with_fc(fc_in, fc_out);
+                    }
+                    let rrg = RoutingGraph::build(&arch);
+                    let mut targets = Vec::new();
+                    for id in rrg.node_ids() {
+                        targets.clear();
+                        targets.extend(rrg.edges(id).iter().map(|e| e.to));
+                        targets.sort_unstable();
+                        let before = targets.len();
+                        targets.dedup();
+                        assert_eq!(
+                            targets.len(),
+                            before,
+                            "{id} has parallel edges ({pattern:?}, fc {fc:?}, {grid}x{grid}, W {width})"
+                        );
+                    }
+                    graphs += 1;
+                }
+            }
+        }
+        assert_eq!(graphs, 64);
+    }
+
+    #[test]
     fn routing_dominates_lut_bits() {
         // The paper's premise: "the configuration memory consists mostly
         // of routing bits".

@@ -92,6 +92,20 @@ impl PerfConfig {
     }
 }
 
+/// The fewest interleaved off/on routes behind each Steiner speedup,
+/// whatever [`PerfConfig::reps`] says: with one sample a side, host noise
+/// alone could fail its gate. 15 pairs of millisecond routes span a few
+/// hundred milliseconds, so a burst of host noise rarely covers every
+/// sample of one side.
+const STEINER_TIMED_REPS: usize = 15;
+
+/// The samples behind each rate the contention gate compares: the warm
+/// rate is the median of at least this many warm re-submissions
+/// (whatever [`PerfConfig::reps`] says), and the saturation rate the
+/// median of this many contention storms, so neither is one short
+/// sample.
+const SERVE_SAMPLES: usize = 5;
+
 /// A seeded multi-mode routing workload: fabric plus nets.
 ///
 /// Deterministic for a given `config.smoke`, so baseline and optimized
@@ -211,9 +225,10 @@ pub struct HighFanoutRun {
     pub nets: usize,
     /// The `steiner_fanout` threshold used for the "on" measurement.
     pub steiner_fanout: usize,
-    /// Best-of-reps wall-clock with the decomposition off, milliseconds.
+    /// Best wall-clock with the decomposition off, milliseconds, over at
+    /// least 15 runs taken in turn with the "on" ones.
     pub off_ms: f64,
-    /// Best-of-reps wall-clock with the decomposition on, milliseconds.
+    /// Best wall-clock with the decomposition on, milliseconds.
     pub on_ms: f64,
     /// off / on wall-clock.
     pub speedup: f64,
@@ -656,9 +671,10 @@ pub fn router_perf(config: &PerfConfig) -> RouterPerf {
 
 /// Measures one high-fanout comparison: the same broadcast workload
 /// routed with the Steiner decomposition off and on. Wall-clocks are
-/// best-of-reps (the minimum is the least noisy location estimate for
-/// a CI-gated ratio); both configurations are parity-checked against
-/// the naive reference before timing.
+/// the best of at least [`STEINER_TIMED_REPS`] interleaved runs each (the
+/// minimum is the least noisy location estimate for a CI-gated ratio);
+/// both configurations are parity-checked against the naive reference
+/// before timing.
 fn high_fanout_run(grid: usize, width: usize, fanout: usize, reps: usize) -> HighFanoutRun {
     /// Any net at or above this sink count routes along the Steiner
     /// topology in the "on" configuration — between the background
@@ -674,20 +690,22 @@ fn high_fanout_run(grid: usize, width: usize, fanout: usize, reps: usize) -> Hig
         && routings_identical(&on_result, &route_reference(&rrg, options_on, &nets));
 
     let wirelength = |r: &mm_route::Routing| r.nets.iter().map(|n| n.tree.len()).sum::<usize>();
-    let best_of = |options: RouterOptions| {
-        let mut router = Router::new(&rrg, options);
-        let _ = router.route(&nets); // warm the arena
-        (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                let r = router.route(&nets);
-                std::hint::black_box(r.success);
-                t0.elapsed().as_secs_f64() * 1000.0
-            })
-            .fold(f64::INFINITY, f64::min)
+    // Off and on take turns, each on its own warmed router, so a burst
+    // of host noise lands on both; each keeps its best time.
+    let mut off = Router::new(&rrg, options_off);
+    let mut on = Router::new(&rrg, options_on);
+    let _ = (off.route(&nets), on.route(&nets)); // warm the arenas
+    let time = |router: &mut Router<'_>| {
+        let t0 = Instant::now();
+        let r = router.route(&nets);
+        std::hint::black_box(r.success);
+        t0.elapsed().as_secs_f64() * 1000.0
     };
-    let off_ms = best_of(options_off);
-    let on_ms = best_of(options_on);
+    let (mut off_ms, mut on_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(STEINER_TIMED_REPS) {
+        off_ms = off_ms.min(time(&mut off));
+        on_ms = on_ms.min(time(&mut on));
+    }
     let (off_wl, on_wl) = (wirelength(&off_result), wirelength(&on_result));
     HighFanoutRun {
         fanout,
@@ -1524,7 +1542,7 @@ pub struct ServePerf {
     /// end-to-end over the socket.
     pub cold_wall_ms: f64,
     /// Warm re-submission wall-clock (shared cache answers),
-    /// milliseconds.
+    /// milliseconds: the median of at least five re-submissions.
     pub warm_wall_ms: f64,
     /// Jobs per second, cold.
     pub cold_jobs_per_sec: f64,
@@ -1533,9 +1551,10 @@ pub struct ServePerf {
     /// cold / warm wall-clock.
     pub warm_speedup: f64,
     /// The socket stream matched a direct engine run byte-for-byte, on
-    /// both the cold and the warm submission.
+    /// the cold and every warm submission.
     pub parity_ok: bool,
-    /// The multi-client contention storm.
+    /// The multi-client contention storm: of five storms, the one with
+    /// the median saturation rate (`parity_ok` covers all five).
     pub contention: ContentionPerf,
     /// The fault-injection storm and SLO-shedding section.
     pub chaos: ChaosPerf,
@@ -1692,10 +1711,29 @@ pub fn serve_perf(config: &PerfConfig) -> ServePerf {
     };
 
     let (cold_records, cold_wall_ms) = submit(&request);
-    let (warm_records, warm_wall_ms) = submit(&request);
-    let parity_ok = cold_records == reference && warm_records == reference;
+    let mut parity_ok = cold_records == reference;
+    let mut warm_ms: Vec<f64> = (0..config.reps.max(SERVE_SAMPLES))
+        .map(|_| {
+            let (records, ms) = submit(&request);
+            parity_ok &= records == reference;
+            ms
+        })
+        .collect();
+    warm_ms.sort_by(f64::total_cmp);
+    let warm_wall_ms = warm_ms[warm_ms.len() / 2];
 
-    let contention = contention_storm(config, &listen, &request, &reference, job_count);
+    // The storm whose saturation rate is the median of its runs, with
+    // parity required of every run.
+    let mut storms: Vec<ContentionPerf> = (0..SERVE_SAMPLES)
+        .map(|_| contention_storm(config, &listen, &request, &reference, job_count))
+        .collect();
+    let every_storm_parity = storms.iter().all(|c| c.parity_ok);
+    storms.sort_by(|a, b| {
+        a.saturation_jobs_per_sec
+            .total_cmp(&b.saturation_jobs_per_sec)
+    });
+    let mut contention = storms.swap_remove(storms.len() / 2);
+    contention.parity_ok = every_storm_parity;
 
     handle.shutdown();
     server_thread

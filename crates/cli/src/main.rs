@@ -220,7 +220,7 @@ fn parse_common(args: &[String]) -> Result<CommonOptions, Box<dyn Error>> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "-k" => options.k = next_value(&mut it, "-k")?.parse()?,
+            "-k" => options.k = next_parsed(&mut it, "-k")?,
             "--cost" => {
                 let v = next_value(&mut it, "--cost")?;
                 options.cost = parse_cost(v)?;
@@ -228,7 +228,7 @@ fn parse_common(args: &[String]) -> Result<CommonOptions, Box<dyn Error>> {
             flag @ ("--width" | "--seed" | "--effort") => {
                 overrides.read_flag(flag, next_value(&mut it, flag)?)?;
             }
-            "--bits" => options.show_bits = next_value(&mut it, "--bits")?.parse()?,
+            "--bits" => options.show_bits = next_parsed(&mut it, "--bits")?,
             other if other.starts_with('-') => {
                 return Err(Usage(format!("unknown option '{other}'")).into());
             }
@@ -247,6 +247,28 @@ fn next_value<'a>(
         .ok_or_else(|| Usage(format!("{flag} needs a value")).into())
 }
 
+/// Reads and parses the value of `flag`, naming the flag and the value
+/// when it does not parse.
+fn next_parsed<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, Box<dyn Error>>
+where
+    T::Err: std::fmt::Display,
+{
+    Ok(parse_value(flag, next_value(it, flag)?)?)
+}
+
+/// Parses one value given to `flag`, naming both when it does not parse.
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| format!("{flag}: invalid value '{value}' ({e})"))
+}
+
 /// Reads the arguments `batch`, `pareto` and `submit` share — the spec,
 /// `-k`, `--modes`, `--jobs`, the flow overrides and `--out` — into a
 /// request, `None` without a spec, and the `--out` path. `own` reads the
@@ -262,9 +284,9 @@ fn batch_args(
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "-k" => request.k = next_value(&mut it, "-k")?.parse()?,
-            "--modes" => request.modes = Some(next_value(&mut it, "--modes")?.parse()?),
-            "--jobs" => request.max_jobs = Some(next_value(&mut it, "--jobs")?.parse()?),
+            "-k" => request.k = next_parsed(&mut it, "-k")?,
+            "--modes" => request.modes = Some(next_parsed(&mut it, "--modes")?),
+            "--jobs" => request.max_jobs = Some(next_parsed(&mut it, "--jobs")?),
             "--out" => out = Some(next_value(&mut it, "--out")?.clone()),
             flag if FlowOverrides::is_flag(flag) => {
                 request
@@ -290,7 +312,7 @@ fn engine_flag(
     options: &mut EngineOptions,
 ) -> Result<bool, Box<dyn Error>> {
     match flag {
-        "--threads" => options.threads = next_value(it, "--threads")?.parse()?,
+        "--threads" => options.threads = next_parsed(it, "--threads")?,
         "--serial" => options.threads = 1,
         "--cache" => options.cache_dir = Some(next_value(it, "--cache")?.into()),
         "--no-cache" => options.cache_dir = None,
@@ -483,7 +505,7 @@ fn cmd_pareto(args: &[String]) -> Result<(), Box<dyn Error>> {
         if flag == "--alphas" {
             alphas = next_value(it, "--alphas")?
                 .split(',')
-                .map(str::parse)
+                .map(|alpha| parse_value("--alphas", alpha))
                 .collect::<Result<_, _>>()?;
             return Ok(true);
         }
@@ -590,19 +612,17 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--listen" => listen = Some(next_value(&mut it, "--listen")?.clone()),
-            "--threads" => options.threads = next_value(&mut it, "--threads")?.parse()?,
+            "--threads" => options.threads = next_parsed(&mut it, "--threads")?,
             "--queue-depth" => {
-                options.queue_depth = next_value(&mut it, "--queue-depth")?.parse()?;
+                options.queue_depth = next_parsed(&mut it, "--queue-depth")?;
             }
             "--cache" => options.cache_dir = Some(next_value(&mut it, "--cache")?.into()),
             "--no-cache" => options.cache_dir = None,
             "--max-connections" => {
-                options.max_connections = next_value(&mut it, "--max-connections")?.parse()?;
+                options.max_connections = next_parsed(&mut it, "--max-connections")?;
             }
-            "--slo-ms" => options.slo_ms = Some(next_value(&mut it, "--slo-ms")?.parse()?),
-            "--deadline-ms" => {
-                options.deadline_ms = next_value(&mut it, "--deadline-ms")?.parse()?
-            }
+            "--slo-ms" => options.slo_ms = Some(next_parsed(&mut it, "--slo-ms")?),
+            "--deadline-ms" => options.deadline_ms = next_parsed(&mut it, "--deadline-ms")?,
             "--fault-spec" => {
                 options.fault_spec = Some(next_value(&mut it, "--fault-spec")?.clone());
             }
@@ -668,9 +688,9 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn Error>> {
         match flag {
             "--connect" => connect = Some(next_value(it, "--connect")?.clone()),
             "--shutdown" => shutdown = true,
-            "--retries" => retries = next_value(it, "--retries")?.parse()?,
+            "--retries" => retries = next_parsed(it, "--retries")?,
             "--priority" => {
-                priority = next_value(it, "--priority")?.parse()?;
+                priority = next_parsed(it, "--priority")?;
                 if priority > MAX_PRIORITY {
                     return Err(format!("--priority must be 0..={MAX_PRIORITY}").into());
                 }
@@ -744,8 +764,8 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--json" => json = true,
             "--smoke" => smoke = true,
             "--suite" => suite = next_value(&mut it, "--suite")?.clone(),
-            "--reps" => reps = Some(next_value(&mut it, "--reps")?.parse()?),
-            "--threads" => threads = next_value(&mut it, "--threads")?.parse()?,
+            "--reps" => reps = Some(next_parsed(&mut it, "--reps")?),
+            "--threads" => threads = next_parsed(&mut it, "--threads")?,
             "--out-dir" => out_dir = Some(next_value(&mut it, "--out-dir")?.into()),
             other => return Err(Usage(format!("unknown bench option '{other}'")).into()),
         }
@@ -977,8 +997,15 @@ fn cmd_cache(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--cache" => cache_dir = next_value(&mut it, "--cache")?.into(),
             "--max-bytes" => max_bytes = Some(parse_bytes(next_value(&mut it, "--max-bytes")?)?),
             "--max-age-days" => {
-                let days: f64 = next_value(&mut it, "--max-age-days")?.parse()?;
-                max_age = Some(std::time::Duration::from_secs_f64(days * 86_400.0));
+                let value = next_value(&mut it, "--max-age-days")?;
+                let days: f64 = parse_value("--max-age-days", value)?;
+                let age =
+                    std::time::Duration::try_from_secs_f64(days * 86_400.0).map_err(|_| {
+                        format!(
+                            "--max-age-days must be a finite number of days >= 0, got '{value}'"
+                        )
+                    })?;
+                max_age = Some(age);
             }
             other => return Err(Usage(format!("unknown cache gc option '{other}'")).into()),
         }

@@ -405,6 +405,73 @@ fn merge_rejects_bad_inputs_without_panicking() {
 }
 
 #[test]
+fn numeric_flags_name_their_bad_values_without_panicking() {
+    let dir = tmpdir("numeric_flags");
+    let a = write_blif(&dir, "a.blif", MODE_A);
+    let b = write_blif(&dir, "b.blif", MODE_B);
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    let listen = format!("unix:{}", dir.join("mm.sock").display());
+    let connect = format!("unix:{}", dir.join("absent.sock").display());
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let cache = cache.to_str().unwrap();
+    let serve = |option, value| vec!["serve", "--listen", &listen, "--no-cache", option, value];
+    let submit = |option, value| {
+        vec![
+            "submit",
+            "suite:regexp",
+            "--connect",
+            &connect,
+            option,
+            value,
+        ]
+    };
+    let gc = |value| vec!["cache", "gc", "--cache", cache, "--max-age-days", value];
+    for (args, flag, value) in [
+        (vec!["merge", a, b, "-k", "four"], "-k", "four"),
+        (vec!["merge", a, b, "--bits", "x"], "--bits", "x"),
+        (vec!["batch", "suite:regexp", "-k", "4.5"], "-k", "4.5"),
+        (
+            vec!["batch", "suite:regexp", "--modes", "two"],
+            "--modes",
+            "two",
+        ),
+        (vec!["batch", "suite:regexp", "--jobs", "x"], "--jobs", "x"),
+        (
+            vec!["batch", "suite:regexp", "--threads", "-2"],
+            "--threads",
+            "-2",
+        ),
+        (
+            vec!["pareto", "suite:regexp", "--alphas", "0,x"],
+            "--alphas",
+            "x",
+        ),
+        (submit("--retries", "many"), "--retries", "many"),
+        (submit("--priority", "-1"), "--priority", "-1"),
+        (serve("--threads", "x"), "--threads", "x"),
+        (serve("--queue-depth", "deep"), "--queue-depth", "deep"),
+        (serve("--max-connections", "-3"), "--max-connections", "-3"),
+        (serve("--slo-ms", "fast"), "--slo-ms", "fast"),
+        (serve("--deadline-ms", "1.5"), "--deadline-ms", "1.5"),
+        (vec!["bench", "--reps", "x"], "--reps", "x"),
+        // A day count Duration cannot hold used to panic.
+        (gc("-1"), "--max-age-days", "-1"),
+        (gc("nan"), "--max-age-days", "nan"),
+        (gc("inf"), "--max-age-days", "inf"),
+        (gc("1e300"), "--max-age-days", "1e300"),
+    ] {
+        let out = mmflow().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("'{value}'")), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn zero_channel_widths_exit_1_without_panicking() {
     let dir = tmpdir("width_zero");
     let a = write_blif(&dir, "a.blif", MODE_A);

@@ -22,11 +22,16 @@
 //! and keeps every piece of search state in a persistent, generation-
 //! stamped scratch arena:
 //!
-//! * the A* heap, path buffer and sink-order buffer are reused across
-//!   nets and across [`Router::route`] calls;
-//! * each node's search state is one stamped record (distance, stamp,
-//!   predecessor, switch), and heap entries order by the bits of their
-//!   cost, which is exact because every edge costs ≥ 0;
+//! * the A* open list, path buffer and sink-order buffer are reused
+//!   across nets and across [`Router::route`] calls;
+//! * each node's search state is one 16-byte record (distance,
+//!   predecessor, stamp of its latest open-list entry), and open-list
+//!   entries are 16 bytes too (cost bits, node, stamp): an entry whose
+//!   stamp is not its node's latest is stale, and entries order by the
+//!   bits of their cost, which is exact because every edge costs ≥ 0;
+//! * the open list keeps only the cheap end of the frontier in a binary
+//!   heap and appends dearer entries, which most searches never pop, to
+//!   an unsorted overflow;
 //! * a neighbour already reached at no more than the popped entry's cost
 //!   is skipped before it is priced, the history factor of every node's
 //!   cost is cached, and the sharing and criticality branches are decided
@@ -46,7 +51,6 @@
 
 use mm_arch::{RoutingGraph, RrKind, RrNodeId, SwitchId};
 use mm_boolexpr::{ModeSet, ModeSpace};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// One sink of a [`RouteNet`]: a `SINK` node plus the modes in which the
@@ -394,54 +398,176 @@ impl Occupancy {
     }
 }
 
-/// Min-heap entry of the A* search, ordered by the bit pattern of its
-/// estimated total cost: every cost is finite and ≥ 0, where an f64's
-/// bits order like its value. Equal costs pop the larger node first,
-/// as the reference's f64-ordered entry does.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
+/// Open-list entry of the A* search (16 bytes), ordered by the bit
+/// pattern of its estimated total cost: every cost is finite and ≥ 0,
+/// where an f64's bits order like its value. Equal costs pop the larger
+/// node first, as the reference's f64-ordered entry does; the newer of
+/// two entries for one node and cost pops first, so the order is total.
+///
+/// The three keys share one `u128`, most significant first: the cost's
+/// bits inverted (`BinaryHeap` pops its largest element), the node and
+/// the stamp. So one integer comparison orders two entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct HeapEntry(u128);
+
+impl HeapEntry {
+    /// `stamp` is the push that made the entry. The entry is stale once
+    /// the node's [`Visit::stamp`] has moved on: a node is pushed again
+    /// only when its cost-to-come falls by more than 1e-12, which is
+    /// exactly when the old entry's cost stopped matching the record.
+    #[inline]
+    fn new(f: f64, node: u32, stamp: u32) -> Self {
+        Self(u128::from(!f.to_bits()) << 64 | u128::from(node) << 32 | u128::from(stamp))
+    }
+
     /// Bits of the estimated total cost (g + h).
-    f: u64,
-    /// Cost to come.
-    g: f64,
-    node: u32,
-}
+    #[inline]
+    fn f(self) -> u64 {
+        !((self.0 >> 64) as u64)
+    }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+    #[inline]
+    fn node(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+
+    #[inline]
+    fn stamp(self) -> u32 {
+        self.0 as u32
     }
 }
 
-impl Eq for HeapEntry {}
+/// Overflow buckets per binade of cost: a cost's bits shifted right by
+/// this keep the top three mantissa bits, so bucket boundaries sit at
+/// 2^e · (1 + j/8) and a bucket's dearest cost is at most 12.5 % above
+/// its cheapest.
+const BUCKET_SHIFT: u32 = 49;
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse order: BinaryHeap is a max-heap, we need the smallest f.
-        other
-            .f
-            .cmp(&self.f)
-            .then_with(|| self.node.cmp(&other.node))
+/// Overflow buckets: costs from 1 to 2^64 (cheaper ones share the first
+/// bucket, dearer ones the last).
+const BUCKETS: usize = 512;
+
+/// The overflow bucket of a cost's bits: monotone in the cost.
+#[inline]
+fn bucket_of(f: u64) -> usize {
+    const FIRST: u64 = 0x3ff0_0000_0000_0000 >> BUCKET_SHIFT; // 1.0
+    ((f >> BUCKET_SHIFT).saturating_sub(FIRST) as usize).min(BUCKETS - 1)
+}
+
+/// The A* open list in two parts: a binary heap of the entries in the
+/// buckets up to `current`, and an unsorted overflow of the dearer ones,
+/// which most searches never pop. Every overflow entry sorts after every
+/// heap entry, so pops follow the one total order of [`HeapEntry`]; when
+/// the heap runs dry, the next non-empty bucket refills it. The overflow
+/// is one buffer in push order, each bucket a list linked through it, so
+/// it holds no more than one search pushes.
+#[derive(Debug)]
+struct OpenList {
+    heap: BinaryHeap<HeapEntry>,
+    overflow: Vec<HeapEntry>,
+    /// Per overflow entry, the one pushed before it into its bucket
+    /// (`u32::MAX` ends the list).
+    next: Vec<u32>,
+    /// Per bucket, its last overflow entry (`u32::MAX` when empty). A
+    /// search opens fewer than 2^31 entries (see [`STAMP_RESET`]), so
+    /// every index fits.
+    last: Vec<u32>,
+    /// One bit per non-empty bucket.
+    occupied: [u64; BUCKETS / 64],
+    /// The dearest bucket the heap takes.
+    current: usize,
+}
+
+impl Default for OpenList {
+    fn default() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            overflow: Vec::new(),
+            next: Vec::new(),
+            last: vec![u32::MAX; BUCKETS],
+            occupied: [0; BUCKETS / 64],
+            current: 0,
+        }
     }
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl OpenList {
+    /// Empties both parts; until the first pop, every entry that costs
+    /// more than the first bucket waits in the overflow.
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.overflow.clear();
+        self.next.clear();
+        for (word, bits) in self.occupied.iter_mut().enumerate() {
+            while *bits != 0 {
+                self.last[word * 64 + bits.trailing_zeros() as usize] = u32::MAX;
+                *bits &= *bits - 1;
+            }
+        }
+        self.current = 0;
+    }
+
+    #[inline]
+    fn push(&mut self, entry: HeapEntry) {
+        let b = bucket_of(entry.f());
+        if b <= self.current {
+            self.heap.push(entry);
+        } else {
+            self.next.push(self.last[b]);
+            self.last[b] = self.overflow.len() as u32;
+            self.overflow.push(entry);
+            self.occupied[b / 64] |= 1 << (b % 64);
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<HeapEntry> {
+        if self.heap.is_empty() {
+            self.refill();
+        }
+        self.heap.pop()
+    }
+
+    /// Moves the cheapest non-empty bucket into the heap.
+    fn refill(&mut self) {
+        let Some(b) = (0..self.occupied.len()).find_map(|word| {
+            let bits = self.occupied[word];
+            (bits != 0).then(|| word * 64 + bits.trailing_zeros() as usize)
+        }) else {
+            return;
+        };
+        self.occupied[b / 64] &= !(1 << (b % 64));
+        let mut band = std::mem::take(&mut self.heap).into_vec();
+        let mut i = std::mem::replace(&mut self.last[b], u32::MAX);
+        while i != u32::MAX {
+            band.push(self.overflow[i as usize]);
+            i = self.next[i as usize];
+        }
+        self.heap = BinaryHeap::from(band);
+        self.current = b;
+    }
+
+    /// Total capacity of both parts, in entries.
+    fn capacity(&self) -> usize {
+        self.heap.capacity() + self.overflow.capacity() + self.next.capacity()
     }
 }
 
-/// A node's A* record of one search, valid while `gen` matches the
-/// router's search generation.
+/// The stamp counter past which the next search first resets every
+/// [`Visit`]: a search then has 2^31 stamps before `u32::MAX`.
+const STAMP_RESET: u32 = u32::MAX / 2;
+
+/// A node's A* record (16 bytes): reached in the current search iff
+/// `stamp` is at least the search's first stamp.
 #[derive(Debug, Clone, Copy)]
 struct Visit {
     /// Best cost-to-come found so far.
     dist: f64,
-    gen: u32,
-    /// Predecessor on that path (the node itself for a seed).
+    /// Predecessor on that path (the node itself for a seed); the switch
+    /// is the one edge `prev → node` (an RRG has no parallel edges).
     prev: u32,
-    /// The switch on the edge from `prev`.
-    switch: Option<SwitchId>,
+    /// Stamp of the node's latest open-list entry.
+    stamp: u32,
 }
 
 /// A net's expansion bounding box (inclusive, grid coordinates).
@@ -644,33 +770,33 @@ pub(crate) struct SteinerSeg {
 /// Hanan-grid corners of every accepted connection added as future attach
 /// candidates. Returns one segment per sink in connection order; ties are
 /// broken by (sink index, candidate index), so the topology is fully
-/// deterministic. Shared by [`Router`] and [`crate::reference`] so both
-/// route the exact same segments — the Steiner parity proptests rely on
-/// that.
+/// deterministic. Each sink keeps its nearest candidate up to date as
+/// candidates arrive, so the sweep costs O(sinks²), not O(sinks³).
+/// Shared by [`Router`] and [`crate::reference`] so both route the exact
+/// same segments — the Steiner parity proptests rely on that.
 pub(crate) fn steiner_segments(rrg: &RoutingGraph, net: &RouteNet) -> Vec<SteinerSeg> {
     let src = rrg.node(net.source);
+    let xy = |si: u32| {
+        let s = rrg.node(net.sinks[si as usize].node);
+        (s.x, s.y)
+    };
+    let dist = |(x, y): (u16, u16), (cx, cy): (u16, u16)| {
+        u32::from(cx.abs_diff(x)) + u32::from(cy.abs_diff(y))
+    };
     // Attach candidates: terminals already connected plus Hanan corners.
     let mut cands: Vec<(u16, u16)> = vec![(src.x, src.y)];
-    let mut remaining: Vec<u32> = (0..net.sinks.len() as u32).collect();
+    // Each remaining sink's (distance, sink index, candidate index) to
+    // its nearest candidate, lexicographically least: a candidate added
+    // later has a larger index, so only a strictly shorter distance
+    // replaces the one a sink has.
+    let mut remaining: Vec<(u32, u32, usize)> = (0..net.sinks.len() as u32)
+        .map(|si| (dist(xy(si), cands[0]), si, 0))
+        .collect();
     let mut segs = Vec::with_capacity(net.sinks.len());
-    while !remaining.is_empty() {
-        // (distance, sink index, candidate index) — lexicographic min.
-        let mut best: Option<(u32, u32, usize)> = None;
-        let mut best_at = 0usize;
-        for (ri, &si) in remaining.iter().enumerate() {
-            let s = rrg.node(net.sinks[si as usize].node);
-            for (ci, &(cx, cy)) in cands.iter().enumerate() {
-                let d = u32::from(cx.abs_diff(s.x)) + u32::from(cy.abs_diff(s.y));
-                let key = (d, si, ci);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                    best_at = ri;
-                }
-            }
-        }
-        let (_, si, ci) = best.expect("remaining is non-empty");
+    while let Some(best_at) = (0..remaining.len()).min_by_key(|&i| remaining[i]) {
+        let (_, si, ci) = remaining.swap_remove(best_at);
         let (cx, cy) = cands[ci];
-        let s = rrg.node(net.sinks[si as usize].node);
+        let (sx, sy) = xy(si);
         segs.push(SteinerSeg {
             sink: si,
             ax: cx,
@@ -678,12 +804,18 @@ pub(crate) fn steiner_segments(rrg: &RoutingGraph, net: &RouteNet) -> Vec<Steine
         });
         // The sink itself and the two Hanan corners of the connection
         // become attach candidates for the remaining sinks.
-        for p in [(s.x, s.y), (cx, s.y), (s.x, cy)] {
-            if !cands.contains(&p) {
-                cands.push(p);
+        for p in [(sx, sy), (cx, sy), (sx, cy)] {
+            if cands.contains(&p) {
+                continue;
             }
+            for r in &mut remaining {
+                let d = dist(xy(r.1), p);
+                if d < r.0 {
+                    (r.0, r.2) = (d, cands.len());
+                }
+            }
+            cands.push(p);
         }
-        remaining.remove(best_at);
     }
     segs
 }
@@ -768,12 +900,13 @@ pub struct Router<'a> {
     /// is one array read instead of an edge-list lookup.
     ipin_sink: Vec<u32>,
     // ---- scratch arena (generation-stamped, reused across nets) ----
-    /// Per-node A* records: cost-to-come, stamp and predecessor side by
+    /// Per-node A* records: cost-to-come, predecessor and stamp side by
     /// side, so a relaxation reads and writes one record.
     visit: Vec<Visit>,
-    generation: u32,
-    /// Reused A* heap storage.
-    heap: BinaryHeap<HeapEntry>,
+    /// The last open-list stamp issued.
+    stamp: u32,
+    /// Reused A* open list.
+    open: OpenList,
     /// Reused back-walk path buffer (node, switch-from-previous).
     path: Vec<(u32, Option<SwitchId>)>,
     /// Reused farthest-first sink-order buffer.
@@ -876,14 +1009,13 @@ impl<'a> Router<'a> {
             visit: vec![
                 Visit {
                     dist: 0.0,
-                    gen: 0,
                     prev: 0,
-                    switch: None,
+                    stamp: 0,
                 };
                 n
             ],
-            generation: 0,
-            heap: BinaryHeap::new(),
+            stamp: 0,
+            open: OpenList::default(),
             path: Vec::new(),
             order: Vec::new(),
             tree_pos: vec![0; n],
@@ -915,7 +1047,7 @@ impl<'a> Router<'a> {
     /// regression tests assert exactly that.
     #[must_use]
     pub fn scratch_footprint(&self) -> usize {
-        self.heap.capacity()
+        self.open.capacity()
             + self.path.capacity()
             + self.order.capacity()
             + self.touched.capacity()
@@ -1576,12 +1708,20 @@ impl<'a> Router<'a> {
         act: ModeSet,
         bbox: BBox,
     ) -> bool {
-        self.generation = self.generation.wrapping_add(1);
-        let generation = self.generation;
         let rrg = self.rrg;
         let target_rr = rrg.node(target);
         let (tx, ty) = (i32::from(target_rr.x), i32::from(target_rr.y));
-        self.heap.clear();
+        self.open.clear();
+        if self.stamp > STAMP_RESET {
+            // Forget every record, so that no search can run the counter
+            // past u32::MAX and a route never depends on how many
+            // searches its router ran before.
+            for v in &mut self.visit {
+                v.stamp = 0;
+            }
+            self.stamp = 0;
+        }
+        let first_stamp = self.stamp + 1;
 
         for t in tree {
             let node = t.node.index() as u32;
@@ -1589,64 +1729,82 @@ impl<'a> Router<'a> {
             if !bbox.contains(rr.x, rr.y) {
                 continue; // a congestion detour left the box; not a seed
             }
-            self.visit[node as usize] = Visit {
-                dist: 0.0,
-                gen: generation,
-                prev: node,
-                switch: None,
-            };
             let f = self.heuristic_to(rr, tx, ty);
-            self.heap.push(HeapEntry {
-                f: f.to_bits(),
-                g: 0.0,
-                node,
-            });
+            self.push(node, node, 0.0, f);
         }
 
         let target_idx = target.index() as u32;
         let found = match (self.shares(), self.sink_crit > 0.0) {
-            (false, false) => self.expand::<false, false>(target_idx, act, bbox),
-            (true, false) => self.expand::<true, false>(target_idx, act, bbox),
-            (false, true) => self.expand::<false, true>(target_idx, act, bbox),
-            (true, true) => self.expand::<true, true>(target_idx, act, bbox),
+            (false, false) => self.expand::<false, false>(target_idx, act, bbox, first_stamp),
+            (true, false) => self.expand::<true, false>(target_idx, act, bbox, first_stamp),
+            (false, true) => self.expand::<false, true>(target_idx, act, bbox, first_stamp),
+            (true, true) => self.expand::<true, true>(target_idx, act, bbox, first_stamp),
         };
         if !found {
             return false;
         }
 
-        // Walk back to a tree node (dist 0 and part of the seed set).
+        // Walk back to a tree node (dist 0 and part of the seed set),
+        // taking each switch from the one edge prev → cur.
         self.path.clear();
         let mut cur = target_idx;
         loop {
-            let Visit { prev, switch, .. } = self.visit[cur as usize];
-            self.path.push((cur, switch));
+            let prev = self.visit[cur as usize].prev;
             if prev == cur {
+                self.path.push((cur, None));
                 break; // reached a seed (tree) node
             }
+            let edge = rrg
+                .edges(RrNodeId::from_index(prev))
+                .iter()
+                .find(|e| e.to.index() as u32 == cur)
+                .expect("a predecessor has an edge to its node");
+            self.path.push((cur, edge.switch));
             cur = prev;
         }
         self.path.reverse();
         true
     }
 
-    /// The A* loop of [`Router::search`] over the seeded heap: whether
-    /// `target` was reached. `SHARE` prices edges with
-    /// [`Router::share_factor`] (otherwise the factor is 1.0); `TIMED`
-    /// blends in the sink's criticality.
+    /// Records `node` as reached at cost `dist` from `prev` and opens it
+    /// at estimated total cost `f`, under a fresh stamp.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one search opens more than 2^31 entries.
+    #[inline]
+    fn push(&mut self, node: u32, prev: u32, dist: f64, f: f64) {
+        self.stamp = self
+            .stamp
+            .checked_add(1)
+            .expect("one A* search opened over 2^31 entries");
+        let stamp = self.stamp;
+        self.visit[node as usize] = Visit { dist, prev, stamp };
+        self.open.push(HeapEntry::new(f, node, stamp));
+    }
+
+    /// The A* loop of [`Router::search`] over the seeded open list:
+    /// whether `target` was reached. A node was reached in this search
+    /// iff its stamp is at least `first_stamp`. `SHARE` prices edges
+    /// with [`Router::share_factor`] (otherwise the factor is 1.0);
+    /// `TIMED` blends in the sink's criticality.
     fn expand<const SHARE: bool, const TIMED: bool>(
         &mut self,
         target_idx: u32,
         act: ModeSet,
         bbox: BBox,
+        first_stamp: u32,
     ) -> bool {
-        let generation = self.generation;
         let rrg = self.rrg;
         let target_rr = rrg.node(RrNodeId::from_index(target_idx));
         let (tx, ty) = (i32::from(target_rr.x), i32::from(target_rr.y));
         let c = self.sink_crit;
-        while let Some(entry) = self.heap.pop() {
-            let u = entry.node;
-            if entry.g > self.visit[u as usize].dist + 1e-12 {
+        while let Some(entry) = self.open.pop() {
+            let u = entry.node();
+            let Visit {
+                dist: g_u, stamp, ..
+            } = self.visit[u as usize];
+            if entry.stamp() != stamp {
                 continue; // stale
             }
             if u == target_idx {
@@ -1671,7 +1829,8 @@ impl<'a> Router<'a> {
                 // Steps cost ≥ 0, so a node already reached at no more
                 // than this entry's cost cannot improve: skip it unpriced.
                 let seen = self.visit[v as usize];
-                if seen.gen == generation && seen.dist <= entry.g + 1e-12 {
+                let reached = seen.stamp >= first_stamp;
+                if reached && seen.dist <= g_u + 1e-12 {
                     continue;
                 }
                 let share = if SHARE {
@@ -1684,25 +1843,13 @@ impl<'a> Router<'a> {
                 // congestion-only expression, bit for bit (the parity
                 // tests rely on that).
                 let g = if TIMED {
-                    entry.g
-                        + (1.0 - c) * self.node_cost(v, to, act) * share
+                    g_u + (1.0 - c) * self.node_cost(v, to, act) * share
                         + c * Self::wire_delay(to.kind)
                 } else {
-                    entry.g + self.node_cost(v, to, act) * share
+                    g_u + self.node_cost(v, to, act) * share
                 };
-                if seen.gen != generation || g + 1e-12 < seen.dist {
-                    self.visit[v as usize] = Visit {
-                        dist: g,
-                        gen: generation,
-                        prev: u,
-                        switch: e.switch,
-                    };
-                    let f = g + self.heuristic_to(to, tx, ty);
-                    self.heap.push(HeapEntry {
-                        f: f.to_bits(),
-                        g,
-                        node: v,
-                    });
+                if !reached || g + 1e-12 < seen.dist {
+                    self.push(v, u, g, g + self.heuristic_to(to, tx, ty));
                 }
             }
         }
@@ -2006,6 +2153,98 @@ mod tests {
     }
 
     #[test]
+    fn open_list_entries_and_visit_records_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<HeapEntry>(), 16);
+        assert_eq!(std::mem::size_of::<Visit>(), 16);
+    }
+
+    #[test]
+    fn open_list_pops_in_the_order_of_one_binary_heap() {
+        use rand::{Rng, SeedableRng};
+        // Costs repeat (a small palette), fall below the last pop (the
+        // heuristic is inconsistent) and span many overflow buckets.
+        let palette = [0.0, 0.5, 1.0, 1.05, 3.0, 7.25, 7.5, 40.0, 1e3, 1e9];
+        let mut refills = 0;
+        for seed in 0..64u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut open = OpenList::default();
+            let mut oracle = BinaryHeap::new();
+            let mut stamp = 0u32;
+            for _ in 0..3 {
+                open.clear();
+                oracle.clear();
+                let mut last = 0.0f64;
+                for step in 0..600 {
+                    if step < 500 && rng.gen_bool(0.6) {
+                        let f = match rng.gen_range(0..4) {
+                            0 => last * rng.gen_range(0.0..1.0),
+                            1 => palette[rng.gen_range(0..palette.len())],
+                            2 => last + rng.gen_range(0.0..30.0),
+                            _ => rng.gen_range(0.0..1e7),
+                        };
+                        // Few nodes: one (cost, node) pair recurs with
+                        // different stamps.
+                        let node = rng.gen_range(0..12u32);
+                        stamp += 1;
+                        let entry = HeapEntry::new(f, node, stamp);
+                        open.push(entry);
+                        oracle.push(entry);
+                    } else {
+                        let before = open.current;
+                        let popped = open.pop();
+                        assert_eq!(popped, oracle.pop(), "seed {seed}, step {step}");
+                        if let Some(e) = popped {
+                            last = f64::from_bits(e.f());
+                            refills += usize::from(open.current != before);
+                        }
+                    }
+                }
+                while let Some(e) = oracle.pop() {
+                    assert_eq!(open.pop(), Some(e), "seed {seed}, drain");
+                }
+                assert_eq!(open.pop(), None);
+            }
+        }
+        assert!(refills > 1000, "only {refills} refills crossed a bucket");
+    }
+
+    #[test]
+    fn a_stamp_counter_near_its_limit_routes_like_a_fresh_router() {
+        let rrg = arch_rrg(4, 3);
+        let all = ModeSet::of(&[0]);
+        let nets: Vec<RouteNet> = (1..=4u16)
+            .map(|y| RouteNet {
+                name: format!("h{y}"),
+                source: rrg.logic_source(site(1, y, 0)),
+                sinks: vec![RouteSink {
+                    node: rrg.logic_sink(site(4, 5 - y, 0)),
+                    activation: all,
+                }],
+            })
+            .collect();
+        let expected = Router::new(&rrg, RouterOptions::default()).route(&nets);
+        assert!(expected.success);
+        // u32::MAX - 1 resets at the first search; STAMP_RESET - 40 runs
+        // a few searches with old records around before it resets.
+        for start in [u32::MAX - 1, STAMP_RESET, STAMP_RESET - 40] {
+            let mut router = Router::new(&rrg, RouterOptions::default());
+            // The records of a router that has run up to `start`.
+            router.stamp = start;
+            for (i, v) in router.visit.iter_mut().enumerate() {
+                v.stamp = start - (i % 64) as u32;
+            }
+            let again = router.route(&nets);
+            assert!(router.stamp < start, "start {start}: no reset");
+            assert_eq!(again.iterations, expected.iterations, "start {start}");
+            assert_eq!(again.overuse, expected.overuse, "start {start}");
+            for (a, b) in again.nets.iter().zip(&expected.nets) {
+                assert_eq!(a.tree, b.tree, "start {start}");
+                assert_eq!(a.sink_pos, b.sink_pos, "start {start}");
+            }
+        }
+    }
+
+    #[test]
     fn bbox_growth_reaches_full_fabric() {
         let extent = 1_000_000usize;
         let mut m = 0usize;
@@ -2049,6 +2288,78 @@ mod tests {
         // clamped margin still routes the corner-to-corner net.
         let routing = Router::new(&rrg, options).route(&[corner]);
         assert!(routing.success, "clamped margin keeps routability");
+    }
+
+    /// The Steiner sweep as first written: every remaining sink against
+    /// every candidate at every step.
+    fn steiner_segments_by_full_scan(rrg: &RoutingGraph, net: &RouteNet) -> Vec<SteinerSeg> {
+        let src = rrg.node(net.source);
+        // Attach candidates: terminals already connected plus Hanan corners.
+        let mut cands: Vec<(u16, u16)> = vec![(src.x, src.y)];
+        let mut remaining: Vec<u32> = (0..net.sinks.len() as u32).collect();
+        let mut segs = Vec::with_capacity(net.sinks.len());
+        while !remaining.is_empty() {
+            // (distance, sink index, candidate index) — lexicographic min.
+            let mut best: Option<(u32, u32, usize)> = None;
+            let mut best_at = 0usize;
+            for (ri, &si) in remaining.iter().enumerate() {
+                let s = rrg.node(net.sinks[si as usize].node);
+                for (ci, &(cx, cy)) in cands.iter().enumerate() {
+                    let d = u32::from(cx.abs_diff(s.x)) + u32::from(cy.abs_diff(s.y));
+                    let key = (d, si, ci);
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
+                        best_at = ri;
+                    }
+                }
+            }
+            let (_, si, ci) = best.expect("remaining is non-empty");
+            let (cx, cy) = cands[ci];
+            let s = rrg.node(net.sinks[si as usize].node);
+            segs.push(SteinerSeg {
+                sink: si,
+                ax: cx,
+                ay: cy,
+            });
+            // The sink itself and the two Hanan corners of the connection
+            // become attach candidates for the remaining sinks.
+            for p in [(s.x, s.y), (cx, s.y), (s.x, cy)] {
+                if !cands.contains(&p) {
+                    cands.push(p);
+                }
+            }
+            remaining.remove(best_at);
+        }
+        segs
+    }
+
+    #[test]
+    fn steiner_sweep_matches_the_full_scan() {
+        use rand::{Rng, SeedableRng};
+        let rrg = arch_rrg(12, 2);
+        let all = ModeSet::of(&[0]);
+        for seed in 0..300u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let fanout = rng.gen_range(1..150usize);
+            // Few rows and columns, so distances and corners tie often.
+            let span = rng.gen_range(1..=12u16);
+            let mut at = || site(rng.gen_range(1..=span), rng.gen_range(1..=span), 0);
+            let net = RouteNet {
+                name: "n".into(),
+                source: rrg.logic_source(at()),
+                sinks: (0..fanout)
+                    .map(|_| RouteSink {
+                        node: rrg.logic_sink(at()),
+                        activation: all,
+                    })
+                    .collect(),
+            };
+            assert_eq!(
+                steiner_segments(&rrg, &net),
+                steiner_segments_by_full_scan(&rrg, &net),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]
