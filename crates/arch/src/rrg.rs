@@ -97,14 +97,41 @@ pub struct RrNode {
     pub capacity: u16,
 }
 
-/// A directed edge of the RRG.
+/// A directed edge of the RRG (12 bytes): its target, its switch and the
+/// target's coordinates, so a search can box-test and estimate an edge
+/// without loading the target's [`RrNode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RrEdge {
     /// Target node.
     pub to: RrNodeId,
+    /// The switch's configuration bit, or `HARD_WIRED`.
+    switch: u32,
+    /// The target's x coordinate ([`RrNode::x`] of `to`).
+    pub x: u16,
+    /// The target's y coordinate ([`RrNode::y`] of `to`).
+    pub y: u16,
+}
+
+impl RrEdge {
+    /// The `switch` of a hard-wired edge: no switch has this index.
+    const HARD_WIRED: u32 = u32::MAX;
+
+    fn new(to: RrNodeId, switch: Option<SwitchId>, target: &RrNode) -> Self {
+        Self {
+            to,
+            switch: switch.map_or(Self::HARD_WIRED, |s| s.0),
+            x: target.x,
+            y: target.y,
+        }
+    }
+
     /// The configuration bit that turns the switch on, or `None` for
     /// hard-wired connections (`SOURCE→OPIN`, `IPIN→SINK`).
-    pub switch: Option<SwitchId>,
+    #[inline]
+    #[must_use]
+    pub fn switch(&self) -> Option<SwitchId> {
+        (self.switch != Self::HARD_WIRED).then_some(SwitchId(self.switch))
+    }
 }
 
 /// The routing-resource graph of an [`Architecture`].
@@ -133,7 +160,8 @@ pub struct RoutingGraph {
 /// Incremental builder state.
 struct Builder {
     nodes: Vec<RrNode>,
-    adj: Vec<Vec<RrEdge>>,
+    /// Per node, its out-edges as (target, switch) in insertion order.
+    adj: Vec<Vec<(RrNodeId, Option<SwitchId>)>>,
     next_switch: u32,
 }
 
@@ -146,16 +174,13 @@ impl Builder {
     }
 
     fn hard_edge(&mut self, from: RrNodeId, to: RrNodeId) {
-        self.adj[from.index()].push(RrEdge { to, switch: None });
+        self.adj[from.index()].push((to, None));
     }
 
     fn switched_edge(&mut self, from: RrNodeId, to: RrNodeId) -> SwitchId {
         let s = SwitchId(self.next_switch);
         self.next_switch += 1;
-        self.adj[from.index()].push(RrEdge {
-            to,
-            switch: Some(s),
-        });
+        self.adj[from.index()].push((to, Some(s)));
         s
     }
 
@@ -163,14 +188,8 @@ impl Builder {
     fn bidi_edge(&mut self, a: RrNodeId, b: RrNodeId) {
         let s = SwitchId(self.next_switch);
         self.next_switch += 1;
-        self.adj[a.index()].push(RrEdge {
-            to: b,
-            switch: Some(s),
-        });
-        self.adj[b.index()].push(RrEdge {
-            to: a,
-            switch: Some(s),
-        });
+        self.adj[a.index()].push((b, Some(s)));
+        self.adj[b.index()].push((a, Some(s)));
     }
 }
 
@@ -182,6 +201,11 @@ impl RoutingGraph {
     /// Panics if the architecture is degenerate (zero-sized grid).
     #[must_use]
     pub fn build(arch: &Architecture) -> Self {
+        Self::freeze(arch, Self::topology(arch))
+    }
+
+    /// Creates every node and edge of the fabric.
+    fn topology(arch: &Architecture) -> Builder {
         let n = arch.grid;
         let w = arch.channel_width;
         assert!(n >= 1 && w >= 1);
@@ -201,7 +225,6 @@ impl RoutingGraph {
         let chanx_total = n * (n + 1) * w;
         let chany_id =
             |x: usize, y: usize, t: usize| -> usize { ((x * n) + (y - 1)) * w + t + chanx_total };
-        let wire_total = 2 * chanx_total;
 
         for y in 0..=n {
             for x in 1..=n {
@@ -419,12 +442,24 @@ impl RoutingGraph {
             }
         }
 
-        // ---- freeze to CSR ----------------------------------------------------
+        b
+    }
+
+    /// Freezes the builder's adjacency lists to CSR, each edge carrying
+    /// its target's coordinates.
+    fn freeze(arch: &Architecture, b: Builder) -> Self {
+        assert!(
+            b.next_switch < RrEdge::HARD_WIRED,
+            "switch ids must stay below the hard-wired sentinel"
+        );
         let mut edge_start = Vec::with_capacity(b.nodes.len() + 1);
-        let mut edges = Vec::new();
+        let mut edges = Vec::with_capacity(b.adj.iter().map(Vec::len).sum());
         edge_start.push(0u32);
         for adj in &b.adj {
-            edges.extend_from_slice(adj);
+            edges.extend(
+                adj.iter()
+                    .map(|&(to, switch)| RrEdge::new(to, switch, &b.nodes[to.index()])),
+            );
             edge_start.push(edges.len() as u32);
         }
 
@@ -434,7 +469,7 @@ impl RoutingGraph {
             edge_start,
             edges,
             switch_count: b.next_switch,
-            wire_count: wire_total,
+            wire_count: 2 * arch.grid * (arch.grid + 1) * arch.channel_width,
         }
     }
 
@@ -468,12 +503,14 @@ impl RoutingGraph {
     /// # Panics
     ///
     /// Panics if the id is out of range.
+    #[inline]
     #[must_use]
     pub fn node(&self, id: RrNodeId) -> &RrNode {
         &self.nodes[id.index()]
     }
 
     /// Outgoing edges of a node.
+    #[inline]
     #[must_use]
     pub fn edges(&self, id: RrNodeId) -> &[RrEdge] {
         let s = self.edge_start[id.index()] as usize;
@@ -658,14 +695,14 @@ mod tests {
         let source = rrg.logic_source(site);
         let opin_edges = rrg.edges(source);
         assert_eq!(opin_edges.len(), 1);
-        assert!(opin_edges[0].switch.is_none(), "source→opin hard-wired");
+        assert!(opin_edges[0].switch().is_none(), "source→opin hard-wired");
         let opin = opin_edges[0].to;
         assert_eq!(rrg.node(opin).kind, RrKind::Opin);
         // fc_out = 1.0 → 4 channels × W switched edges.
         let wires = rrg.edges(opin);
         assert_eq!(wires.len(), 4 * arch.channel_width);
         for e in wires {
-            assert!(e.switch.is_some());
+            assert!(e.switch().is_some());
             assert!(matches!(rrg.node(e.to).kind, RrKind::ChanX | RrKind::ChanY));
         }
     }
@@ -715,7 +752,7 @@ mod tests {
                 for e in rrg.edges(id) {
                     if matches!(rrg.node(e.to).kind, RrKind::ChanX | RrKind::ChanY) {
                         *uses
-                            .entry(e.switch.expect("wire-wire is switched").index())
+                            .entry(e.switch().expect("wire-wire is switched").index())
                             .or_default() += 1;
                     }
                 }
@@ -734,7 +771,7 @@ mod tests {
         let mut distinct: std::collections::HashSet<usize> = std::collections::HashSet::new();
         for id in rrg.node_ids() {
             for e in rrg.edges(id) {
-                if let Some(s) = e.switch {
+                if let Some(s) = e.switch() {
                     distinct.insert(s.index());
                     max_seen = max_seen.max(s.index());
                 }
@@ -744,10 +781,9 @@ mod tests {
         assert_eq!(max_seen + 1, rrg.switch_count());
     }
 
-    #[test]
-    fn no_node_has_two_edges_to_the_same_node() {
-        // The router stores a path's predecessors only and takes each
-        // switch from the one edge between two consecutive nodes.
+    /// The 64 architectures the edge invariants are checked on: both
+    /// switch patterns, four Fc settings and eight grid/width shapes.
+    fn invariant_archs() -> Vec<Architecture> {
         let fcs = [None, Some((0.4, 0.25)), Some((1.0, 1.0)), Some((0.1, 0.1))];
         let shapes = [
             (1, 1),
@@ -759,7 +795,7 @@ mod tests {
             (16, 4),
             (20, 9),
         ];
-        let mut graphs = 0;
+        let mut archs = Vec::new();
         for pattern in [crate::SwitchPattern::Wilton, crate::SwitchPattern::Disjoint] {
             for fc in fcs {
                 for (grid, width) in shapes {
@@ -767,25 +803,55 @@ mod tests {
                     if let Some((fc_in, fc_out)) = fc {
                         arch = arch.with_fc(fc_in, fc_out);
                     }
-                    let rrg = RoutingGraph::build(&arch);
-                    let mut targets = Vec::new();
-                    for id in rrg.node_ids() {
-                        targets.clear();
-                        targets.extend(rrg.edges(id).iter().map(|e| e.to));
-                        targets.sort_unstable();
-                        let before = targets.len();
-                        targets.dedup();
-                        assert_eq!(
-                            targets.len(),
-                            before,
-                            "{id} has parallel edges ({pattern:?}, fc {fc:?}, {grid}x{grid}, W {width})"
-                        );
-                    }
-                    graphs += 1;
+                    archs.push(arch);
                 }
             }
         }
-        assert_eq!(graphs, 64);
+        archs
+    }
+
+    #[test]
+    fn no_node_has_two_edges_to_the_same_node() {
+        // The router stores a path's predecessors only and takes each
+        // switch from the one edge between two consecutive nodes.
+        let archs = invariant_archs();
+        assert_eq!(archs.len(), 64);
+        for arch in archs {
+            let rrg = RoutingGraph::build(&arch);
+            let mut targets = Vec::new();
+            for id in rrg.node_ids() {
+                targets.clear();
+                targets.extend(rrg.edges(id).iter().map(|e| e.to));
+                targets.sort_unstable();
+                let before = targets.len();
+                targets.dedup();
+                assert_eq!(targets.len(), before, "{id} has parallel edges ({arch:?})");
+            }
+        }
+    }
+
+    #[test]
+    fn edges_carry_their_targets_coordinates_and_the_builders_switch() {
+        assert_eq!(std::mem::size_of::<RrEdge>(), 12);
+        for arch in invariant_archs() {
+            let built = RoutingGraph::topology(&arch);
+            let rrg = RoutingGraph::build(&arch);
+            for id in rrg.node_ids() {
+                let edges = rrg.edges(id);
+                assert_eq!(edges.len(), built.adj[id.index()].len(), "{id} ({arch:?})");
+                for (e, &(to, switch)) in edges.iter().zip(&built.adj[id.index()]) {
+                    let target = rrg.node(e.to);
+                    assert_eq!((e.to, e.switch()), (to, switch), "{id} ({arch:?})");
+                    assert_eq!((e.x, e.y), (target.x, target.y), "{id} ({arch:?})");
+                }
+                // The router's gate words leave SOURCE nodes out: no
+                // edge enters one.
+                assert!(
+                    edges.iter().all(|e| rrg.node(e.to).kind != RrKind::Source),
+                    "{id} ({arch:?})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1990,19 +1990,22 @@ fn contention_storm(
     struct ClientRun {
         latencies_ms: Vec<f64>,
         elapsed_s: f64,
+        /// When the client's last round returned.
+        finished: Instant,
         busy_retries: u64,
         parity_ok: bool,
     }
 
     let barrier = std::sync::Barrier::new(clients + 1);
     let mut runs: Vec<ClientRun> = Vec::with_capacity(clients);
-    let t_all = std::sync::Mutex::new(None::<f64>);
-    let storm_t0 = Instant::now();
+    // The storm's clock starts when the main thread passes the barrier,
+    // after every client has connected: connection set-up is not part of
+    // the saturation rate.
+    let mut storm_t0 = Instant::now();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|_| {
                 let barrier = &barrier;
-                let t_all = &t_all;
                 scope.spawn(move || {
                     let mut client = mm_serve::Client::connect(listen).expect("storm connect");
                     barrier.wait();
@@ -2010,6 +2013,7 @@ fn contention_storm(
                     let mut run = ClientRun {
                         latencies_ms: Vec::with_capacity(rounds),
                         elapsed_s: 0.0,
+                        finished: t0,
                         busy_retries: 0,
                         parity_ok: true,
                     };
@@ -2037,22 +2041,24 @@ fn contention_storm(
                             Err(rejection) => panic!("storm batch rejected: {rejection}"),
                         }
                     }
-                    run.elapsed_s = t0.elapsed().as_secs_f64();
-                    let mut last = t_all.lock().expect("storm clock");
-                    *last = Some(storm_t0.elapsed().as_secs_f64());
+                    run.finished = Instant::now();
+                    run.elapsed_s = (run.finished - t0).as_secs_f64();
                     run
                 })
             })
             .collect();
         barrier.wait();
+        storm_t0 = Instant::now();
         for handle in handles {
             runs.push(handle.join().expect("storm client"));
         }
     });
-    let duration_s = t_all
-        .into_inner()
-        .expect("storm clock")
-        .expect("at least one client finished");
+    let duration_s = runs
+        .iter()
+        .map(|r| r.finished.saturating_duration_since(storm_t0))
+        .max()
+        .expect("at least one client finished")
+        .as_secs_f64();
 
     let mut latencies: Vec<f64> = runs.iter().flat_map(|r| r.latencies_ms.clone()).collect();
     latencies.sort_by(f64::total_cmp);

@@ -333,7 +333,7 @@ mod tests {
         let mut ids: Vec<SwitchId> = Vec::new();
         for n in rrg.node_ids() {
             for e in rrg.edges(n) {
-                if let Some(s) = e.switch {
+                if let Some(s) = e.switch() {
                     ids.push(s);
                 }
             }
@@ -660,7 +660,7 @@ mod frame_tests {
         let mut ids: Vec<SwitchId> = Vec::new();
         for n in rrg.node_ids() {
             for e in rrg.edges(n) {
-                if let Some(s) = e.switch {
+                if let Some(s) = e.switch() {
                     ids.push(s);
                 }
             }

@@ -177,7 +177,7 @@ fn main() -> ExitCode {
             if e.is::<Usage>() {
                 eprintln!();
                 eprintln!("{USAGE}");
-            } else {
+            } else if !e.is::<OutputError>() {
                 eprintln!("run 'mmflow help' for usage");
             }
             ExitCode::FAILURE
@@ -199,6 +199,40 @@ impl std::fmt::Display for Usage {
 }
 
 impl Error for Usage {}
+
+/// Writing a command's output failed: stdout was closed early (`mmflow
+/// stats … | head -c 1`) or the `--out` file could not be written. The
+/// command line was fine, so `main` prints the one message without the
+/// usage pointer.
+#[derive(Debug)]
+struct OutputError(std::io::Error);
+
+impl std::fmt::Display for OutputError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "writing output: {}", self.0)
+    }
+}
+
+impl Error for OutputError {}
+
+/// `print!` that returns the write's error as an [`OutputError`] where
+/// `print!` panics: every command's stdout goes through it or `outln!`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        std::io::Write::write_fmt(&mut std::io::stdout(), format_args!($($arg)*))
+            .map_err(OutputError)
+    };
+}
+
+/// [`out!`] with a newline, as `println!`.
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
 
 struct CommonOptions {
     k: usize,
@@ -366,7 +400,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
         "stats" => cmd_stats(&args[1..]),
         "gen" => cmd_gen(&args[1..]),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}")?;
             Ok(())
         }
         other => Err(Usage(format!("unknown command '{other}'")).into()),
@@ -377,7 +411,7 @@ fn cmd_merge(args: &[String]) -> Result<(), Box<dyn Error>> {
     let options = parse_common(args)?;
     let circuits = load_circuits(&options.files, options.k)?;
     for (i, c) in circuits.iter().enumerate() {
-        println!("mode {i}: {} — {}", c.name(), c.stats());
+        outln!("mode {i}: {} — {}", c.name(), c.stats())?;
     }
     let input = MultiModeInput::new(circuits)?;
     let result = DcsFlow::new(options.flow)
@@ -385,29 +419,30 @@ fn cmd_merge(args: &[String]) -> Result<(), Box<dyn Error>> {
         .run(&input)?;
 
     let stats = result.tunable.stats();
-    println!();
-    println!(
+    outln!()?;
+    outln!(
         "region:   {0}x{0} logic blocks, channel width {1}",
-        result.arch.grid, result.arch.channel_width
-    );
-    println!("tunable:  {stats}");
+        result.arch.grid,
+        result.arch.channel_width
+    )?;
+    outln!("tunable:  {stats}")?;
     let dcs = result.dcs_cost();
     let mdr = result.mdr_cost();
-    println!("MDR rewrite:  {mdr}");
-    println!("DCS rewrite:  {dcs}");
-    println!("speed-up:     {:.2}x", mm_bitstream::speedup(&mdr, &dcs));
+    outln!("MDR rewrite:  {mdr}")?;
+    outln!("DCS rewrite:  {dcs}")?;
+    outln!("speed-up:     {:.2}x", mm_bitstream::speedup(&mdr, &dcs))?;
     for m in 0..input.mode_count() {
-        println!("wires in mode {m}: {}", result.wires_in_mode(m));
+        outln!("wires in mode {m}: {}", result.wires_in_mode(m))?;
     }
     if options.show_bits > 0 {
-        println!();
-        println!("parameterized routing bits (first {}):", options.show_bits);
+        outln!()?;
+        outln!("parameterized routing bits (first {}):", options.show_bits)?;
         for (switch, expr) in result
             .param
             .parameterized_expressions()
             .take(options.show_bits)
         {
-            println!("  bit[{}] = {expr}", switch.index());
+            outln!("  bit[{}] = {expr}", switch.index())?;
         }
     }
     Ok(())
@@ -417,19 +452,20 @@ fn cmd_mdr(args: &[String]) -> Result<(), Box<dyn Error>> {
     let options = parse_common(args)?;
     let circuits = load_circuits(&options.files, options.k)?;
     for (i, c) in circuits.iter().enumerate() {
-        println!("mode {i}: {} — {}", c.name(), c.stats());
+        outln!("mode {i}: {} — {}", c.name(), c.stats())?;
     }
     let input = MultiModeInput::new(circuits)?;
     let result = MdrFlow::new(options.flow).run(&input)?;
-    println!();
-    println!(
+    outln!()?;
+    outln!(
         "region:   {0}x{0} logic blocks, channel width {1}",
-        result.arch.grid, result.arch.channel_width
-    );
-    println!("MDR rewrite:            {}", result.mdr_cost());
-    println!("diff rewrite (average): {}", result.average_diff_cost());
+        result.arch.grid,
+        result.arch.channel_width
+    )?;
+    outln!("MDR rewrite:            {}", result.mdr_cost())?;
+    outln!("diff rewrite (average): {}", result.average_diff_cost())?;
     for m in 0..input.mode_count() {
-        println!("wires in mode {m}: {}", result.wires_in_mode(m));
+        outln!("wires in mode {m}: {}", result.wires_in_mode(m))?;
     }
     Ok(())
 }
@@ -476,9 +512,9 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn Error>> {
         }
     });
     if let Some(e) = write_error {
-        return Err(format!("writing results: {e}").into());
+        return Err(OutputError(e).into());
     }
-    sink.flush()?;
+    sink.flush().map_err(OutputError)?;
 
     eprintln!("{}", report.summary_json());
     eprintln!(
@@ -554,10 +590,10 @@ fn cmd_pareto(args: &[String]) -> Result<(), Box<dyn Error>> {
         }
     });
     if let Some(e) = write_error {
-        return Err(format!("writing results: {e}").into());
+        return Err(OutputError(e).into());
     }
     if let Some(mut sink) = sink {
-        sink.flush()?;
+        sink.flush().map_err(OutputError)?;
     }
 
     let mut rows = Vec::new();
@@ -587,10 +623,10 @@ fn cmd_pareto(args: &[String]) -> Result<(), Box<dyn Error>> {
             }
         }
     }
-    print!(
+    out!(
         "{}",
         mm_flow::report::render_table(&["job", "width", "mean wires", "critical path"], &rows)
-    );
+    )?;
     eprintln!("{}", report.summary_json());
     if failed > 0 {
         return Err(format!("{failed} of {} jobs failed", report.results.len()).into());
@@ -716,7 +752,20 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn Error>> {
             Some(path) => Box::new(std::io::BufWriter::new(std::fs::File::create(path)?)),
             None => Box::new(std::io::stdout()),
         };
-        match client.submit_with_retries(&request, retries, |record| writeln!(sink, "{record}"))? {
+        // A failed record write stops the stream; it is told apart from
+        // a connection error by being kept here.
+        let mut write_error = None;
+        let submitted = client.submit_with_retries(&request, retries, |record| {
+            writeln!(sink, "{record}").map_err(|e| {
+                let kind = e.kind();
+                write_error = Some(e);
+                kind.into()
+            })
+        });
+        if let Some(e) = write_error {
+            return Err(OutputError(e).into());
+        }
+        match submitted? {
             Ok(outcome) => {
                 eprintln!("submit: {} jobs accepted", outcome.accepted);
                 if outcome.retries > 0 {
@@ -735,7 +784,7 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn Error>> {
                 return Err(format!("server rejected the batch: {rejection}").into());
             }
         }
-        sink.flush()?;
+        sink.flush().map_err(OutputError)?;
     }
 
     if shutdown {
@@ -1015,14 +1064,14 @@ fn cmd_cache(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     let cache = mm_engine::StageCache::open(&cache_dir)?;
     let summary = cache.gc(max_bytes, max_age)?;
-    println!(
+    outln!(
         "cache gc: scanned {} entries ({} bytes), evicted {} ({} bytes), {} bytes remain",
         summary.scanned,
         summary.bytes_before,
         summary.evicted,
         summary.bytes_evicted,
         summary.bytes_after(),
-    );
+    )?;
     Ok(())
 }
 
@@ -1033,7 +1082,7 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn Error>> {
         .iter()
         .zip(load_circuits(&options.files, options.k)?)
     {
-        println!("{file}: {} — {}", c.name(), c.stats());
+        outln!("{file}: {} — {}", c.name(), c.stats())?;
     }
     Ok(())
 }
@@ -1047,7 +1096,7 @@ fn cmd_gen(args: &[String]) -> Result<(), Box<dyn Error>> {
     for c in &circuits {
         let path = Path::new(dir).join(format!("{}.blif", c.name()));
         std::fs::write(&path, blif::to_blif(c))?;
-        println!("wrote {} ({} LUTs)", path.display(), c.lut_count());
+        outln!("wrote {} ({} LUTs)", path.display(), c.lut_count())?;
     }
     Ok(())
 }

@@ -310,6 +310,38 @@ fn input_errors_print_their_message_without_the_usage() {
 }
 
 #[test]
+fn a_closed_stdout_ends_the_command_with_one_error_line() {
+    let dir = tmpdir("closed_stdout");
+    let a = write_blif(&dir, "a.blif", MODE_A);
+    for group in ["g0", "g1"] {
+        let gdir = dir.join(group);
+        std::fs::create_dir_all(&gdir).unwrap();
+        write_blif(&gdir, "a.blif", MODE_A);
+        write_blif(&gdir, "b.blif", MODE_B);
+    }
+    let (a, spec) = (a.to_str().unwrap(), dir.to_str().unwrap());
+    for args in [
+        vec!["stats", a, a, a],
+        vec!["batch", spec, "--width", "6", "--no-cache"],
+    ] {
+        // The read end is closed before the command starts, as `head -c 1`
+        // leaves it once it exits: every write fails with a broken pipe.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = mmflow().args(&args).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error")).collect();
+        assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+        assert!(errors[0].contains("writing output"), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().last(), Some(errors[0]), "{args:?}: {stderr}");
+        assert!(!stderr.contains("mmflow help"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn merge_rejects_missing_file() {
     let out = mmflow()
         .args(["merge", "/nonexistent/zz.blif"])

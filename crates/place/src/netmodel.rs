@@ -445,11 +445,10 @@ impl CostModel {
             + self.pair_ops.capacity()
     }
 
-    /// Enumerates the terminal references of the tunable net sourced at
-    /// `site` (with multiplicity, no dedup) into `buf` — used by
-    /// [`CostTracker::recompute`]; swaps never enumerate whole nets.
-    fn collect_terms(&self, site: u32, buf: &mut Vec<u32>) {
-        buf.clear();
+    /// Calls `visit` on each terminal reference of the tunable net
+    /// sourced at `site` (with multiplicity, no dedup).
+    #[inline]
+    fn for_each_term(&self, site: u32, mut visit: impl FnMut(u32)) {
         for m in 0..self.mode_count {
             let b = self.occ[m * self.site_count + site as usize];
             if b == EMPTY {
@@ -459,15 +458,23 @@ impl CostModel {
             if !self.is_driver[flat] {
                 continue;
             }
-            buf.push(site);
+            visit(site);
             let (lo, hi) = (
                 self.drives_idx[flat] as usize,
                 self.drives_idx[flat + 1] as usize,
             );
             for &snk in &self.drives_dat[lo..hi] {
-                buf.push(self.loc[self.block_off[m] + snk as usize]);
+                visit(self.loc[self.block_off[m] + snk as usize]);
             }
         }
+    }
+
+    /// Enumerates the terminal references of the net sourced at `site`
+    /// into `buf` — used by [`CostTracker::recompute`], whose `add_ref`
+    /// needs the model mutably; swaps never enumerate whole nets.
+    fn collect_terms(&self, site: u32, buf: &mut Vec<u32>) {
+        buf.clear();
+        self.for_each_term(site, |t| buf.push(t));
     }
 
     /// Folds a freshly distinct terminal into a net's cached bounding box
@@ -527,20 +534,17 @@ impl CostModel {
     /// Recomputes a net's bounding box from its terminal multiset (the
     /// box of the multiset equals the box of the distinct set, so no
     /// dedup is needed) — the "full recompute" a departing edge terminal
-    /// forces.
+    /// forces. Each terminal is folded in as it is enumerated.
     fn rescan_bbox(&mut self, net: u32) {
-        let mut buf = std::mem::take(&mut self.term_buf);
-        self.collect_terms(net, &mut buf);
         let mut bb = [u16::MAX, 0u16, u16::MAX, 0u16];
-        for &t in &buf {
+        self.for_each_term(net, |t| {
             let (x, y) = self.site_xy[t as usize];
             bb[0] = bb[0].min(x);
             bb[1] = bb[1].max(x);
             bb[2] = bb[2].min(y);
             bb[3] = bb[3].max(y);
-        }
+        });
         self.net_bbox[net as usize] = bb;
-        self.term_buf = buf;
     }
 
     /// The cached cost of net `s` from its distinct count and bbox —
@@ -1056,6 +1060,9 @@ mod tests {
     use crate::reference::NaiveCostModel;
     use mm_arch::Architecture;
     use mm_netlist::TruthTable;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     /// A chain a → g1 → g2 → y.
     fn chain() -> LutCircuit {
@@ -1311,6 +1318,113 @@ mod tests {
                 assert!(footprint > 0, "scratch is in use");
             } else {
                 assert_eq!(model.scratch_footprint(), footprint, "no scratch growth");
+            }
+        }
+    }
+
+    /// The buffered rescan the one-pass [`CostModel::rescan_bbox`]
+    /// replaced: enumerate the net's terminals into a buffer, then fold
+    /// the buffer.
+    fn rescan_bbox_buffered(model: &CostModel, net: u32) -> [u16; 4] {
+        let mut buf = Vec::new();
+        for m in 0..model.mode_count {
+            let b = model.occ[m * model.site_count + net as usize];
+            if b == EMPTY {
+                continue;
+            }
+            let flat = model.block_off[m] + b as usize;
+            if !model.is_driver[flat] {
+                continue;
+            }
+            buf.push(net);
+            let (lo, hi) = (
+                model.drives_idx[flat] as usize,
+                model.drives_idx[flat + 1] as usize,
+            );
+            for &snk in &model.drives_dat[lo..hi] {
+                buf.push(model.loc[model.block_off[m] + snk as usize]);
+            }
+        }
+        let mut bb = [u16::MAX, 0u16, u16::MAX, 0u16];
+        for &t in &buf {
+            let (x, y) = model.site_xy[t as usize];
+            bb[0] = bb[0].min(x);
+            bb[1] = bb[1].max(x);
+            bb[2] = bb[2].min(y);
+            bb[3] = bb[3].max(y);
+        }
+        bb
+    }
+
+    /// A seeded random circuit of 5 inputs, `luts` LUTs and 3 outputs.
+    fn random_circuit(luts: usize, rng: &mut StdRng) -> LutCircuit {
+        let mut c = LutCircuit::new("random", 4);
+        let mut drivers: Vec<_> = (0..5)
+            .map(|i| c.add_input(format!("i{i}")).unwrap())
+            .collect();
+        for j in 0..luts {
+            let fanin = rng.gen_range(2..=4);
+            let mut ins = Vec::new();
+            while ins.len() < fanin {
+                let d = drivers[rng.gen_range(0..drivers.len())];
+                if !ins.contains(&d) {
+                    ins.push(d);
+                }
+            }
+            let tt = TruthTable::from_bits(ins.len(), rng.gen());
+            drivers.push(c.add_lut(format!("n{j}"), ins, tt, false).unwrap());
+        }
+        for t in 0..3 {
+            c.add_output(format!("o{t}"), drivers[drivers.len() - 1 - t])
+                .unwrap();
+        }
+        c
+    }
+
+    #[test]
+    fn one_pass_rescan_matches_the_buffered_rescan() {
+        let mut rng = StdRng::seed_from_u64(27);
+        for _ in 0..8 {
+            let circuits: Vec<LutCircuit> = (0..rng.gen_range(1..=3))
+                .map(|_| random_circuit(rng.gen_range(8..=20), &mut rng))
+                .collect();
+            let sites = SiteMap::new(&Architecture::new(4, 5, 6));
+            let mut model = CostModel::new(&circuits, &sites, CostKind::WireLength);
+            for (m, c) in circuits.iter().enumerate() {
+                let mut io: Vec<u32> = sites.io_indices().collect();
+                let mut logic: Vec<u32> = sites.logic_indices().collect();
+                io.shuffle(&mut rng);
+                logic.shuffle(&mut rng);
+                for b in c.block_ids() {
+                    let pool = match c.block(b).kind() {
+                        BlockKind::Lut { .. } => &mut logic,
+                        _ => &mut io,
+                    };
+                    model.set_location(m, b.index() as u32, pool.pop().unwrap());
+                }
+            }
+            model.recompute();
+            for _ in 0..300 {
+                let (m, a, b) = (
+                    rng.gen_range(0..circuits.len()),
+                    rng.gen_range(0..sites.len() as u32),
+                    rng.gen_range(0..sites.len() as u32),
+                );
+                if sites.is_logic(a) != sites.is_logic(b) || model.apply_swap(m, a, b).is_none() {
+                    continue;
+                }
+                for net in 0..sites.len() as u32 {
+                    if model.net_distinct[net as usize] == 0 {
+                        continue;
+                    }
+                    let expected = rescan_bbox_buffered(&model, net);
+                    assert_eq!(
+                        model.net_bbox[net as usize], expected,
+                        "cached box of net {net}"
+                    );
+                    model.rescan_bbox(net);
+                    assert_eq!(model.net_bbox[net as usize], expected, "net {net}");
+                }
             }
         }
     }

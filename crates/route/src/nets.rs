@@ -130,7 +130,7 @@ fn verify_tree(rrg: &RoutingGraph, net: &RouteNet, route: &NetRoute) -> Result<(
         let edge_ok = rrg
             .edges(parent.node)
             .iter()
-            .any(|e| e.to == t.node && e.switch == t.switch);
+            .any(|e| e.to == t.node && e.switch() == t.switch);
         if !edge_ok {
             return Err(format!(
                 "net '{}': tree edge {} → {} missing in RRG",

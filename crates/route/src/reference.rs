@@ -615,14 +615,14 @@ impl<'a> ReferenceRouter<'a> {
                 if !bbox.contains(to.x, to.y) {
                     continue;
                 }
-                let g = entry.g + self.node_cost(v, act) * self.share_factor(e.switch, act);
+                let g = entry.g + self.node_cost(v, act) * self.share_factor(e.switch(), act);
                 let better = match dist.get(&v) {
                     None => true,
                     Some(&d) => g + 1e-12 < d,
                 };
                 if better {
                     dist.insert(v, g);
-                    prev.insert(v, (u, e.switch));
+                    prev.insert(v, (u, e.switch()));
                     heap.push(HeapEntry {
                         f: g + self.heuristic(v, target_idx),
                         g,

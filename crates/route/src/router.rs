@@ -507,7 +507,7 @@ impl OpenList {
         self.current = 0;
     }
 
-    #[inline]
+    #[inline(always)]
     fn push(&mut self, entry: HeapEntry) {
         let b = bucket_of(entry.f());
         if b <= self.current {
@@ -570,6 +570,96 @@ struct Visit {
     stamp: u32,
 }
 
+/// The [`NodePrice::gate`] of a node any search may enter.
+const ANY_TARGET: u32 = u32::MAX;
+
+/// A* distance estimate from `(x, y)` to the target's coordinates.
+#[inline]
+fn heuristic(x: u16, y: u16, tx: u16, ty: u16) -> f64 {
+    ASTAR_FAC * f64::from(u32::from(x.abs_diff(tx)) + u32::from(y.abs_diff(ty)))
+}
+
+/// The reconfiguration-aware edge factor of one activation `act`,
+/// decided from the bits of the activation `cur` a switch already has:
+/// dearer when the traversal freshly parameterizes the switch bit,
+/// cheaper when it makes the bit *less* parameterized (sharing across
+/// disjoint modes). The first rule that holds decides:
+///
+/// * `cur` empty: `1 + param_penalty` if `act` is parameterized, else 1;
+/// * `cur` always: 1;
+/// * `cur | act` always: `1 - share_discount`;
+/// * `act ⊆ cur`: `1 - share_discount / 2` (re-using a parameterized
+///   switch in covered modes mildly encourages convergence);
+/// * otherwise 1.
+///
+/// [`ShareRule::factor`] evaluates all four tests as mask compares, for
+/// any mode count, and reads the factor from a table of their outcomes
+/// built once per activation: no branch per edge.
+#[derive(Debug, Clone, Copy)]
+struct ShareRule {
+    act: u64,
+    /// The mask of every mode.
+    all: u64,
+    /// The factor by the outcomes of the four tests (bits 0 to 3 in
+    /// rule order).
+    factors: [f64; 16],
+}
+
+impl ShareRule {
+    fn new(act: ModeSet, space: ModeSpace, options: &RouterOptions) -> Self {
+        let fresh = if act.is_parameterized(space) {
+            1.0 + options.param_penalty
+        } else {
+            1.0
+        };
+        let rules = [
+            fresh,
+            1.0,
+            1.0 - options.share_discount,
+            1.0 - options.share_discount * 0.5,
+        ];
+        let mut factors = [1.0; 16];
+        for (outcomes, factor) in factors.iter_mut().enumerate() {
+            if outcomes != 0 {
+                *factor = rules[outcomes.trailing_zeros() as usize];
+            }
+        }
+        Self {
+            act: act.mask(),
+            all: space.all().mask(),
+            factors,
+        }
+    }
+
+    #[inline]
+    fn factor(&self, cur: ModeSet) -> f64 {
+        let cur = cur.mask();
+        let outcomes = usize::from(cur == 0)
+            | usize::from(cur & self.all == self.all) << 1
+            | usize::from((cur | self.act) & self.all == self.all) << 2
+            | usize::from(self.act & !cur == 0) << 3;
+        self.factors[outcomes]
+    }
+}
+
+/// What the A* edge loop reads of a node besides its [`Visit`] record,
+/// in one 16-byte record: the test whether an edge may enter it and the
+/// factors of its cost.
+#[derive(Debug, Clone, Copy)]
+struct NodePrice {
+    /// `base_cost · (1 + history)`, the history-dependent factor of
+    /// [`Pricing::node_cost`], rewritten wherever the history changes.
+    base_hist: f64,
+    /// The only search target an edge into the node may serve, or
+    /// [`ANY_TARGET`] (wires and OPINs): the fed `SINK` for an `IPIN`,
+    /// the node itself for a `SINK` and for a `SOURCE`, which no edge
+    /// enters. One read prunes foreign sinks and the IPINs that do not
+    /// lead to the target.
+    gate: u32,
+    /// [`mm_arch::RrNode::capacity`].
+    capacity: u16,
+}
+
 /// A net's expansion bounding box (inclusive, grid coordinates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BBox {
@@ -582,7 +672,7 @@ pub(crate) struct BBox {
 impl BBox {
     #[inline]
     pub(crate) fn contains(&self, x: u16, y: u16) -> bool {
-        x >= self.x0 && x <= self.x1 && y >= self.y0 && y <= self.y1
+        (x >= self.x0) & (x <= self.x1) & (y >= self.y0) & (y <= self.y1)
     }
 
     /// Whether the box already spans the whole fabric — growing it
@@ -888,17 +978,14 @@ pub struct Router<'a> {
     /// instead of a scan over the mode counts.
     switch_act: Vec<ModeSet>,
     history: Vec<f32>,
-    /// Per-node `base_cost · (1 + history)`, the history-dependent factor
-    /// of [`Router::node_cost`], rewritten wherever `history` changes.
-    base_hist: Vec<f64>,
+    /// Per node, what the edge loop reads of it besides its A* record.
+    price: Vec<NodePrice>,
     pres_fac: f64,
     /// Fabric extent for bounding-box clamping.
     max_x: u16,
     max_y: u16,
-    /// For every `IPIN` node, the index of the `SINK` it feeds
-    /// (`u32::MAX` elsewhere) — precomputed so the search's IPIN pruning
-    /// is one array read instead of an edge-list lookup.
-    ipin_sink: Vec<u32>,
+    /// The sharing rule of the latest searched activation.
+    share: ShareRule,
     // ---- scratch arena (generation-stamped, reused across nets) ----
     /// Per-node A* records: cost-to-come, predecessor and stamp side by
     /// side, so a relaxation reads and writes one record.
@@ -982,30 +1069,40 @@ impl<'a> Router<'a> {
         );
         let n = rrg.node_count();
         let (mut max_x, mut max_y) = (0u16, 0u16);
-        let mut ipin_sink = vec![u32::MAX; n];
-        for (i, sink) in ipin_sink.iter_mut().enumerate() {
-            let id = RrNodeId::from_index(i as u32);
+        let mut price = Vec::with_capacity(n);
+        for id in rrg.node_ids() {
             let node = rrg.node(id);
             max_x = max_x.max(node.x);
             max_y = max_y.max(node.y);
-            if node.kind == RrKind::Ipin {
-                if let Some(edge) = rrg.edges(id).first() {
-                    *sink = edge.to.index() as u32;
-                }
-            }
+            let gate = match node.kind {
+                RrKind::ChanX | RrKind::ChanY | RrKind::Opin => ANY_TARGET,
+                RrKind::Ipin => rrg
+                    .edges(id)
+                    .first()
+                    .expect("an IPIN feeds its SINK")
+                    .to
+                    .index() as u32,
+                RrKind::Sink | RrKind::Source => id.index() as u32,
+            };
+            price.push(NodePrice {
+                base_hist: 0.0,
+                gate,
+                capacity: node.capacity,
+            });
         }
+        let space = ModeSpace::new(options.mode_count);
         Self {
             rrg,
-            space: ModeSpace::new(options.mode_count),
+            space,
             occ: Occupancy::new(n, options.mode_count),
             switch_use: Occupancy::new(rrg.switch_count(), options.mode_count),
             switch_act: vec![ModeSet::EMPTY; rrg.switch_count()],
             history: vec![0.0; n],
-            base_hist: vec![0.0; n],
+            price,
             pres_fac: PRES_FAC_FIRST,
             max_x,
             max_y,
-            ipin_sink,
+            share: ShareRule::new(ModeSet::EMPTY, space, &options),
             visit: vec![
                 Visit {
                     dist: 0.0,
@@ -1090,27 +1187,11 @@ impl<'a> Router<'a> {
         self.crit_dat[self.crit_idx[net_index] as usize + sink_index]
     }
 
-    /// Node cost given the node's (already fetched) RRG record:
-    /// `base_cost · (1 + history) · pres`, the first product read from
-    /// `base_hist`.
-    fn node_cost(&self, node: u32, rr: &mm_arch::RrNode, act: ModeSet) -> f64 {
-        let occ_eff = f64::from(self.occ.max_in(node as usize, act));
-        let over = (occ_eff + 1.0 - f64::from(rr.capacity)).max(0.0);
-        let pres = 1.0 + self.pres_fac * over;
-        self.base_hist[node as usize] * pres
-    }
-
-    /// Rewrites `base_hist[node]` from the node's current history.
+    /// Rewrites a node's [`NodePrice::base_hist`] from its current
+    /// history.
     fn refresh_base_hist(&mut self, node: usize) {
         let kind = self.rrg.node(RrNodeId::from_index(node as u32)).kind;
-        self.base_hist[node] = Self::base_cost(kind) * (1.0 + f64::from(self.history[node]));
-    }
-
-    /// The modes in which `switch` currently carries signal — O(1) from
-    /// the incrementally maintained activation table.
-    #[inline]
-    fn switch_activation(&self, switch: SwitchId) -> ModeSet {
-        self.switch_act[switch.index()]
+        self.price[node].base_hist = Self::base_cost(kind) * (1.0 + f64::from(self.history[node]));
     }
 
     /// Claims `switch` in the modes of `act`, keeping the activation
@@ -1138,42 +1219,11 @@ impl<'a> Router<'a> {
         self.switch_act[switch.index()] = cur;
     }
 
-    /// Whether edges are priced by [`Router::share_factor`]: with one mode
-    /// or neither a discount nor a penalty, the factor is 1.0 everywhere.
+    /// Whether edges are priced by a [`ShareRule`]: with one mode or
+    /// neither a discount nor a penalty, the factor is 1.0 everywhere.
     fn shares(&self) -> bool {
         self.options.mode_count > 1
             && (self.options.share_discount != 0.0 || self.options.param_penalty != 0.0)
-    }
-
-    /// Reconfiguration-aware edge factor, when [`Router::shares`]: cheaper
-    /// when the traversal makes the switch bit *less* parameterized
-    /// (sharing across disjoint modes), dearer when it freshly
-    /// parameterizes it.
-    fn share_factor(&self, switch: Option<SwitchId>, act: ModeSet) -> f64 {
-        let Some(s) = switch else { return 1.0 };
-        let current = self.switch_activation(s);
-        let after = current | act;
-        let before_param = current.is_parameterized(self.space);
-        let after_param = after.is_parameterized(self.space);
-        if after_param && !before_param && current.is_never() {
-            1.0 + self.options.param_penalty
-        } else if before_param && !after_param {
-            1.0 - self.options.share_discount
-        } else if before_param && act.is_subset(current) {
-            // Re-using an already-parameterized switch in covered modes
-            // costs nothing extra — mildly encourage convergence.
-            1.0 - self.options.share_discount * 0.5
-        } else {
-            1.0
-        }
-    }
-
-    /// A* distance estimate to the (pre-fetched) target coordinates.
-    #[inline]
-    fn heuristic_to(&self, rr: &mm_arch::RrNode, tx: i32, ty: i32) -> f64 {
-        let dx = (i32::from(rr.x) - tx).unsigned_abs();
-        let dy = (i32::from(rr.y) - ty).unsigned_abs();
-        ASTAR_FAC * f64::from(dx + dy)
     }
 
     /// The fabric extent `max(max_x, max_y)` — the margin cap of
@@ -1249,7 +1299,7 @@ impl<'a> Router<'a> {
         self.switch_use.counts.fill(0);
         self.switch_act.fill(ModeSet::EMPTY);
         self.history.fill(0.0);
-        for node in 0..self.base_hist.len() {
+        for node in 0..self.price.len() {
             self.refresh_base_hist(node);
         }
         self.pres_fac = PRES_FAC_FIRST;
@@ -1700,7 +1750,7 @@ impl<'a> Router<'a> {
     ///
     /// The sharing and criticality branches of the edge cost are decided
     /// once here, not per edge: each combination runs its own copy of
-    /// [`Router::expand`].
+    /// [`expand`].
     fn search(
         &mut self,
         tree: &[RouteTreeNode],
@@ -1710,7 +1760,11 @@ impl<'a> Router<'a> {
     ) -> bool {
         let rrg = self.rrg;
         let target_rr = rrg.node(target);
-        let (tx, ty) = (i32::from(target_rr.x), i32::from(target_rr.y));
+        let (tx, ty) = (target_rr.x, target_rr.y);
+        if self.share.act != act.mask() {
+            self.share = ShareRule::new(act, self.space, &self.options);
+        }
+        let shares = self.shares();
         self.open.clear();
         if self.stamp > STAMP_RESET {
             // Forget every record, so that no search can run the counter
@@ -1721,7 +1775,12 @@ impl<'a> Router<'a> {
             }
             self.stamp = 0;
         }
-        let first_stamp = self.stamp + 1;
+        let mut frontier = Frontier {
+            visit: &mut self.visit,
+            open: &mut self.open,
+            stamp: self.stamp,
+        };
+        let first_stamp = frontier.stamp + 1;
 
         for t in tree {
             let node = t.node.index() as u32;
@@ -1729,17 +1788,29 @@ impl<'a> Router<'a> {
             if !bbox.contains(rr.x, rr.y) {
                 continue; // a congestion detour left the box; not a seed
             }
-            let f = self.heuristic_to(rr, tx, ty);
-            self.push(node, node, 0.0, f);
+            frontier.push(node, node, 0.0, heuristic(rr.x, rr.y, tx, ty));
         }
 
-        let target_idx = target.index() as u32;
-        let found = match (self.shares(), self.sink_crit > 0.0) {
-            (false, false) => self.expand::<false, false>(target_idx, act, bbox, first_stamp),
-            (true, false) => self.expand::<true, false>(target_idx, act, bbox, first_stamp),
-            (false, true) => self.expand::<false, true>(target_idx, act, bbox, first_stamp),
-            (true, true) => self.expand::<true, true>(target_idx, act, bbox, first_stamp),
+        let pricing = Pricing {
+            price: &self.price,
+            occ: &self.occ,
+            switch_act: &self.switch_act,
+            pres_fac: self.pres_fac,
+            act,
+            share: &self.share,
+            crit: self.sink_crit,
         };
+        let target_idx = target.index() as u32;
+        let f = &mut frontier;
+        let found = match (shares, self.sink_crit > 0.0) {
+            (false, false) => {
+                expand::<false, false>(rrg, &pricing, f, target_idx, bbox, first_stamp)
+            }
+            (true, false) => expand::<true, false>(rrg, &pricing, f, target_idx, bbox, first_stamp),
+            (false, true) => expand::<false, true>(rrg, &pricing, f, target_idx, bbox, first_stamp),
+            (true, true) => expand::<true, true>(rrg, &pricing, f, target_idx, bbox, first_stamp),
+        };
+        self.stamp = frontier.stamp;
         if !found {
             return false;
         }
@@ -1759,20 +1830,31 @@ impl<'a> Router<'a> {
                 .iter()
                 .find(|e| e.to.index() as u32 == cur)
                 .expect("a predecessor has an edge to its node");
-            self.path.push((cur, edge.switch));
+            self.path.push((cur, edge.switch()));
             cur = prev;
         }
         self.path.reverse();
         true
     }
+}
 
+/// What one A* search writes: the per-node records, the open list and the
+/// stamp counter, borrowed apart from the [`Pricing`] the search reads.
+struct Frontier<'s> {
+    visit: &'s mut [Visit],
+    open: &'s mut OpenList,
+    /// The last stamp issued.
+    stamp: u32,
+}
+
+impl Frontier<'_> {
     /// Records `node` as reached at cost `dist` from `prev` and opens it
     /// at estimated total cost `f`, under a fresh stamp.
     ///
     /// # Panics
     ///
     /// Panics if one search opens more than 2^31 entries.
-    #[inline]
+    #[inline(always)]
     fn push(&mut self, node: u32, prev: u32, dist: f64, f: f64) {
         self.stamp = self
             .stamp
@@ -1782,79 +1864,104 @@ impl<'a> Router<'a> {
         self.visit[node as usize] = Visit { dist, prev, stamp };
         self.open.push(HeapEntry::new(f, node, stamp));
     }
+}
 
-    /// The A* loop of [`Router::search`] over the seeded open list:
-    /// whether `target` was reached. A node was reached in this search
-    /// iff its stamp is at least `first_stamp`. `SHARE` prices edges
-    /// with [`Router::share_factor`] (otherwise the factor is 1.0);
-    /// `TIMED` blends in the sink's criticality.
-    fn expand<const SHARE: bool, const TIMED: bool>(
-        &mut self,
-        target_idx: u32,
-        act: ModeSet,
-        bbox: BBox,
-        first_stamp: u32,
-    ) -> bool {
-        let rrg = self.rrg;
-        let target_rr = rrg.node(RrNodeId::from_index(target_idx));
-        let (tx, ty) = (i32::from(target_rr.x), i32::from(target_rr.y));
-        let c = self.sink_crit;
-        while let Some(entry) = self.open.pop() {
-            let u = entry.node();
-            let Visit {
-                dist: g_u, stamp, ..
-            } = self.visit[u as usize];
-            if entry.stamp() != stamp {
-                continue; // stale
+/// What prices one search's edges, fixed while the search runs.
+struct Pricing<'s> {
+    price: &'s [NodePrice],
+    occ: &'s Occupancy,
+    /// Per switch, the modes in which it carries signal.
+    switch_act: &'s [ModeSet],
+    pres_fac: f64,
+    /// The activation of the connection being routed.
+    act: ModeSet,
+    share: &'s ShareRule,
+    /// The sink's criticality (0.0 when routing is congestion-driven).
+    crit: f64,
+}
+
+impl Pricing<'_> {
+    /// Node cost from the node's (already fetched) price record:
+    /// `base_cost · (1 + history) · pres`, the first product read from
+    /// [`NodePrice::base_hist`]. `pres` is `1 + pres_fac · over`, where
+    /// `over` is how far the node's busiest mode of `act` would exceed the
+    /// capacity (counted in integers: the same value the f64 expression
+    /// `max(occ + 1 - capacity, 0)` gives).
+    #[inline]
+    fn node_cost(&self, node: u32, price: NodePrice) -> f64 {
+        let occ = u32::from(self.occ.max_in(node as usize, self.act));
+        let over = (occ + 1).saturating_sub(u32::from(price.capacity));
+        let pres = 1.0 + self.pres_fac * f64::from(over);
+        price.base_hist * pres
+    }
+}
+
+/// The A* loop of [`Router::search`] over the seeded open list: whether
+/// `target` was reached. A node was reached in this search iff its stamp
+/// is at least `first_stamp`. `SHARE` prices edges with the search's
+/// [`ShareRule`] (otherwise the factor is 1.0); `TIMED` blends in the
+/// sink's criticality.
+fn expand<const SHARE: bool, const TIMED: bool>(
+    rrg: &RoutingGraph,
+    pricing: &Pricing,
+    frontier: &mut Frontier,
+    target_idx: u32,
+    bbox: BBox,
+    first_stamp: u32,
+) -> bool {
+    let target_rr = rrg.node(RrNodeId::from_index(target_idx));
+    let (tx, ty) = (target_rr.x, target_rr.y);
+    let c = pricing.crit;
+    // Both per-node tables have one entry per node: one bounds check
+    // covers both reads of a target's records.
+    let prices = &pricing.price[..frontier.visit.len()];
+    while let Some(entry) = frontier.open.pop() {
+        let u = entry.node();
+        let Visit {
+            dist: g_u, stamp, ..
+        } = frontier.visit[u as usize];
+        if entry.stamp() != stamp {
+            continue; // stale
+        }
+        if u == target_idx {
+            return true;
+        }
+        for e in rrg.edges(RrNodeId::from_index(u)) {
+            let v = e.to.index() as u32;
+            let price = prices[v as usize];
+            let seen = frontier.visit[v as usize];
+            let reached = seen.stamp >= first_stamp;
+            // One test, no early exits: the edge leaves the net's bounding
+            // box, enters a foreign sink or an IPIN that does not lead to
+            // the target (one gate word), or reaches a node already
+            // reached at no more than this entry's cost, which cannot
+            // improve (steps cost >= 0).
+            let closed = !bbox.contains(e.x, e.y)
+                | (price.gate != ANY_TARGET) & (price.gate != target_idx)
+                | reached & (seen.dist <= g_u + 1e-12);
+            if closed {
+                continue;
             }
-            if u == target_idx {
-                return true;
-            }
-            for e in rrg.edges(RrNodeId::from_index(u)) {
-                let v = e.to.index() as u32;
-                let to = rrg.node(e.to);
-                // Never expand through foreign sinks or sources; prune
-                // IPINs that do not lead to the target (one read from the
-                // precomputed table), and anything outside the net's
-                // bounding box.
-                match to.kind {
-                    RrKind::Sink if v != target_idx => continue,
-                    RrKind::Source => continue,
-                    RrKind::Ipin if self.ipin_sink[v as usize] != target_idx => continue,
-                    _ => {}
-                }
-                if !bbox.contains(to.x, to.y) {
-                    continue;
-                }
-                // Steps cost ≥ 0, so a node already reached at no more
-                // than this entry's cost cannot improve: skip it unpriced.
-                let seen = self.visit[v as usize];
-                let reached = seen.stamp >= first_stamp;
-                if reached && seen.dist <= g_u + 1e-12 {
-                    continue;
-                }
-                let share = if SHARE {
-                    self.share_factor(e.switch, act)
-                } else {
-                    1.0
-                };
-                // Timing-driven blend: a critical sink trades congestion
-                // cost for wire delay. A sink at criticality 0.0 takes the
-                // congestion-only expression, bit for bit (the parity
-                // tests rely on that).
-                let g = if TIMED {
-                    g_u + (1.0 - c) * self.node_cost(v, to, act) * share
-                        + c * Self::wire_delay(to.kind)
-                } else {
-                    g_u + self.node_cost(v, to, act) * share
-                };
-                if !reached || g + 1e-12 < seen.dist {
-                    self.push(v, u, g, g + self.heuristic_to(to, tx, ty));
-                }
+            let share = match e.switch() {
+                Some(s) if SHARE => pricing.share.factor(pricing.switch_act[s.index()]),
+                _ => 1.0,
+            };
+            // Timing-driven blend: a critical sink trades congestion cost
+            // for wire delay. A sink at criticality 0.0 takes the
+            // congestion-only expression, bit for bit (the parity tests
+            // rely on that).
+            let g = if TIMED {
+                g_u + (1.0 - c) * pricing.node_cost(v, price) * share
+                    + c * Router::wire_delay(rrg.node(e.to).kind)
+            } else {
+                g_u + pricing.node_cost(v, price) * share
+            };
+            if !reached || g + 1e-12 < seen.dist {
+                frontier.push(v, u, g, g + heuristic(e.x, e.y, tx, ty));
             }
         }
-        false
     }
+    false
 }
 
 #[cfg(test)]
@@ -1876,7 +1983,7 @@ mod tests {
             let edge_ok = rrg
                 .edges(route.tree[p].node)
                 .iter()
-                .any(|e| e.to == t.node && e.switch == t.switch);
+                .any(|e| e.to == t.node && e.switch() == t.switch);
             assert!(edge_ok, "tree edge must exist in the RRG");
             // Activation invariant: child ⊆ parent.
             assert!(
@@ -2156,6 +2263,114 @@ mod tests {
     fn open_list_entries_and_visit_records_are_16_bytes() {
         assert_eq!(std::mem::size_of::<HeapEntry>(), 16);
         assert_eq!(std::mem::size_of::<Visit>(), 16);
+        // So is the record an edge reads of its target besides its visit.
+        assert_eq!(std::mem::size_of::<NodePrice>(), 16);
+    }
+
+    /// The sharing factor as the parameterization of the switch bit
+    /// before and after the traversal decides it (the reference router
+    /// still prices edges this way).
+    fn share_factor_by_parameterization(
+        cur: ModeSet,
+        act: ModeSet,
+        space: ModeSpace,
+        options: &RouterOptions,
+    ) -> f64 {
+        let after = cur | act;
+        let before_param = cur.is_parameterized(space);
+        let after_param = after.is_parameterized(space);
+        if after_param && !before_param && cur.is_never() {
+            1.0 + options.param_penalty
+        } else if before_param && !after_param {
+            1.0 - options.share_discount
+        } else if before_param && act.is_subset(cur) {
+            1.0 - options.share_discount * 0.5
+        } else {
+            1.0
+        }
+    }
+
+    #[test]
+    fn share_rule_prices_like_the_parameterization_of_the_switch_bit() {
+        use rand::{Rng, SeedableRng};
+        let options = [
+            RouterOptions::default(),
+            RouterOptions {
+                share_discount: 1.0,
+                param_penalty: -1.0,
+                ..RouterOptions::default()
+            },
+            RouterOptions {
+                share_discount: -0.3,
+                param_penalty: 2.5,
+                ..RouterOptions::default()
+            },
+        ];
+        let check = |cur: u64, act: u64, space: ModeSpace, options: &RouterOptions| {
+            let (cur, act) = (ModeSet::from_mask(cur), ModeSet::from_mask(act));
+            let rule = ShareRule::new(act, space, options);
+            assert_eq!(
+                rule.factor(cur).to_bits(),
+                share_factor_by_parameterization(cur, act, space, options).to_bits(),
+                "cur {cur:?}, act {act:?}, {} modes, {options:?}",
+                space.mode_count()
+            );
+        };
+        for options in &options {
+            for modes in 1..=8 {
+                let space = ModeSpace::new(modes);
+                for act in 0..1u64 << modes {
+                    for cur in 0..1u64 << modes {
+                        check(cur, act, space, options);
+                    }
+                }
+            }
+            // 64 modes: random sets, sparse and dense ones, and the
+            // empty and the full set on either side.
+            let space = ModeSpace::new(64);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(64);
+            let mut sets = vec![0, u64::MAX, 1, 1 << 63, u64::MAX >> 1];
+            for _ in 0..200 {
+                let set = match rng.gen_range(0..3) {
+                    0 => rng.gen::<u64>(),
+                    1 => rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>(),
+                    _ => rng.gen::<u64>() | rng.gen::<u64>() | rng.gen::<u64>(),
+                };
+                sets.push(set);
+            }
+            for &act in &sets {
+                for &cur in &sets {
+                    check(cur, act, space, options);
+                    check(cur | act, act, space, options);
+                    check(cur & !act, act, space, options);
+                    check(!cur, act, space, options);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gate_words_match_the_node_kinds() {
+        for (grid, width) in [(1, 1), (3, 4), (6, 9)] {
+            let rrg = arch_rrg(grid, width);
+            let router = Router::new(&rrg, RouterOptions::default());
+            for id in rrg.node_ids() {
+                let node = rrg.node(id);
+                let price = router.price[id.index()];
+                assert_eq!(price.capacity, node.capacity, "{id}");
+                let expected = match node.kind {
+                    RrKind::ChanX | RrKind::ChanY | RrKind::Opin => ANY_TARGET,
+                    RrKind::Ipin => {
+                        let edges = rrg.edges(id);
+                        assert_eq!(edges.len(), 1, "an IPIN feeds one SINK");
+                        assert_eq!(rrg.node(edges[0].to).kind, RrKind::Sink);
+                        edges[0].to.index() as u32
+                    }
+                    RrKind::Sink | RrKind::Source => id.index() as u32,
+                };
+                assert_eq!(price.gate, expected, "{id} ({:?})", node.kind);
+            }
+        }
     }
 
     #[test]
